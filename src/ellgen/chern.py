@@ -2,9 +2,11 @@
 
 A 4n-manifold enters as its Pontryagin numbers, indexed by partitions of n.
 A multiplicative genus enters as one even power series f(x) per formal root;
-`genus_class` turns prod_{j=1}^{2n} f(x_j) into a polynomial in p_1..p_n via
-log/exp and Newton power sums, and `pair` contracts the weight-n part with
-the Pontryagin numbers.
+with log(f/f(0)) = sum_k a_k x^(2k), prod_{j=1}^{2n} f(x_j) equals
+f(0)^(2n) sum_mu prod_k a_k^(m_k) / m_k! s_mu, where s_mu multiplies the power
+sums s_k = sum_j x_j^(2k) over the parts k of mu, m_k being the multiplicity
+of k (Macdonald, ch. I.2).  `genus_number` pairs this with <s_mu, [M]>,
+`genus_class` rewrites it in p_1..p_n, and `pair` contracts a class with [M].
 """
 
 from __future__ import annotations
@@ -117,13 +119,15 @@ class Manifold:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Manifold":
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"manifold JSON must be an object, not {type(obj).__name__}")
         try:
             name = str(obj.get("name", ""))
             dim = int(obj["dim"])
             raw = obj.get("pontryagin_numbers", {})
             pont = {partition_from_str(k): Fraction(v) for k, v in raw.items()}
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed manifold JSON: {exc}") from exc
+        except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"malformed manifold JSON: {type(exc).__name__}: {exc}") from exc
         return cls(name=name, dim=dim, pont=pont)
 
 
@@ -311,21 +315,6 @@ class RootSeries:
             sign = -sign
         return result * c0_inv
 
-    def log_unit(self) -> "RootSeries":
-        """log of a series with x^0 coefficient exactly 1 (x-adic expansion)."""
-        if self.constant_term() != USeries.one(self.uorder):
-            raise NonUnitConstant("log_unit requires x^0 coefficient 1")
-        m = self - 1
-        result = RootSeries({}, self.xdeg, self.uorder)
-        power = RootSeries.const(1, self.xdeg, self.uorder)
-        k = 1
-        sign = 1
-        while not (power := power * m).is_zero():
-            result = result + power * Fraction(sign, k)
-            k += 1
-            sign = -sign
-        return result
-
     # -- substitutions -------------------------------------------------------
 
     def scale_x(self, c: Scalar) -> "RootSeries":
@@ -510,18 +499,6 @@ class PontPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "PontPoly":
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        result = PontPoly.const(1, self.nmax, self.uorder)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def exp(self) -> "PontPoly":
         """exp of a polynomial with zero weight-0 part (nilpotent, finite sum)."""
         if not self.coeff(()).is_zero():
@@ -537,24 +514,29 @@ class PontPoly:
 
 
 @lru_cache(maxsize=None)
-def _newton_terms(k: int, nmax: int) -> tuple[tuple[Partition, int], ...]:
+def _newton_terms(k: int) -> tuple[tuple[Partition, int], ...]:
     """Power sum s_k = sum_j (x_j^2)^k in the p_i, as integer partition terms."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
-        return (((1,), 1),)
-    acc: dict[Partition, int] = {}
     # s_k = p_1 s_{k-1} - p_2 s_{k-2} + ... + (-1)^{k-1} k p_k
-    for i in range(1, min(k - 1, nmax) + 1):
-        sign = 1 if i % 2 == 1 else -1
-        for part, coef in _newton_terms(k - i, nmax):
-            if weight(part) + i > nmax:
-                continue
+    acc: dict[Partition, int] = {(k,): (-1) ** (k - 1) * k}
+    for i in range(1, k):
+        for part, coef in _newton_terms(k - i):
             key = partition_key(part + (i,))
-            acc[key] = acc.get(key, 0) + sign * coef
-    if k <= nmax:
-        key = (k,)
-        acc[key] = acc.get(key, 0) + (1 if k % 2 == 1 else -1) * k
+            acc[key] = acc.get(key, 0) + (-1) ** (i - 1) * coef
+    return tuple(sorted((p, c) for p, c in acc.items() if c))
+
+
+@lru_cache(maxsize=None)
+def _power_sum_terms(mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """s_mu = prod_i s_{mu_i} in the p_i, as integer partition terms of weight |mu|."""
+    if not mu:
+        return (((), 1),)
+    acc: dict[Partition, int] = {}
+    for lam, c in _power_sum_terms(mu[:-1]):
+        for nu, d in _newton_terms(mu[-1]):
+            key = partition_key(lam + nu)
+            acc[key] = acc.get(key, 0) + c * d
     return tuple(sorted((p, c) for p, c in acc.items() if c))
 
 
@@ -562,18 +544,11 @@ def newton_power_sum(k: int, nmax: int, uorder: int | None = None) -> PontPoly:
     """s_k = sum_j (x_j^2)^k expressed in the elementary symmetric p_i."""
     if uorder is None:
         uorder = default_uorder()
-    return PontPoly(
-        {p: USeries.const(c, uorder) for p, c in _newton_terms(k, nmax)}, nmax, uorder
-    )
+    return PontPoly({p: USeries.const(c, uorder) for p, c in _newton_terms(k)}, nmax, uorder)
 
 
-def genus_class(f: RootSeries, n: int) -> PontPoly:
-    """Reduce prod_{j=1}^{2n} f(x_j) to a polynomial in p_1..p_n.
-
-    Writes log(f/f(0)) = sum_k a_k x^(2k) and returns
-    f(0)^(2n) * exp(sum_k a_k s_k); the cost is independent of the number
-    of roots.
-    """
+def _class_coefficients(f: RootSeries, n: int) -> tuple[USeries, dict[Partition, USeries]]:
+    """f(0)^(2n) and c_mu = prod_k a_k^(m_k) / m_k! for |mu| <= n: the closed form's coefficients."""
     if not f.is_even:
         raise OddTermPresent("genus factor must be even in x")
     if f.xdeg < 2 * n + 1:
@@ -581,15 +556,44 @@ def genus_class(f: RootSeries, n: int) -> PontPoly:
     c0 = f.constant_term()
     if not c0.constant():
         raise NonUnitConstant("genus factor value at x = 0 is not invertible")
-    uorder = f.uorder
-    logf = (f * c0.inverse()).log_unit()
-    acc = PontPoly({}, n, uorder)
+    c0_inv = c0.inverse()
+    g = [None] + [f.coeff(2 * k) * c0_inv for k in range(1, n + 1)]
+    # k g_k = sum_{j=1}^k j a_j g_{k-j} with g = f/f(0), g_0 = 1 (from g' = g log(g)').
+    a = [None]
     for k in range(1, n + 1):
-        a_k = logf.coeff(2 * k)
-        if a_k.is_zero():
-            continue
-        acc = acc + newton_power_sum(k, n, uorder) * a_k
-    return acc.exp() * c0 ** (2 * n)
+        acc = sum((a[j] * g[k - j] * j for j in range(1, k)), USeries.zero(f.uorder))
+        a.append(g[k] - acc / k)
+    coeffs = {(): USeries.one(f.uorder)}
+    for w in range(1, n + 1):
+        for mu in partitions_of(w):
+            k = mu[-1]  # the smallest part
+            coeffs[mu] = coeffs[mu[:-1]] * a[k] / mu.count(k)
+    return c0 ** (2 * n), coeffs
+
+
+def genus_class(f: RootSeries, n: int) -> PontPoly:
+    """Reduce prod_{j=1}^{2n} f(x_j) to a polynomial in p_1..p_n.
+
+    Rewrites f(0)^(2n) sum_{|mu| <= n} c_mu s_mu in the p-basis; the cost is
+    independent of the number of roots.
+    """
+    scale, coeffs = _class_coefficients(f, n)
+    terms: dict[Partition, USeries] = {}
+    for mu, c in coeffs.items():
+        for lam, t in _power_sum_terms(mu):
+            terms[lam] = terms[lam] + c * t if lam in terms else c * t
+    return PontPoly(terms, n, f.uorder) * scale
+
+
+def genus_number(f: RootSeries, m: Manifold) -> USeries:
+    """pair(genus_class(f, n), m) as f(0)^(2n) sum_{mu |- n} c_mu <s_mu, [M]>, building no class."""
+    n = m.n
+    scale, coeffs = _class_coefficients(f, n)
+    acc = USeries.zero(f.uorder)
+    for mu in partitions_of(n):
+        num = sum(c * m.pont.get(lam, 0) for lam, c in _power_sum_terms(mu))
+        acc = acc + coeffs[mu] * num
+    return acc * scale
 
 
 def ch_tangent(n: int, nmax: int, uorder: int | None = None) -> PontPoly:
@@ -609,8 +613,6 @@ def ch_tangent(n: int, nmax: int, uorder: int | None = None) -> PontPoly:
 
 def pair(c: PontPoly, m: Manifold) -> USeries:
     """Contract the weight-n part of `c` with the Pontryagin numbers of `m`."""
-    if m.dim % 4:
-        raise DimMismatch(f"dimension {m.dim} not a multiple of 4")
     n = m.n
     if c.nmax < n:
         raise DimMismatch(f"class truncated at weight {c.nmax}, manifold needs {n}")

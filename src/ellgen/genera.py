@@ -2,7 +2,8 @@
 
 Two independent routes to the same numbers coexist here:
 
-* the Pontryagin route (`genus`): per-root factor -> `genus_class` -> `pair`,
+* the Pontryagin route (`genus`): per-root factor -> its log coefficients
+  -> the power-sum closed form paired with <s_mu, [M]> (`genus_number`),
   in the hyperbolic normalization x = 2*pi*sqrt(-1)*z;
 * the residue route (`hypersurface_genus`) for hypersurfaces X(N; d) in
   CP^N, which extracts one coefficient of f(x)^(N+1) (d x)/f(d x).
@@ -27,10 +28,11 @@ from .chern import (
     RootSeries,
     ch_tangent,
     genus_class,
+    genus_number,
     pair,
     partitions_of,
 )
-from .errors import DimMismatch, DimNotMultipleOf4, NonUnitConstant
+from .errors import DimNotMultipleOf4, NonUnitConstant
 from .series import USeries, default_uorder
 from .theta import (
     GenusKind,
@@ -45,11 +47,7 @@ def genus(m: Manifold, kind: GenusKind | str, uorder: int | None = None) -> USer
     """Exact q-expansion of a genus of `m` (constant series for ahat/lhat)."""
     if uorder is None:
         uorder = default_uorder()
-    if m.dim % 4:
-        raise DimMismatch(f"dimension {m.dim} not a multiple of 4")
-    n = m.n
-    f = genus_root_series(GenusKind(kind), 2 * n + 2, uorder)
-    return pair(genus_class(f, n), m)
+    return genus_number(genus_root_series(GenusKind(kind), 2 * m.n + 2, uorder), m)
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ import sympy
 
 from ellgen.chern import (
     Manifold,
+    _power_sum_terms,
     PontPoly,
     RootSeries,
     ch_tangent,
@@ -16,6 +17,7 @@ from ellgen.chern import (
     partitions_of,
 )
 from ellgen.errors import DimMismatch, NonUnitConstant, OddTermPresent
+from ellgen.genera import genus
 from ellgen.series import USeries
 from ellgen.theta import GenusKind, genus_root_series, half_x_over_sinh_half_poly
 
@@ -272,3 +274,77 @@ def test_missing_partitions_read_zero():
     m = Manifold("m", 8, {(2,): F(5)})
     assert m.pont_number((1, 1)) == 0
     assert m.missing_partitions() == [(1, 1)]
+
+
+# -- power-sum closed form against the log/exp reduction ---------------------
+
+def reference_genus_class(f, n):
+    """f(0)^(2n) exp(sum_k a_k s_k) with log(f/f(0)) = sum_k a_k x^(2k).
+
+    The log/exp reduction the power-sum closed form replaced, built only from
+    RootSeries and PontPoly addition and multiplication: the x-adic log series,
+    Newton's recursion s_k = p_1 s_{k-1} - p_2 s_{k-2} + ... + (-1)^(k-1) k p_k
+    on the generators, and the truncated exponential series.
+    """
+    uorder = f.uorder
+    c0 = f.constant_term()
+    m = f * c0.inverse() - 1
+    logf = RootSeries({}, f.xdeg, uorder)
+    power = RootSeries.const(1, f.xdeg, uorder)
+    for k in range(1, f.xdeg // 2 + 1):  # m has x-valuation >= 2
+        power = power * m
+        logf = logf + power * F((-1) ** (k + 1), k)
+    p = [None] + [PontPoly.generator(i, n, uorder) for i in range(1, n + 1)]
+    s = [None]
+    for k in range(1, n + 1):
+        sk = p[k] * ((-1) ** (k - 1) * k)
+        for i in range(1, k):
+            sk = sk + p[i] * s[k - i] * (-1) ** (i - 1)
+        s.append(sk)
+    exponent = PontPoly({}, n, uorder)
+    for k in range(1, n + 1):
+        exponent = exponent + s[k] * logf.coeff(2 * k)
+    result = term = PontPoly.const(1, n, uorder)
+    for k in range(1, n + 1):
+        term = term * exponent * F(1, k)
+        result = result + term
+    return result * c0 ** (2 * n)
+
+
+@pytest.mark.parametrize("uorder", [1, 12, 24])
+@pytest.mark.parametrize("kind", list(GenusKind))
+def test_genus_class_matches_log_exp_reference(kind, uorder):
+    for n in range(1, 7):
+        f = genus_root_series(kind, 2 * n + 2, uorder)
+        assert genus_class(f, n) == reference_genus_class(f, n), (kind, n)
+
+
+@pytest.mark.parametrize("uorder", [1, 12, 24])
+def test_genus_class_matches_reference_on_random_factors(uorder):
+    # f(0) = a + b u is not a scalar once uorder > 1
+    rng = random.Random(uorder)
+    for n in range(1, 7):
+        f = random_even_unit_factor(rng, 2 * n + 1, uorder)
+        assert genus_class(f, n) == reference_genus_class(f, n), n
+
+
+@pytest.mark.parametrize("kind", list(GenusKind))
+def test_genus_pairs_like_genus_class(kind):
+    rng = random.Random(7)
+    for n in range(1, 6):
+        m = Manifold("r", 4 * n, {p: F(rng.randint(-50, 50), rng.randint(1, 6)) for p in partitions_of(n)})
+        f = genus_root_series(kind, 2 * n + 2, 12)
+        assert genus(m, kind, 12) == pair(genus_class(f, n), m), n
+
+
+def test_power_sum_table_numeric_check():
+    # s_mu in the p_i, evaluated at random squared roots y_j, against prod_i sum_j y_j^mu_i
+    rng = random.Random(3)
+    for w in range(1, 7):
+        ys = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2 * w)]
+        e = [F(1)]
+        for y in ys:
+            e = [e[0]] + [e[i] + y * e[i - 1] for i in range(1, len(e))] + [y * e[-1]]
+        for mu in partitions_of(w):
+            value = sum(c * sympy.prod([e[i] for i in lam]) for lam, c in _power_sum_terms(mu))
+            assert value == sympy.prod([sum(y**k for y in ys) for k in mu]), mu

@@ -177,3 +177,21 @@ def test_uorder_env_override(capsys, k3_file, monkeypatch):
 def test_manifold_json_roundtrip_via_cli_schema():
     m = Manifold("q", 8, {(1, 1): 8, (2,): 14})
     assert Manifold.from_json(json.loads(json.dumps(m.to_json()))) == m
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",  # top level is not an object
+        json.dumps({"name": "z", "dim": 4, "pontryagin_numbers": {"[1]": "1/0"}}),
+    ],
+    ids=["array-top-level", "zero-denominator"],
+)
+def test_genus_malformed_manifold_is_bad_input(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "genus", "--manifold", str(path), "--genus", "ahat")
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
