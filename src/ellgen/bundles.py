@@ -8,6 +8,13 @@ factors (1 -+ t)^(+-4n), so the monomials stay honest S/Lambda powers of T.
 
 The coefficient bundles feed an index-route computation of Ell_2 through
 the Chern character, entirely independent of the theta-product route.
+Chern characters live in the power-sum basis s_mu = prod_i s_(mu_i),
+s_k = sum_j x_j^(2k), with rational coefficients: the k-scaled tangent
+character is linear in the s_k, ch(S^a T) and ch(Lambda^b T) follow from a
+t-adic exp, and each monomial's character is memoized on (monomial, n,
+nmax).  The index ind(D x B_k) pairs the weight-n s-vector of
+A-hat(T) ch(B_k) with the numbers <s_mu, [M]>; the public `ch_*` functions
+convert to the p-basis once, on return.
 """
 
 from __future__ import annotations
@@ -18,10 +25,19 @@ from functools import lru_cache
 from math import comb
 from typing import Mapping
 
-from .chern import Manifold, PontPoly, newton_power_sum, pair
+from .chern import (
+    Manifold,
+    Partition,
+    PontPoly,
+    _class_coefficients,
+    _power_sum_terms,
+    pair,  # noqa: F401  (kept as a module binding: the benchmark tracer patches bundles.pair)
+    partitions_of,
+    power_sum_number,
+)
 from .errors import DimMismatch
-from .genera import ahat_class
 from .series import USeries, default_uorder
+from .theta import GenusKind, genus_root_series
 
 
 @dataclass(frozen=True)
@@ -196,13 +212,20 @@ def _bqs_mul(a: BundleQSeries, b: BundleQSeries) -> BundleQSeries:
     return BundleQSeries(a.n, order, {k: v for k, v in out.items() if not v.is_zero()})
 
 
-def _bqs_scalar(s: USeries, n: int) -> BundleQSeries:
-    coeffs = {}
-    for k, v in s.items():
-        if v.denominator != 1:
-            raise ValueError("bundle scalar series must have integer coefficients")
-        coeffs[k] = VirtualBundlePoly.const(v.numerator, n)
-    return BundleQSeries(n, s.order, coeffs)
+def _bqs_scale(a: BundleQSeries, s: USeries) -> BundleQSeries:
+    """Multiply every coefficient of `a` by the integer u-series `s`."""
+    if any(v.denominator != 1 for _, v in s.items()):
+        raise ValueError("bundle scalar series must have integer coefficients")
+    order = min(a.order, s.order)
+    terms: dict[int, dict[BundleMonomial, int]] = {}
+    for i, c in s.items():
+        for j, v in a.coeffs.items():
+            if i + j < order:
+                acc = terms.setdefault(i + j, {})
+                for mono, coef in v._t.items():
+                    acc[mono] = acc.get(mono, 0) + c.numerator * coef
+    out = {k: VirtualBundlePoly(t, a.n) for k, t in terms.items()}
+    return BundleQSeries(a.n, order, {k: v for k, v in out.items() if not v.is_zero()})
 
 
 @lru_cache(maxsize=None)
@@ -210,14 +233,19 @@ def expand_witten(which: str, n: int, uorder: int) -> BundleQSeries:
     """Expand Theta x Theta_1 ("theta1") or Theta x Theta_2 ("theta2").
 
     Uses S_t(E - C^r) = S_t(E)(1-t)^r and Lambda_t(E - C^r) = Lambda_t(E)
-    (1+t)^(-r): the u^k coefficient is the bundle A_k resp. B_k.
+    (1+t)^(-r): the u^k coefficient is the bundle A_k resp. B_k.  The scalar
+    factors are integer u-series that commute with the bundle factors, so
+    they are collected into one series and applied once at the end.
     """
     if which not in ("theta1", "theta2"):
         raise ValueError(f"which must be 'theta1' or 'theta2', got {which!r}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if uorder < 1:
         raise ValueError("uorder must be >= 1")
     rank = 4 * n
     result = BundleQSeries(n, uorder, {0: VirtualBundlePoly.const(1, n)})
+    scalar = USeries.one(uorder)
     m = 1
     while True:
         w_sym = 2 * m
@@ -231,8 +259,7 @@ def expand_witten(which: str, n: int, uorder: int) -> BundleQSeries:
                 sym_terms[w_sym * a] = VirtualBundlePoly({BundleMonomial.make(sym=(a,)): 1}, n)
                 a += 1
             result = _bqs_mul(result, BundleQSeries(n, uorder, sym_terms))
-            one_minus = USeries.one(uorder) - USeries.monomial(w_sym, 1, uorder)
-            result = _bqs_mul(result, _bqs_scalar(one_minus**rank, n))
+            scalar = scalar * (USeries.one(uorder) - USeries.monomial(w_sym, 1, uorder)) ** rank
         if w_twist < uorder:
             sign = 1 if which == "theta1" else -1
             ext_terms = {0: VirtualBundlePoly.const(1, n)}
@@ -244,81 +271,117 @@ def expand_witten(which: str, n: int, uorder: int) -> BundleQSeries:
                 b += 1
             result = _bqs_mul(result, BundleQSeries(n, uorder, ext_terms))
             tsigned = USeries.monomial(w_twist, sign, uorder)
-            result = _bqs_mul(result, _bqs_scalar((USeries.one(uorder) + tsigned) ** (-rank), n))
+            scalar = scalar * (USeries.one(uorder) + tsigned) ** (-rank)
         m += 1
-    return result
+    return _bqs_scale(result, scalar)
 
 
 # ---------------------------------------------------------------------------
-# Chern characters of the monomials
+# Chern characters of the monomials, in the power-sum basis
 # ---------------------------------------------------------------------------
+
+# A class as rational coefficients on s_mu = prod_i s_(mu_i), s_k = sum_j x_j^(2k),
+# of weight |mu| <= nmax.  Memoized classes are tuples of (mu, coefficient)
+# items, so no caller can mutate a cached value.
+SClass = tuple[tuple[Partition, Fraction], ...]
+
+_ONE_S: SClass = (((), Fraction(1)),)
+
+
+def _s_mul(a: SClass, b: SClass, nmax: int) -> SClass:
+    """Product truncated at weight nmax; s_mu s_nu is s of the union of mu and nu."""
+    acc: dict[Partition, Fraction] = {}
+    for mu, c in a:
+        w = sum(mu)
+        for nu, d in b:
+            if w + sum(nu) <= nmax:
+                key = tuple(sorted(mu + nu, reverse=True))
+                acc[key] = acc.get(key, 0) + c * d
+    return tuple((mu, c) for mu, c in acc.items() if c)
+
+
+def _s_combine(terms) -> SClass:
+    """sum_i f_i c_i over (f_i, c_i) pairs of a scalar and a class."""
+    acc: dict[Partition, Fraction] = {}
+    for f, c in terms:
+        for mu, d in c:
+            acc[mu] = acc.get(mu, 0) + f * d
+    return tuple((mu, c) for mu, c in acc.items() if c)
 
 
 @lru_cache(maxsize=None)
-def _scaled_tangent_ch(k: int, n: int, nmax: int, uorder: int) -> PontPoly:
+def _scaled_tangent_ch(k: int, n: int, nmax: int) -> SClass:
     """sum_j (e^{k x_j} + e^{-k x_j}) = 4n + sum_r 2 k^(2r) s_r / (2r)!."""
-    result = PontPoly.const(4 * n, nmax, uorder)
+    terms = [((), Fraction(4 * n))]
     fact = 1
     for r in range(1, nmax + 1):
         fact *= (2 * r) * (2 * r - 1)
-        result = result + newton_power_sum(r, nmax, uorder) * Fraction(2 * k ** (2 * r), fact)
+        terms.append(((r,), Fraction(2 * k ** (2 * r), fact)))
+    return tuple(terms)
+
+
+@lru_cache(maxsize=None)
+def _power_ch(a: int, n: int, nmax: int, sign: int) -> SClass:
+    """ch(S^a T_C) for sign = 1, ch(Lambda^a T_C) for sign = -1.
+
+    [t^a] of the t-adic exp of sum_k sign^(k-1) t^k/k psi_k, psi_k the
+    k-scaled tangent character; differentiating in t gives the recursion
+    a ch_a = sum_{j=1}^a sign^(j-1) psi_j ch_(a-j).
+    """
+    if a == 0:
+        return _ONE_S
+    return _s_combine(
+        (
+            Fraction(sign ** (j - 1), a),
+            _s_mul(_scaled_tangent_ch(j, n, nmax), _power_ch(a - j, n, nmax, sign), nmax),
+        )
+        for j in range(1, a + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _ch_monomial_s(mono: BundleMonomial, n: int, nmax: int) -> SClass:
+    """ch of a bundle monomial (ch is multiplicative)."""
+    result = _ONE_S
+    for a in mono.sym:
+        result = _s_mul(result, _power_ch(a, n, nmax, 1), nmax)
+    for b in mono.ext:
+        result = _s_mul(result, _power_ch(b, n, nmax, -1), nmax)
     return result
 
 
-def _t_adic_exp(log_coeffs: list[PontPoly], tmax: int, n: int, nmax: int, uorder: int) -> list[PontPoly]:
-    # exp of a t-polynomial with zero constant term, coefficients in PontPoly
-    out = [PontPoly.const(1, nmax, uorder)]
-    for m in range(1, tmax + 1):
-        acc = PontPoly({}, nmax, uorder)
-        for j in range(1, m + 1):
-            if not log_coeffs[j].is_zero():
-                acc = acc + log_coeffs[j] * out[m - j] * j
-        out.append(acc * Fraction(1, m))
-    return out
+def _ch_virtual_s(v: VirtualBundlePoly, nmax: int) -> SClass:
+    return _s_combine((coef, _ch_monomial_s(mono, v.n, nmax)) for mono, coef in v.items())
 
 
-@lru_cache(maxsize=None)
+def _to_pont(c: SClass, nmax: int, uorder: int | None) -> PontPoly:
+    """Rewrite an s-basis class in p_1..p_nmax with constant u-series coefficients."""
+    if uorder is None:
+        uorder = default_uorder()
+    terms: dict[Partition, Fraction] = {}
+    for mu, coef in c:
+        for lam, t in _power_sum_terms(mu):
+            terms[lam] = terms.get(lam, 0) + coef * t
+    return PontPoly({lam: USeries.const(v, uorder) for lam, v in terms.items()}, nmax, uorder)
+
+
 def ch_sym_power(a: int, n: int, nmax: int, uorder: int) -> PontPoly:
     """ch(S^a T_C) via [t^a] exp(sum_k t^k/k * sum_j (e^{kx_j}+e^{-kx_j}))."""
-    if a == 0:
-        return PontPoly.const(1, nmax, uorder)
-    log_coeffs = [PontPoly({}, nmax, uorder)]
-    for k in range(1, a + 1):
-        log_coeffs.append(_scaled_tangent_ch(k, n, nmax, uorder) * Fraction(1, k))
-    return _t_adic_exp(log_coeffs, a, n, nmax, uorder)[a]
+    return _to_pont(_power_ch(a, n, nmax, 1), nmax, uorder)
 
 
-@lru_cache(maxsize=None)
 def ch_ext_power(b: int, n: int, nmax: int, uorder: int) -> PontPoly:
     """ch(Lambda^b T_C) via [t^b] exp(sum_k (-1)^(k-1) t^k/k * (...))."""
-    if b == 0:
-        return PontPoly.const(1, nmax, uorder)
-    log_coeffs = [PontPoly({}, nmax, uorder)]
-    for k in range(1, b + 1):
-        sign = 1 if k % 2 == 1 else -1
-        log_coeffs.append(_scaled_tangent_ch(k, n, nmax, uorder) * Fraction(sign, k))
-    return _t_adic_exp(log_coeffs, b, n, nmax, uorder)[b]
+    return _to_pont(_power_ch(b, n, nmax, -1), nmax, uorder)
 
 
 def ch_monomial(mono: BundleMonomial, n: int, nmax: int, uorder: int | None = None) -> PontPoly:
     """Chern character of a bundle monomial (ch is multiplicative)."""
-    if uorder is None:
-        uorder = default_uorder()
-    result = PontPoly.const(1, nmax, uorder)
-    for a in mono.sym:
-        result = result * ch_sym_power(a, n, nmax, uorder)
-    for b in mono.ext:
-        result = result * ch_ext_power(b, n, nmax, uorder)
-    return result
+    return _to_pont(_ch_monomial_s(mono, n, nmax), nmax, uorder)
 
 
 def ch_virtual(v: VirtualBundlePoly, nmax: int, uorder: int | None = None) -> PontPoly:
-    if uorder is None:
-        uorder = default_uorder()
-    result = PontPoly({}, nmax, uorder)
-    for mono, coef in v.items():
-        result = result + ch_monomial(mono, v.n, nmax, uorder) * coef
-    return result
+    return _to_pont(_ch_virtual_s(v, nmax), nmax, uorder)
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +389,29 @@ def ch_virtual(v: VirtualBundlePoly, nmax: int, uorder: int | None = None) -> Po
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _ahat_s(n: int) -> SClass:
+    """A-hat(T) of a 4n-manifold in the s-basis, up to weight n."""
+    scale, coeffs = _class_coefficients(genus_root_series(GenusKind.AHAT, 2 * n + 2, 1), n)
+    return tuple((mu, scale.coeff(0) * c.coeff(0)) for mu, c in coeffs.items() if c.coeff(0))
+
+
+def _index_vector(v: VirtualBundlePoly) -> SClass:
+    """Weight-n part of A-hat(T) ch(v); its pairing with [M] is ind(D x v)."""
+    n = v.n
+    return tuple((mu, c) for mu, c in _s_mul(_ahat_s(n), _ch_virtual_s(v, n), n) if sum(mu) == n)
+
+
 def index_bundle(m: Manifold, v: VirtualBundlePoly) -> Fraction:
     """<A-hat(TM) ch(v), [M]>: the index of the v-twisted Dirac operator."""
     if v.n != m.n:
         raise DimMismatch(f"bundle built for n = {v.n}, manifold has n = {m.n}")
-    cls = ahat_class(m.n, 1) * ch_virtual(v, m.n, 1)
-    return pair(cls, m).coeff(0)
+    return sum((c * power_sum_number(mu, m) for mu, c in _index_vector(v)), Fraction(0))
 
 
 @lru_cache(maxsize=None)
-def _index_class(n: int, uorder: int, k: int) -> PontPoly:
-    bk = expand_witten("theta2", n, uorder).coeff(k)
-    return ahat_class(n, 1) * ch_virtual(bk, n, 1)
+def _index_class(n: int, uorder: int, k: int) -> SClass:
+    return _index_vector(expand_witten("theta2", n, uorder).coeff(k))
 
 
 def ell2_via_bundles(m: Manifold, uorder: int | None = None) -> USeries:
@@ -346,9 +420,10 @@ def ell2_via_bundles(m: Manifold, uorder: int | None = None) -> USeries:
         uorder = default_uorder()
     if m.dim % 4:
         raise DimMismatch(f"dimension {m.dim} not a multiple of 4")
+    numbers = {mu: power_sum_number(mu, m) for mu in partitions_of(m.n)}
     coeffs = {}
     for k in range(uorder):
-        value = pair(_index_class(m.n, uorder, k), m).coeff(0)
+        value = sum((c * numbers[mu] for mu, c in _index_class(m.n, uorder, k)), Fraction(0))
         if value:
             coeffs[k] = value
     return USeries(coeffs, uorder)

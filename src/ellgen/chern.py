@@ -123,7 +123,10 @@ class Manifold:
             raise ValueError(f"manifold JSON must be an object, not {type(obj).__name__}")
         try:
             name = str(obj.get("name", ""))
-            dim = int(obj["dim"])
+            raw_dim = obj["dim"]
+            dim = int(raw_dim)
+            if isinstance(raw_dim, float) and raw_dim != dim:
+                raise ValueError(f"manifold dimension must be an integer, got {raw_dim}")
             raw = obj.get("pontryagin_numbers", {})
             pont = {partition_from_str(k): Fraction(v) for k, v in raw.items()}
         except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError) as exc:
@@ -591,9 +594,13 @@ def genus_number(f: RootSeries, m: Manifold) -> USeries:
     scale, coeffs = _class_coefficients(f, n)
     acc = USeries.zero(f.uorder)
     for mu in partitions_of(n):
-        num = sum(c * m.pont.get(lam, 0) for lam, c in _power_sum_terms(mu))
-        acc = acc + coeffs[mu] * num
+        acc = acc + coeffs[mu] * power_sum_number(mu, m)
     return acc * scale
+
+
+def power_sum_number(mu: Partition, m: Manifold) -> Fraction:
+    """<s_mu, [M]> from the Pontryagin numbers of `m`."""
+    return sum((c * m.pont.get(lam, 0) for lam, c in _power_sum_terms(mu)), Fraction(0))
 
 
 def ch_tangent(n: int, nmax: int, uorder: int | None = None) -> PontPoly:

@@ -115,7 +115,10 @@ def _parse_tau(text: str) -> complex:
     if text == "i":
         return 1j
     if text.startswith("i/"):
-        return 1j / float(text[2:])
+        denominator = float(text[2:])
+        if not denominator:
+            raise ValueError(f"tau {text!r} divides by zero")
+        return 1j / denominator
     if text.endswith("i"):
         return float(text[:-1]) * 1j
     return complex(text.replace("i", "j"))
@@ -174,6 +177,8 @@ def cmd_verify(args) -> int:
 
     elif args.check == "transformation-laws":
         tau = _parse_tau(args.tau)
+        if tau.imag <= 0:
+            raise NotInUpperHalfPlane(f"tau = {tau} has nonpositive imaginary part")
         uorder = max(args.uorder, 40)
         d2v, d2t = numeric_eval(delta2(uorder), -1 / tau)
         d1v, d1t = numeric_eval(delta1(uorder), tau)
@@ -256,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hypersurface)
 
     p = sub.add_parser("bundles", help="expand the Witten bundles into A_k / B_k")
-    p.add_argument("--n", type=int, required=True, help="manifold parameter (dim = 4n)")
+    p.add_argument("--n", type=_positive_int, required=True, help="manifold parameter (dim = 4n)")
     p.add_argument("--uorder", type=_positive_int, default=5)
     p.add_argument("--which", choices=["theta1", "theta2"], default="theta2")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--uorder", type=_positive_int, default=12)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0, help="RNG seed for reproducible runs")
     p.add_argument("--tau", default="i", help="evaluation point for transformation-laws")
     p.set_defaults(func=cmd_verify)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from math import comb
 
 import pytest
 
 from ellgen.bundles import (
     BundleMonomial,
+    BundleQSeries,
     VirtualBundlePoly,
     ch_ext_power,
     ch_monomial,
@@ -15,9 +17,9 @@ from ellgen.bundles import (
     expand_witten,
     index_bundle,
 )
-from ellgen.chern import Manifold, ch_tangent, partitions_of
+from ellgen.chern import Manifold, PontPoly, ch_tangent, newton_power_sum, pair, partitions_of
 from ellgen.errors import DimMismatch
-from ellgen.genera import Hypersurface, genus, hypersurface_pont
+from ellgen.genera import Hypersurface, ahat_class, genus, hypersurface_pont
 from ellgen.series import USeries
 
 K3 = Manifold("K3", 4, {(1,): F(-48)})
@@ -176,3 +178,146 @@ def test_route_equivalence_random():
             pont = {p: F(rng.randint(-50, 50), rng.randint(1, 6)) for p in partitions_of(n)}
             m = Manifold("rand", 4 * n, pont)
             assert ell2_via_bundles(m, 6) == genus(m, "ell2", 6)
+
+
+def test_expand_witten_rejects_nonpositive_rank():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            expand_witten("theta2", n, 4)
+
+
+# -- oracle: the Chern characters as PontPoly products -----------------------
+#
+# A test-local copy of the p-basis construction: psi_k through
+# newton_power_sum, the t-adic exp over PontPoly, and an unmemoized
+# ch_monomial.  The module computes the same classes in the power-sum basis.
+
+
+def _oracle_scaled_tangent_ch(k, n, nmax, uorder):
+    result = PontPoly.const(4 * n, nmax, uorder)
+    fact = 1
+    for r in range(1, nmax + 1):
+        fact *= (2 * r) * (2 * r - 1)
+        result = result + newton_power_sum(r, nmax, uorder) * F(2 * k ** (2 * r), fact)
+    return result
+
+
+def _oracle_t_adic_exp(log_coeffs, tmax, nmax, uorder):
+    out = [PontPoly.const(1, nmax, uorder)]
+    for m in range(1, tmax + 1):
+        acc = PontPoly({}, nmax, uorder)
+        for j in range(1, m + 1):
+            if not log_coeffs[j].is_zero():
+                acc = acc + log_coeffs[j] * out[m - j] * j
+        out.append(acc * F(1, m))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _oracle_power(a, n, nmax, uorder, sign):
+    """ch(S^a T) for sign = 1, ch(Lambda^a T) for sign = -1."""
+    log_coeffs = [PontPoly({}, nmax, uorder)] + [
+        _oracle_scaled_tangent_ch(k, n, nmax, uorder) * F(sign ** (k - 1), k)
+        for k in range(1, a + 1)
+    ]
+    return _oracle_t_adic_exp(log_coeffs, a, nmax, uorder)[a]
+
+
+def _oracle_ch_monomial(mono, n, nmax, uorder):
+    result = PontPoly.const(1, nmax, uorder)
+    for a in mono.sym:
+        result = result * _oracle_power(a, n, nmax, uorder, 1)
+    for b in mono.ext:
+        result = result * _oracle_power(b, n, nmax, uorder, -1)
+    return result
+
+
+def _oracle_ch_virtual(v, nmax, uorder):
+    result = PontPoly({}, nmax, uorder)
+    for mono, coef in v.items():
+        result = result + _oracle_ch_monomial(mono, v.n, nmax, uorder) * coef
+    return result
+
+
+def _random_manifold(n, rng):
+    pont = {p: F(rng.randint(-60, 60), rng.randint(1, 6)) for p in partitions_of(n)}
+    return Manifold(f"rand-n{n}", 4 * n, pont)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_power_ch_matches_pontpoly_oracle(n):
+    for uorder in (1, 3):
+        for a in range(7):
+            assert ch_sym_power(a, n, n, uorder) == _oracle_power(a, n, n, uorder, 1)
+            assert ch_ext_power(a, n, n, uorder) == _oracle_power(a, n, n, uorder, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ch_virtual_matches_pontpoly_oracle(n):
+    for which in ("theta1", "theta2"):
+        bqs = expand_witten(which, n, 9)
+        for k in range(9):
+            v = bqs.coeff(k)
+            for uorder in (1, 3):
+                assert ch_virtual(v, n, uorder) == _oracle_ch_virtual(v, n, uorder)
+                for mono, _ in v.items():
+                    assert ch_monomial(mono, n, n, uorder) == _oracle_ch_monomial(mono, n, n, uorder)
+
+
+def _reference_expand_witten(which, n, uorder):
+    """The expansion with every scalar factor multiplied into the whole series in place."""
+
+    def mul(a, b):
+        out = {}
+        for k1, v1 in a.items():
+            for k2, v2 in b.items():
+                if k1 + k2 < uorder:
+                    out[k1 + k2] = out.get(k1 + k2, VirtualBundlePoly({}, n)) + v1 * v2
+        return {k: v for k, v in out.items() if not v.is_zero()}
+
+    def scalar(s):
+        assert all(c.denominator == 1 for _, c in s.items())
+        return {k: VirtualBundlePoly.const(int(c), n) for k, c in s.items()}
+
+    rank = 4 * n
+    sign = 1 if which == "theta1" else -1
+    result = {0: VirtualBundlePoly.const(1, n)}
+    m = 1
+    while True:
+        w_sym = 2 * m
+        w_twist = 2 * m if which == "theta1" else 2 * m - 1
+        if min(w_sym, w_twist) >= uorder:
+            break
+        if w_sym < uorder:
+            sym = {w_sym * a: VirtualBundlePoly({BundleMonomial.make(sym=(a,)): 1}, n)
+                   for a in range(1, (uorder - 1) // w_sym + 1)}
+            result = mul(result, {0: VirtualBundlePoly.const(1, n), **sym})
+            one_minus = USeries.one(uorder) - USeries.monomial(w_sym, 1, uorder)
+            result = mul(result, scalar(one_minus**rank))
+        if w_twist < uorder:
+            ext = {w_twist * b: VirtualBundlePoly({BundleMonomial.make(ext=(b,)): sign**b}, n)
+                   for b in range(1, (uorder - 1) // w_twist + 1)}
+            result = mul(result, {0: VirtualBundlePoly.const(1, n), **ext})
+            one_plus = USeries.one(uorder) + USeries.monomial(w_twist, sign, uorder)
+            result = mul(result, scalar(one_plus ** (-rank)))
+        m += 1
+    return BundleQSeries(n, uorder, result)
+
+
+@pytest.mark.parametrize("which", ["theta1", "theta2"])
+def test_expand_witten_matches_in_place_reference(which):
+    for n in (1, 2, 3):
+        for uorder in (1, 2, 3, 5, 8, 12):
+            assert expand_witten(which, n, uorder) == _reference_expand_witten(which, n, uorder)
+
+
+@pytest.mark.parametrize("n,uorder", [(1, 16), (2, 12), (3, 10), (4, 8)])
+def test_bundle_route_matches_theta_route_and_oracle(n, uorder):
+    rng = random.Random(100 + n)
+    b = expand_witten("theta2", n, uorder)
+    for _ in range(4):
+        m = _random_manifold(n, rng)
+        assert ell2_via_bundles(m, uorder) == genus(m, "ell2", uorder)
+        for k in range(uorder):
+            oracle = pair(ahat_class(n, 1) * _oracle_ch_virtual(b.coeff(k), n, 1), m).coeff(0)
+            assert index_bundle(m, b.coeff(k)) == oracle

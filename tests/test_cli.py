@@ -184,8 +184,9 @@ def test_manifold_json_roundtrip_via_cli_schema():
     [
         "[1, 2]",  # top level is not an object
         json.dumps({"name": "z", "dim": 4, "pontryagin_numbers": {"[1]": "1/0"}}),
+        json.dumps({"name": "z", "dim": 8.7, "pontryagin_numbers": {"[2]": "1"}}),
     ],
-    ids=["array-top-level", "zero-denominator"],
+    ids=["array-top-level", "zero-denominator", "fractional-dim"],
 )
 def test_genus_malformed_manifold_is_bad_input(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
@@ -195,3 +196,43 @@ def test_genus_malformed_manifold_is_bad_input(capsys, tmp_path, text):
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("dim", [8, 8.0, "8"])
+def test_integral_manifold_dim_still_parses(dim):
+    m = Manifold.from_json({"dim": dim, "pontryagin_numbers": {"[2]": "1"}})
+    assert m.dim == 8 and m.pont == {(2,): 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bundles", "--n", "0"],
+        ["bundles", "--n", "-1"],
+        ["verify", "--check", "route-equivalence", "--samples", "0"],
+        ["verify", "--check", "route-equivalence", "--samples", "-3"],
+    ],
+    ids=["bundles-n0", "bundles-n-1", "samples0", "samples-3"],
+)
+def test_nonpositive_count_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ") and "error: " in captured.err
+
+
+@pytest.mark.parametrize("tau", ["0", "-2i", "1"])
+def test_transformation_laws_tau_outside_upper_half_plane(capsys, tau):
+    code, out, err = run(capsys, "verify", "--check", "transformation-laws", f"--tau={tau}")
+    assert code == 3
+    assert out == ""
+    assert err.strip().splitlines() == [err.strip()] and err.startswith("error: ")
+    assert "imaginary part" in err
+
+
+def test_transformation_laws_tau_zero_divisor_is_bad_input(capsys):
+    code, out, err = run(capsys, "verify", "--check", "transformation-laws", "--tau", "i/0")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
