@@ -55,7 +55,7 @@ from .modular import (
     numeric_eval,
     reconstruct_ell1,
 )
-from .series import Rat, USeries, default_uorder, us_product
+from .series import USeries, default_uorder, us_product
 from .sobolev import (
     MoserExponents,
     moser_constant,

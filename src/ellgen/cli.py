@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification check failed, 2 malformed input
-(also used by argparse for usage errors), 3 dimension/domain errors.
+(also used by argparse for usage errors), 3 dimension/domain errors,
+including a Sobolev root whose residual tolerance cannot be reached.
 All series output is exact rational except the `sobolev` command.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -16,7 +18,7 @@ from fractions import Fraction
 from . import __version__
 from .bundles import ell2_via_bundles, expand_witten
 from .chern import Manifold, partitions_of
-from .errors import DimMismatch, NotInUpperHalfPlane, ResidualNonzero
+from .errors import DimMismatch, NotInUpperHalfPlane, ResidualNonzero, ToleranceNotReached
 from .genera import (
     Hypersurface,
     cancellation_class,
@@ -119,9 +121,11 @@ def _parse_tau(text: str) -> complex:
         if not denominator:
             raise ValueError(f"tau {text!r} divides by zero")
         return 1j / denominator
-    if text.endswith("i"):
-        return float(text[:-1]) * 1j
-    return complex(text.replace("i", "j"))
+    # complex() reads a+bi, a+i, -i and bi once i is spelled j.
+    tau = complex(text.replace("i", "j"))
+    if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
+        raise ValueError(f"tau {text!r} is not finite")
+    return tau
 
 
 def cmd_verify(args) -> int:
@@ -295,10 +299,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DimMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except NotInUpperHalfPlane as exc:
+    except (DimMismatch, NotInUpperHalfPlane, ToleranceNotReached) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:

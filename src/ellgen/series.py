@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .errors import BadConstantTerm, WeightViolation, ZeroConstantTerm
 
-Rat = Fraction
 Scalar = Union[int, Fraction]
 
 _ENV_ORDER = "GENUS_DEFAULT_UORDER"
@@ -151,46 +151,31 @@ class USeries:
         if o is None:
             return NotImplemented
         order = min(self.order, o.order)
-        if not self._c or not o._c:
+        a = [(k, v) for k, v in self._c.items() if k < order]
+        b = sorted((k, v) for k, v in o._c.items() if k < order)
+        if not a or not b:
             return USeries.zero(order)
-        # Sparse maps serve the divisor-sum style series; theta products are
-        # dense at high order, where array convolution wins.
-        if order and len(self._c) > order / 2 and len(o._c) > order / 2:
-            return self._mul_dense(o, order)
-        return self._mul_sparse(o, order)
-
-    __rmul__ = __mul__
-
-    def _mul_sparse(self, o: "USeries", order: int) -> "USeries":
-        c: dict[int, Fraction] = {}
-        for k1, v1 in self._c.items():
-            if k1 >= order:
-                continue
-            for k2, v2 in o._c.items():
+        # Convolve integer numerators over the common denominators da and db
+        # of the two operands; one Fraction (one gcd) per output coefficient.
+        # Those are reduced and nonzero, so the constructor's checks are skipped.
+        da = lcm(*(v.denominator for _, v in a))
+        db = lcm(*(v.denominator for _, v in b))
+        bn = [(k, v.numerator * (db // v.denominator)) for k, v in b]
+        acc: dict[int, int] = {}
+        for k1, v1 in a:
+            v1 = v1.numerator * (da // v1.denominator)
+            for k2, v2 in bn:
                 k = k1 + k2
                 if k >= order:
-                    continue
-                c[k] = c.get(k, Fraction(0)) + v1 * v2
-        return USeries(c, order)
+                    break
+                acc[k] = acc.get(k, 0) + v1 * v2
+        d = da * db
+        out = USeries.__new__(USeries)
+        out.order = order
+        out._c = {k: Fraction(v, d) for k, v in acc.items() if v}
+        return out
 
-    def _mul_dense(self, o: "USeries", order: int) -> "USeries":
-        a = [Fraction(0)] * order
-        for k, v in self._c.items():
-            if k < order:
-                a[k] = v
-        b = [Fraction(0)] * order
-        for k, v in o._c.items():
-            if k < order:
-                b[k] = v
-        out = [Fraction(0)] * order
-        for k1, v1 in enumerate(a):
-            if not v1:
-                continue
-            for k2 in range(order - k1):
-                v2 = b[k2]
-                if v2:
-                    out[k1 + k2] += v1 * v2
-        return USeries({k: v for k, v in enumerate(out) if v}, order)
+    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "USeries":
         if isinstance(other, (int, Fraction)):

@@ -82,6 +82,12 @@ def _xF(m: int, b: float, x: float, tol: float) -> float:
     )
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    # NaN fails every comparison, so `value <= 0` alone would let it through.
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def sobolev_c(m: int, b: float, tol: float = 1e-11) -> float:
     """The unique positive root C(b) of x F(x) = wallis(m).
 
@@ -94,10 +100,8 @@ def sobolev_c(m: int, b: float, tol: float = 1e-11) -> float:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    if b <= 0:
-        raise ValueError("b must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_positive_finite("b", b)
+    _require_positive_finite("tol", tol)
     target = wallis(m)
     qtol = tol / 10.0
     f_at_zero = _closed_form_F(m, b, 0.0)
@@ -123,8 +127,7 @@ def sobolev_c(m: int, b: float, tol: float = 1e-11) -> float:
 
 def radius_r(diam: float, b: float, m: int, tol: float = 1e-11) -> float:
     """R = diam / (b C(b))."""
-    if diam <= 0:
-        raise ValueError("diam must be positive")
+    _require_positive_finite("diam", diam)
     return diam / (b * sobolev_c(m, b, tol))
 
 

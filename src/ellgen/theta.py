@@ -5,6 +5,13 @@ theta2(x)/theta2(0) are built directly as even RootSeries: the q^(1/8) and
 eta-like prefactors cancel in the ratios, and with x = 2*pi*sqrt(-1)*z all
 trigonometry collapses to hyperbolic series with rational coefficients, so
 nothing transcendental is ever materialized.
+
+Each infinite product over m of (1 -+ u^w e^(+-x)) factors has, per power
+u^k, an integer Laurent polynomial in y = e^x as its coefficient.  The
+product is kept in that form (one dict j -> int per u-power) and every factor
+is applied in place by an integer recurrence.  It is converted to x once at
+the end, [u^k x^d] = sum_j c_(k,j) j^d / d!, and multiplied once by the
+u-constant prefactor (x/2)/sinh(x/2) or cosh(x/2).
 """
 
 from __future__ import annotations
@@ -12,8 +19,9 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
-from .chern import RootSeries, rs_product
+from .chern import RootSeries
 from .series import USeries
 
 XPoly = dict[int, Fraction]
@@ -91,11 +99,6 @@ def x_over_tanh_poly(xdeg: int) -> XPoly:
     return _poly_mul(cosh, _poly_inv(sinh_over_x, xdeg), xdeg)
 
 
-def two_cosh_poly(xdeg: int) -> XPoly:
-    """e^x + e^{-x}."""
-    return {k: 2 * v for k, v in _even_exp_poly(xdeg, False, 0).items()}
-
-
 def rotate_poly(a: XPoly) -> XPoly:
     """x -> ix on an even polynomial (tanh-to-tan convention switch)."""
     if any(k % 2 for k in a):
@@ -106,6 +109,87 @@ def rotate_poly(a: XPoly) -> XPoly:
 # ---------------------------------------------------------------------------
 # Theta product factors
 # ---------------------------------------------------------------------------
+
+# Per u-power k, the integer Laurent polynomial sum_j c_(k,j) y^j, y = e^x.
+Laurent = list[dict[int, int]]
+
+# kind -> (weight of the m = 1 factor, sign c in the factors 1 + c u^w y^(+-1)
+# and 1 + c u^w).  The weights step by 2.
+_FAMILIES = {"theta": (2, -1), "theta1": (2, 1), "theta2": (1, -1)}
+
+# kind -> its u-constant prefactor in x, as a function of xdeg.
+_PREFACTORS = {
+    "theta": half_x_over_sinh_half_poly,
+    "theta1": cosh_half_poly,
+    "theta2": lambda xdeg: {0: Fraction(1)},
+}
+
+
+def _multiply(prod: Laurent, w: int, shift: int, c: int) -> None:
+    """prod *= 1 + c u^w y^shift, in place: k descends, so u^(k-w) is still old."""
+    for k in range(len(prod) - 1, w - 1, -1):
+        dst = prod[k]
+        for j, v in prod[k - w].items():
+            dst[j + shift] = dst.get(j + shift, 0) + c * v
+
+
+def _divide(prod: Laurent, w: int, shift: int, c: int) -> None:
+    """prod /= 1 + c u^w y^shift, in place: Q_k = P_k - c y^shift Q_(k-w), k ascending."""
+    for k in range(w, len(prod)):
+        dst = prod[k]
+        for j, v in prod[k - w].items():
+            dst[j + shift] = dst.get(j + shift, 0) - c * v
+
+
+def _apply_family(prod: Laurent, kind: str) -> None:
+    """Multiply prod by every factor m >= 1 of one theta product.
+
+    theta:  (1-u^w)^2 / ((1-u^w y)(1-u^w/y)),   w = 2m
+    theta1: (1+u^w y)(1+u^w/y) / (1+u^w)^2,     w = 2m
+    theta2: (1-u^w y)(1-u^w/y) / (1-u^w)^2,     w = 2m-1
+
+    A factor of weight w only touches u^k with k >= w, so factors of weight
+    >= the order are never applied.
+    """
+    first, c = _FAMILIES[kind]
+    pair_op, scalar_op = (_divide, _multiply) if kind == "theta" else (_multiply, _divide)
+    for w in range(first, len(prod), 2):
+        pair_op(prod, w, 1, c)
+        pair_op(prod, w, -1, c)
+        scalar_op(prod, w, 0, c)
+        scalar_op(prod, w, 0, c)
+
+
+def _theta_product(kinds: tuple[str, ...], prefactor: XPoly, xdeg: int, uorder: int) -> RootSeries:
+    """prefactor(x) times the theta products of `kinds`, as an even RootSeries."""
+    if xdeg < 1 or uorder < 1:
+        raise ValueError("xdeg and uorder must be >= 1")
+    prod: Laurent = [{} for _ in range(uorder)]
+    prod[0][0] = 1
+    for kind in kinds:
+        _apply_family(prod, kind)
+    # Every factor is symmetric under y -> 1/y, so only even x-powers occur:
+    # [u^k x^(2i)] = sum_j c_(k,j) j^(2i) / (2i)!.
+    half = (xdeg + 1) // 2
+    moments = []
+    for slice_k in prod:
+        sums = [0] * half
+        for j, v in slice_k.items():
+            if v:
+                j2 = j * j
+                for i in range(half):
+                    sums[i] += v
+                    v *= j2
+        moments.append(sums)
+    series = RootSeries(
+        {
+            2 * i: USeries({k: Fraction(sums[i], factorial(2 * i)) for k, sums in enumerate(moments)}, uorder)
+            for i in range(half)
+        },
+        xdeg,
+        uorder,
+    )
+    return series * RootSeries.from_xpoly(prefactor, xdeg, uorder)
 
 
 @lru_cache(maxsize=None)
@@ -119,39 +203,9 @@ def theta_factor(kind: str, xdeg: int, uorder: int) -> RootSeries:
     The m-th factor of each product deviates from 1 only at u-order 2m
     (theta, theta1) or 2m-1 (theta2), so the truncated product is finite.
     """
-    if xdeg < 1 or uorder < 1:
-        raise ValueError("xdeg and uorder must be >= 1")
-    if kind not in ("theta", "theta1", "theta2"):
+    if kind not in _FAMILIES:
         raise ValueError(f"unknown theta factor kind {kind!r}")
-    two_cosh = RootSeries.from_xpoly(two_cosh_poly(xdeg), xdeg, uorder)
-    one = RootSeries.const(1, xdeg, uorder)
-
-    def factors():
-        m = 1
-        while True:
-            if kind == "theta2":
-                w = 2 * m - 1
-                core = one - two_cosh * USeries.monomial(w, 1, uorder) + USeries.monomial(2 * w, 1, uorder)
-                scalar = (USeries.one(uorder) - USeries.monomial(w, 1, uorder)) ** (-2)
-                yield w, core * scalar
-            elif kind == "theta1":
-                w = 2 * m
-                core = one + two_cosh * USeries.monomial(w, 1, uorder) + USeries.monomial(2 * w, 1, uorder)
-                scalar = (USeries.one(uorder) + USeries.monomial(w, 1, uorder)) ** (-2)
-                yield w, core * scalar
-            else:
-                w = 2 * m
-                den = one - two_cosh * USeries.monomial(w, 1, uorder) + USeries.monomial(2 * w, 1, uorder)
-                num = (USeries.one(uorder) - USeries.monomial(w, 1, uorder)) ** 2
-                yield w, den.inverse() * num
-            m += 1
-
-    prod = rs_product(factors(), xdeg, uorder)
-    if kind == "theta":
-        return prod * RootSeries.from_xpoly(half_x_over_sinh_half_poly(xdeg), xdeg, uorder)
-    if kind == "theta1":
-        return prod * RootSeries.from_xpoly(cosh_half_poly(xdeg), xdeg, uorder)
-    return prod
+    return _theta_product((kind,), _PREFACTORS[kind](xdeg), xdeg, uorder)
 
 
 class GenusKind(str, Enum):
@@ -178,5 +232,6 @@ def genus_root_series(kind: GenusKind, xdeg: int, uorder: int) -> RootSeries:
     if kind is GenusKind.WITTEN:
         return theta_factor("theta", xdeg, uorder)
     if kind is GenusKind.ELL1:
-        return theta_factor("theta", xdeg, uorder) * theta_factor("theta1", xdeg, uorder) * 2
-    return theta_factor("theta", xdeg, uorder) * theta_factor("theta2", xdeg, uorder)
+        # 2 (x/2)/sinh(x/2) cosh(x/2) = x/tanh(x/2)
+        return _theta_product(("theta", "theta1"), x_over_tanh_half_poly(xdeg), xdeg, uorder)
+    return _theta_product(("theta", "theta2"), half_x_over_sinh_half_poly(xdeg), xdeg, uorder)

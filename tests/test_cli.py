@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ellgen.chern import Manifold
 from ellgen.cli import main
 from ellgen.series import USeries
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -234,5 +240,70 @@ def test_transformation_laws_tau_outside_upper_half_plane(capsys, tau):
 
 def test_transformation_laws_tau_zero_divisor_is_bad_input(capsys):
     code, out, err = run(capsys, "verify", "--check", "transformation-laws", "--tau", "i/0")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def run_subprocess(*argv):
+    """The CLI in a child process with a timeout, so that a hang fails the test."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run(
+        [sys.executable, "-m", "ellgen.cli", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=30,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--b", "nan"],
+        ["--b", "inf"],
+        ["--b=-inf"],
+        ["--b", "1", "--diam", "nan"],
+        ["--b", "1", "--diam", "inf"],
+        ["--b", "1", "--tol", "nan"],
+        ["--b", "1", "--tol", "inf"],
+    ],
+    ids=["b-nan", "b-inf", "b-minus-inf", "diam-nan", "diam-inf", "tol-nan", "tol-inf"],
+)
+def test_sobolev_non_finite_input_is_bad_input(argv):
+    proc = run_subprocess("sobolev", "--m", "8", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.strip().splitlines()) == 1
+    assert "finite" in proc.stderr
+
+
+def test_sobolev_unreachable_tolerance_is_domain_error(capsys):
+    # (m - 1) b = 315: the root lies below 1e-120, out of reach of 400 bisections
+    code, out, err = run(capsys, "sobolev", "--m", "64", "--b", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "not reached" in err
+
+
+@pytest.mark.parametrize("tau, value", [("1+i", 1 + 1j), ("-1+i", -1 + 1j), ("0.5+2i", 0.5 + 2j), ("+i", 1j)])
+def test_transformation_laws_tau_with_real_part(capsys, tau, value):
+    code, out, _ = run(capsys, "verify", "--check", "transformation-laws", f"--tau={tau}")
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert complex(report["tau"]) == value
+
+
+@pytest.mark.parametrize("tau", ["-i", "1-i"])
+def test_transformation_laws_tau_lower_half_plane_is_domain_error(capsys, tau):
+    code, out, err = run(capsys, "verify", "--check", "transformation-laws", f"--tau={tau}")
+    assert code == 3
+    assert out == "" and err.startswith("error: ")
+    assert "imaginary part" in err
+
+
+@pytest.mark.parametrize("tau", ["nani", "1e400i"])
+def test_transformation_laws_non_finite_tau_is_bad_input(capsys, tau):
+    code, out, err = run(capsys, "verify", "--check", "transformation-laws", f"--tau={tau}")
     assert code == 2
     assert out == "" and err.startswith("error: ")

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellgen.errors import BadConstantTerm, WeightViolation, ZeroConstantTerm
@@ -81,6 +81,47 @@ def test_mul_dense_and_sparse_paths_agree():
     b = USeries({k: F(2 * k - 7) for k in range(10)}, 10)  # dense
     sparse_a = USeries(dict(a.items()), 10)
     assert a * b == conv_oracle(sparse_a, b, 10)
+
+
+def schoolbook(a, b):
+    """Fraction-by-Fraction convolution of the stored terms, truncated at the smaller order."""
+    order = min(a.order, b.order)
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            if k1 + k2 < order:
+                out[k1 + k2] = out.get(k1 + k2, F(0)) + v1 * v2
+    return order, {k: v for k, v in out.items() if v}
+
+
+# Mixed denominators: shared factors (4, 6, 12, 128), coprime ones (7, 11,
+# 25, 27, 97, 101) and integers.
+mixed_fracs = st.builds(
+    F, st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 6, 7, 11, 12, 25, 27, 97, 101, 128])
+)
+
+
+@st.composite
+def mul_operands(draw):
+    order = draw(st.integers(0, 10))
+    # keys up to order + 2, so some terms fall beyond the order and are dropped
+    return USeries(draw(st.dictionaries(st.integers(0, order + 2), mixed_fracs, max_size=8)), order)
+
+
+@settings(max_examples=200)
+@example(USeries.zero(5), USeries({0: F(1, 3), 2: F(5, 7)}, 5))
+@example(USeries({}, 0), USeries({0: 1}, 3))
+@example(USeries({0: F(2, 3)}, 1), USeries({0: F(9, 4), 1: F(1, 5)}, 7))
+@example(USeries({0: F(1, 97), 3: F(2, 101)}, 9), USeries({1: F(3, 128), 2: F(-5, 27)}, 6))
+@given(mul_operands(), mul_operands())
+def test_mul_matches_schoolbook_convolution(a, b):
+    order, expected = schoolbook(a, b)
+    for product in (a * b, b * a):
+        assert product.order == order
+        assert dict(product.items()) == expected
+        assert all(type(v) is F for _, v in product.items())
+    for scalar in (3, F(-2, 7)):
+        assert dict((a * scalar).items()) == schoolbook(a, USeries.const(scalar, a.order))[1]
 
 
 # -- inverse -----------------------------------------------------------------

@@ -188,3 +188,16 @@ def test_moser_monotone_in_r_and_lambda():
 def test_moser_rejects_bad_p():
     with pytest.raises(ExponentRangeViolation):
         moser_constant(4, 2.0, 1.0, 1.0, 1.0)
+
+
+# NaN inputs are checked through the CLI, in a subprocess with a timeout:
+# without the guard the quadrature recursion on NaN does not come back.
+def test_infinite_inputs_rejected():
+    with pytest.raises(ValueError):
+        sobolev_c(8, math.inf, 1e-11)
+    with pytest.raises(ValueError):
+        sobolev_c(8, 1.0, math.inf)
+    with pytest.raises(ValueError):
+        radius_r(math.inf, 1.0, 8)
+    with pytest.raises(ValueError):
+        radius_r(1.0, math.inf, 8)

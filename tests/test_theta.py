@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction as F
 
 import pytest
@@ -144,3 +145,70 @@ def test_rs_product_weight_violation():
 
     with pytest.raises(WeightViolation):
         rs_product(bad(), 3, 8)
+
+
+# -- oracle: the product built factor by factor as RootSeries ------------------
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_theta_factor(kind, xdeg, uorder):
+    """Each factor m as a RootSeries, multiplied in with `rs_product`; the
+    theta denominators inverted as series (shares no code with the integer
+    Laurent-polynomial construction of `theta_factor`)."""
+    two_cosh = RootSeries.from_xpoly(
+        {k: F(2, sympy.factorial(k)) for k in range(0, xdeg, 2)}, xdeg, uorder
+    )
+    one = RootSeries.const(1, xdeg, uorder)
+
+    def factors():
+        m = 1
+        while True:
+            if kind == "theta2":
+                w = 2 * m - 1
+                core = one - two_cosh * USeries.monomial(w, 1, uorder) + USeries.monomial(2 * w, 1, uorder)
+                scalar = (USeries.one(uorder) - USeries.monomial(w, 1, uorder)) ** (-2)
+                yield w, core * scalar
+            elif kind == "theta1":
+                w = 2 * m
+                core = one + two_cosh * USeries.monomial(w, 1, uorder) + USeries.monomial(2 * w, 1, uorder)
+                scalar = (USeries.one(uorder) + USeries.monomial(w, 1, uorder)) ** (-2)
+                yield w, core * scalar
+            else:
+                w = 2 * m
+                den = one - two_cosh * USeries.monomial(w, 1, uorder) + USeries.monomial(2 * w, 1, uorder)
+                num = (USeries.one(uorder) - USeries.monomial(w, 1, uorder)) ** 2
+                yield w, den.inverse() * num
+            m += 1
+
+    prod = rs_product(factors(), xdeg, uorder)
+    x = sympy.symbols("x")
+    if kind == "theta":
+        prefactor = sympy_even_coeffs((x / 2) / sympy.sinh(x / 2), x, xdeg)
+    elif kind == "theta1":
+        prefactor = sympy_even_coeffs(sympy.cosh(x / 2), x, xdeg)
+    else:
+        return prod
+    return prod * RootSeries.from_xpoly(prefactor, xdeg, uorder)
+
+
+@pytest.mark.parametrize("kind", ["theta", "theta1", "theta2"])
+def test_theta_factor_matches_rootseries_oracle(kind):
+    for xdeg in (1, 2, 5, 8, 14):
+        for uorder in (1, 2, 3, 8, 24):
+            assert theta_factor(kind, xdeg, uorder) == oracle_theta_factor(kind, xdeg, uorder), (xdeg, uorder)
+
+
+@pytest.mark.parametrize("xdeg, uorder", [(6, 24), (8, 12), (10, 9)])
+def test_genus_root_series_matches_oracle_products(xdeg, uorder):
+    x = sympy.symbols("x")
+    theta = oracle_theta_factor("theta", xdeg, uorder)
+    expected = {
+        GenusKind.AHAT: RootSeries.from_xpoly(sympy_even_coeffs((x / 2) / sympy.sinh(x / 2), x, xdeg), xdeg, uorder),
+        GenusKind.LHAT: RootSeries.from_xpoly(sympy_even_coeffs(x / sympy.tanh(x / 2), x, xdeg), xdeg, uorder),
+        GenusKind.WITTEN: theta,
+        GenusKind.ELL1: theta * oracle_theta_factor("theta1", xdeg, uorder) * 2,
+        GenusKind.ELL2: theta * oracle_theta_factor("theta2", xdeg, uorder),
+    }
+    assert set(expected) == set(GenusKind)
+    for kind, value in expected.items():
+        assert genus_root_series(kind, xdeg, uorder) == value, kind
