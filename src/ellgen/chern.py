@@ -5,8 +5,10 @@ A multiplicative genus enters as one even power series f(x) per formal root;
 with log(f/f(0)) = sum_k a_k x^(2k), prod_{j=1}^{2n} f(x_j) equals
 f(0)^(2n) sum_mu prod_k a_k^(m_k) / m_k! s_mu, where s_mu multiplies the power
 sums s_k = sum_j x_j^(2k) over the parts k of mu, m_k being the multiplicity
-of k (Macdonald, ch. I.2).  `genus_number` pairs this with <s_mu, [M]>,
-`genus_class` rewrites it in p_1..p_n, and `pair` contracts a class with [M].
+of k (Macdonald, ch. I.2).  `genus_class` rewrites it in p_1..p_n,
+`weight_class` keeps only its weight-n part (the part a 4n-manifold sees),
+and `pair`, the one pairing kernel, contracts a class with [M]: a genus is
+the linear map M -> sum_lambda P_lambda(M) col_lambda on Pontryagin numbers.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 from .errors import DimMismatch, NonUnitConstant, OddTermPresent, WeightViolation
-from .series import Scalar, USeries, default_uorder
+from .series import Scalar, USeries, default_uorder, linear_combination
 
 Partition = tuple[int, ...]
 
@@ -574,28 +576,32 @@ def _class_coefficients(f: RootSeries, n: int) -> tuple[USeries, dict[Partition,
     return c0 ** (2 * n), coeffs
 
 
+def _p_class(f: RootSeries, n: int, top_only: bool) -> PontPoly:
+    # f(0)^(2n) sum_mu c_mu s_mu in the p-basis: column lambda collects the
+    # integer rows t_(mu, lambda) of _power_sum_terms(mu).
+    scale, coeffs = _class_coefficients(f, n)
+    rows: dict[Partition, list[tuple[int, USeries]]] = {}
+    for mu in partitions_of(n) if top_only else coeffs:
+        c = coeffs[mu] * scale
+        for lam, t in _power_sum_terms(mu):
+            rows.setdefault(lam, []).append((t, c))
+    return PontPoly(
+        {lam: linear_combination(row, f.uorder) for lam, row in rows.items()}, n, f.uorder
+    )
+
+
 def genus_class(f: RootSeries, n: int) -> PontPoly:
     """Reduce prod_{j=1}^{2n} f(x_j) to a polynomial in p_1..p_n.
 
     Rewrites f(0)^(2n) sum_{|mu| <= n} c_mu s_mu in the p-basis; the cost is
     independent of the number of roots.
     """
-    scale, coeffs = _class_coefficients(f, n)
-    terms: dict[Partition, USeries] = {}
-    for mu, c in coeffs.items():
-        for lam, t in _power_sum_terms(mu):
-            terms[lam] = terms[lam] + c * t if lam in terms else c * t
-    return PontPoly(terms, n, f.uorder) * scale
+    return _p_class(f, n, top_only=False)
 
 
-def genus_number(f: RootSeries, m: Manifold) -> USeries:
-    """pair(genus_class(f, n), m) as f(0)^(2n) sum_{mu |- n} c_mu <s_mu, [M]>, building no class."""
-    n = m.n
-    scale, coeffs = _class_coefficients(f, n)
-    acc = USeries.zero(f.uorder)
-    for mu in partitions_of(n):
-        acc = acc + coeffs[mu] * power_sum_number(mu, m)
-    return acc * scale
+def weight_class(f: RootSeries, n: int) -> PontPoly:
+    """The weight-n part of `genus_class(f, n)`, built from the c_mu with mu |- n only."""
+    return _p_class(f, n, top_only=True)
 
 
 def power_sum_number(mu: Partition, m: Manifold) -> Fraction:
@@ -619,16 +625,15 @@ def ch_tangent(n: int, nmax: int, uorder: int | None = None) -> PontPoly:
 
 
 def pair(c: PontPoly, m: Manifold) -> USeries:
-    """Contract the weight-n part of `c` with the Pontryagin numbers of `m`."""
+    """Contract the weight-n part of `c` with the Pontryagin numbers of `m`.
+
+    sum_lambda P_lambda(M) c_lambda over the nonzero numbers of `m`, summed
+    as one linear combination of the u-columns c_lambda.
+    """
     n = m.n
     if c.nmax < n:
         raise DimMismatch(f"class truncated at weight {c.nmax}, manifold needs {n}")
-    acc = USeries.zero(c.uorder)
-    for part in partitions_of(n):
-        coef = c.coeff(part)
-        if coef.is_zero():
-            continue
-        num = m.pont_number(part)
-        if num:
-            acc = acc + coef * num
-    return acc
+    cols = c._t
+    return linear_combination(
+        ((num, cols[lam]) for lam, num in m.pont.items() if lam in cols), c.uorder
+    )

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification check failed, 2 malformed input
 (also used by argparse for usage errors), 3 dimension/domain errors,
-including a Sobolev root whose residual tolerance cannot be reached.
+including a Sobolev root whose residual tolerance cannot be reached or
+whose evaluation overflows double precision.
 All series output is exact rational except the `sobolev` command.
 """
 
@@ -18,7 +19,13 @@ from fractions import Fraction
 from . import __version__
 from .bundles import ell2_via_bundles, expand_witten
 from .chern import Manifold, partitions_of
-from .errors import DimMismatch, NotInUpperHalfPlane, ResidualNonzero, ToleranceNotReached
+from .errors import (
+    DimMismatch,
+    FloatRangeExceeded,
+    NotInUpperHalfPlane,
+    ResidualNonzero,
+    ToleranceNotReached,
+)
 from .genera import (
     Hypersurface,
     cancellation_class,
@@ -299,7 +306,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DimMismatch, NotInUpperHalfPlane, ToleranceNotReached) as exc:
+    except (DimMismatch, FloatRangeExceeded, NotInUpperHalfPlane, ToleranceNotReached) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:

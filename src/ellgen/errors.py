@@ -43,3 +43,8 @@ class ToleranceNotReached(RuntimeError):
 
 class ExponentRangeViolation(ValueError):
     """Analytic exponents outside their admissible range (e.g. p <= m/2)."""
+
+
+class FloatRangeExceeded(ArithmeticError):
+    """A floating-point evaluation left the range of doubles (e.g. sobolev_c
+    at a large m or b); the CLI reports it as a domain error."""

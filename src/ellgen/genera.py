@@ -3,8 +3,10 @@
 Two independent routes to the same numbers coexist here:
 
 * the Pontryagin route (`genus`): per-root factor -> its log coefficients
-  -> the power-sum closed form paired with <s_mu, [M]> (`genus_number`),
-  in the hyperbolic normalization x = 2*pi*sqrt(-1)*z;
+  -> the power-sum closed form rewritten as the weight-n class in p_1..p_n,
+  memoized per (kind, n, uorder) (`genus_columns`) and paired with the
+  Pontryagin numbers of M (`pair`), in the hyperbolic normalization
+  x = 2*pi*sqrt(-1)*z;
 * the residue route (`hypersurface_genus`) for hypersurfaces X(N; d) in
   CP^N, which extracts one coefficient of f(x)^(N+1) (d x)/f(d x).
 
@@ -28,9 +30,9 @@ from .chern import (
     RootSeries,
     ch_tangent,
     genus_class,
-    genus_number,
     pair,
     partitions_of,
+    weight_class,
 )
 from .errors import DimNotMultipleOf4, NonUnitConstant
 from .series import USeries, default_uorder
@@ -47,7 +49,18 @@ def genus(m: Manifold, kind: GenusKind | str, uorder: int | None = None) -> USer
     """Exact q-expansion of a genus of `m` (constant series for ahat/lhat)."""
     if uorder is None:
         uorder = default_uorder()
-    return genus_number(genus_root_series(GenusKind(kind), 2 * m.n + 2, uorder), m)
+    return pair(genus_columns(GenusKind(kind), m.n, uorder), m)
+
+
+@lru_cache(maxsize=128)
+def genus_columns(kind: GenusKind, n: int, uorder: int) -> PontPoly:
+    """The weight-n class of a genus: one u-column per partition of n.
+
+    A genus of a 4n-manifold is linear in its Pontryagin numbers, with
+    coefficients (f(0)^(2n) folded in) that depend on (kind, n, uorder)
+    only; `genus` pairs this one class with every manifold.
+    """
+    return weight_class(genus_root_series(kind, 2 * n + 2, uorder), n)
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import NotInUpperHalfPlane, ResidualNonzero
 from .series import USeries, default_uorder
@@ -82,8 +83,16 @@ class ModBasisDecomp:
         return all(x.denominator == 1 for x in self.h)
 
 
+@lru_cache(maxsize=128)
 def _basis2(n: int, r: int, uorder: int) -> USeries:
+    """(8 delta_2)^(n-2r) eps_2^r, the r-th element of the Ell_2 basis."""
     return (delta2(uorder) * 8) ** (n - 2 * r) * eps2(uorder) ** r
+
+
+@lru_cache(maxsize=128)
+def _basis1(n: int, r: int, uorder: int) -> USeries:
+    """(8 delta_1)^(n-2r) eps_1^r, the image of `_basis2(n, r, uorder)` in Ell_1."""
+    return (delta1(uorder) * 8) ** (n - 2 * r) * eps1(uorder) ** r
 
 
 def expand_in_basis(e2: USeries, n: int) -> ModBasisDecomp:
@@ -129,7 +138,7 @@ def reconstruct_ell1(d: ModBasisDecomp, uorder: int | None = None) -> USeries:
     acc = USeries.zero(uorder)
     for r, hr in enumerate(d.h):
         if hr:
-            acc = acc + (delta1(uorder) * 8) ** (n - 2 * r) * eps1(uorder) ** r * hr
+            acc = acc + _basis1(n, r, uorder) * hr
     return acc * 4**n
 
 

@@ -57,6 +57,18 @@ class USeries:
                 c[k] = v
         self._c = c
 
+    @classmethod
+    def _raw(cls, c: dict[int, Fraction], order: int) -> "USeries":
+        """Wrap coefficients that are already reduced nonzero Fractions below `order`.
+
+        Internal results are built this way; the public constructor still
+        normalizes outside input (ints, unreduced values, zeros).
+        """
+        out = cls.__new__(cls)
+        out.order = order
+        out._c = c
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -109,7 +121,7 @@ class USeries:
             if order == self.order:
                 return self
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return USeries(self._c, order)
+        return USeries._raw({k: v for k, v in self._c.items() if k < order}, order)
 
     def _coerce(self, other) -> "USeries | None":
         if isinstance(other, USeries):
@@ -126,13 +138,18 @@ class USeries:
         c = {k: v for k, v in self._c.items() if k < order}
         for k, v in o._c.items():
             if k < order:
-                c[k] = c.get(k, Fraction(0)) + v
-        return USeries(c, order)
+                if k in c:
+                    v += c[k]
+                    if not v:
+                        del c[k]
+                        continue
+                c[k] = v
+        return USeries._raw(c, order)
 
     __radd__ = __add__
 
     def __neg__(self) -> "USeries":
-        return USeries({k: -v for k, v in self._c.items()}, self.order)
+        return USeries._raw({k: -v for k, v in self._c.items()}, self.order)
 
     def __sub__(self, other) -> "USeries":
         o = self._coerce(other)
@@ -157,7 +174,6 @@ class USeries:
             return USeries.zero(order)
         # Convolve integer numerators over the common denominators da and db
         # of the two operands; one Fraction (one gcd) per output coefficient.
-        # Those are reduced and nonzero, so the constructor's checks are skipped.
         da = lcm(*(v.denominator for _, v in a))
         db = lcm(*(v.denominator for _, v in b))
         bn = [(k, v.numerator * (db // v.denominator)) for k, v in b]
@@ -170,10 +186,7 @@ class USeries:
                     break
                 acc[k] = acc.get(k, 0) + v1 * v2
         d = da * db
-        out = USeries.__new__(USeries)
-        out.order = order
-        out._c = {k: Fraction(v, d) for k, v in acc.items() if v}
-        return out
+        return USeries._raw({k: Fraction(v, d) for k, v in acc.items() if v}, order)
 
     __rmul__ = __mul__
 
@@ -317,6 +330,29 @@ def _qpower(k: int) -> str:
 
 def _qtail(order: int) -> str:
     return f" + O({_qpower(order)})" if order > 0 else " + O(1)"
+
+
+def linear_combination(terms: Iterable[Tuple[Scalar, USeries]], order: int) -> USeries:
+    """sum_i a_i s_i truncated at `order`, for scalars a_i and series s_i.
+
+    Every product is accumulated as an integer numerator over one common
+    denominator, so each output coefficient costs one Fraction (one gcd).
+    """
+    rows = []
+    for a, s in terms:
+        items = [(k, v) for k, v in s._c.items() if k < order]
+        if a and items:
+            d = lcm(*(v.denominator for _, v in items))
+            rows.append((a.numerator, a.denominator * d, d, items))
+    if not rows:
+        return USeries.zero(order)
+    den = lcm(*(row[1] for row in rows))
+    acc: dict[int, int] = {}
+    for an, ad, d, items in rows:
+        scale = an * (den // ad)
+        for k, v in items:
+            acc[k] = acc.get(k, 0) + scale * v.numerator * (d // v.denominator)
+    return USeries._raw({k: Fraction(v, den) for k, v in acc.items() if v}, order)
 
 
 def us_product(factors: Iterable[Tuple[int, USeries]], order: int) -> USeries:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ExponentRangeViolation, ToleranceNotReached
+from .errors import ExponentRangeViolation, FloatRangeExceeded, ToleranceNotReached
 
 _MAX_BISECT = 400
 
@@ -97,11 +97,23 @@ def sobolev_c(m: int, b: float, tol: float = 1e-11) -> float:
     As b -> 0, b C(b) = (m W + 1)^(1/m) - 1 + O(b^2) with W = wallis(m):
     with s = x b and t = b tau the integrand is 1 + s tau + O(b^2), so the
     equation becomes ((1+s)^m - 1)/m = W + O(b^2).
+
+    Raises FloatRangeExceeded when F overflows a double on the way, as it
+    does for m = 2000, b = 1 (binomial weights) or b = 1e300 (e^((m-1) b)).
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     _require_positive_finite("b", b)
     _require_positive_finite("tol", tol)
+    try:
+        return _bisect_root(m, b, tol)
+    except OverflowError as exc:
+        raise FloatRangeExceeded(
+            f"C(b) at m = {m}, b = {b} overflows double precision ({exc})"
+        ) from exc
+
+
+def _bisect_root(m: int, b: float, tol: float) -> float:
     target = wallis(m)
     qtol = tol / 10.0
     f_at_zero = _closed_form_F(m, b, 0.0)

@@ -285,6 +285,19 @@ def test_sobolev_unreachable_tolerance_is_domain_error(capsys):
     assert "not reached" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--m", "2000", "--b", "1"], ["--m", "3", "--b", "1e300"]],
+    ids=["binomial-overflow", "exponential-overflow"],
+)
+def test_sobolev_double_overflow_is_domain_error(argv):
+    proc = run_subprocess("sobolev", *argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.strip().splitlines()) == 1
+    assert "overflows double precision" in proc.stderr
+
+
 @pytest.mark.parametrize("tau, value", [("1+i", 1 + 1j), ("-1+i", -1 + 1j), ("0.5+2i", 0.5 + 2j), ("+i", 1j)])
 def test_transformation_laws_tau_with_real_part(capsys, tau, value):
     code, out, _ = run(capsys, "verify", "--check", "transformation-laws", f"--tau={tau}")

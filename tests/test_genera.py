@@ -259,3 +259,66 @@ def test_witten_genus_is_ahat_times_e4(t):
     ahat = genus(m, "ahat", 1).coeff(0)
     assert ahat == -t / 1440
     assert w == eisenstein_e4(uorder) * ahat
+
+
+# -- genus as a memoized linear map on Pontryagin numbers ----------------------
+
+def genus_number_oracle(m, kind, uorder):
+    """f(0)^(2n) sum_{mu |- n} c_mu <s_mu, [M]>, paired in the s-basis.
+
+    The construction `genus` used before its classes were memoized; it
+    shares `_class_coefficients` and `power_sum_number` with the package
+    but neither the p-basis columns nor `pair`.
+    """
+    from ellgen.chern import _class_coefficients, power_sum_number
+
+    n = m.n
+    scale, coeffs = _class_coefficients(genus_root_series(GenusKind(kind), 2 * n + 2, uorder), n)
+    acc = USeries.zero(uorder)
+    for mu in partitions_of(n):
+        acc = acc + coeffs[mu] * power_sum_number(mu, m)
+    return acc * scale
+
+
+def oracle_manifolds(n, rng):
+    parts = partitions_of(n)
+    sparse = {p: F(rng.randint(-30, 30), rng.randint(1, 7)) for p in parts[::2]}
+    yield random_manifold(n, rng)
+    yield Manifold("missing", 4 * n, sparse)  # every other Pontryagin number absent
+    yield Manifold("zero", 4 * n, {})
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_genus_matches_s_basis_pairing(n):
+    rng = random.Random(100 + n)
+    manifolds = list(oracle_manifolds(n, rng))
+    for kind in GenusKind:
+        for uorder in (1, 2, 12, 24):
+            for m in manifolds:
+                assert genus(m, kind, uorder) == genus_number_oracle(m, kind, uorder), (
+                    kind, uorder, m.name
+                )
+
+
+def test_genus_columns_memo_serves_each_manifold():
+    from ellgen.genera import genus_columns
+
+    genus_columns.cache_clear()
+    rng = random.Random(7)
+    first, second = random_manifold(3, rng, "first"), random_manifold(3, rng, "second")
+    value_first = genus(first, GenusKind.ELL2, 10)
+    assert value_first == genus_number_oracle(first, "ell2", 10)
+    assert genus_columns.cache_info().misses == 1
+    # a warm memo, reached through the string kind, pairs with the second
+    # manifold's own numbers
+    value_second = genus(second, "ell2", 10)
+    assert value_second == genus_number_oracle(second, "ell2", 10)
+    assert value_second != value_first
+    info = genus_columns.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_genus_columns_memo_is_bounded():
+    from ellgen.genera import genus_columns
+
+    assert genus_columns.cache_info().maxsize == 128

@@ -146,6 +146,41 @@ def test_modular_relation_random_manifolds():
             assert reconstruct_ell1(dec, 13) == genus(m, "ell1", 13)
 
 
+# -- the memoized bases against a direct construction -------------------------
+
+def basis_oracle(delta, eps, n, r, uorder):
+    """(8 delta)^(n-2r) eps^r as n - r plain factors, built afresh on each call."""
+    out = USeries.one(uorder)
+    for factor in [delta(uorder) * 8] * (n - 2 * r) + [eps(uorder)] * r:
+        out = out * factor
+    return out
+
+
+@pytest.mark.parametrize("uorder", [4, 24])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bases_match_direct_construction(n, uorder):
+    rng = random.Random(10 * n + uorder)
+    for _ in range(3):
+        h = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n // 2 + 1))
+        e2 = USeries.zero(uorder)
+        e1 = USeries.zero(uorder)
+        for r, hr in enumerate(h):
+            e2 = e2 + basis_oracle(delta2, eps2, n, r, uorder) * hr
+            e1 = e1 + basis_oracle(delta1, eps1, n, r, uorder) * hr
+        assert reconstruct_ell1(ModBasisDecomp(n, h), uorder) == e1 * 4**n
+        if uorder < n // 2 + 1:
+            with pytest.raises(ValueError, match="too small"):
+                expand_in_basis(e2, n)
+        else:
+            assert expand_in_basis(e2, n).h == h
+
+
+def test_basis_memos_are_bounded():
+    from ellgen.modular import _basis1, _basis2
+
+    assert _basis1.cache_info().maxsize == _basis2.cache_info().maxsize == 128
+
+
 # -- numeric evaluation ----------------------------------------------------------
 
 def test_numeric_constant():

@@ -1,0 +1,47 @@
+"""Closed-form oracles with no free parameters.
+
+Quaternionic projective space HP^k has total Pontryagin class
+p = (1+u)^(2k+2) / (1+4u), u the generator of H^4, and <u^k, [HP^k]> = 1.
+Its elliptic genus is Ell_2 = eps_2^(k/2) for even k and 0 for odd k
+(Ochanine 1987; Hirzebruch-Berger-Jung, Manifolds and Modular Forms,
+ch. 4): in the basis (8 delta_2)^(k-2r) eps_2^r its coordinates are the unit
+vector e_(k/2), or zero.  Its signature is 1 for even k and 0 for odd k,
+and its A-hat genus is 0.
+"""
+
+from math import comb, prod
+
+import pytest
+
+from ellgen.chern import Manifold, partitions_of
+from ellgen.genera import genus
+from ellgen.modular import expand_in_basis
+from ellgen.theta import GenusKind
+
+
+def quaternionic_projective_space(k):
+    # p_i = [u^i] (1+u)^(2k+2) sum_j (-4u)^j
+    p = [sum(comb(2 * k + 2, j) * (-4) ** (i - j) for j in range(i + 1)) for i in range(k + 1)]
+    pont = {lam: prod(p[i] for i in lam) for lam in partitions_of(k)}
+    return Manifold(f"HP^{k}", 4 * k, pont)
+
+
+def test_hp2_pontryagin_numbers():
+    # p_1 = 2u, p_2 = 7u^2 on HP^2
+    m = quaternionic_projective_space(2)
+    assert m.pont == {(1, 1): 4, (2,): 7}
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_hp_ell2_is_a_power_of_eps2(k):
+    m = quaternionic_projective_space(k)
+    h = expand_in_basis(genus(m, GenusKind.ELL2, 16), k).h
+    unit = tuple(int(k % 2 == 0 and r == k // 2) for r in range(k // 2 + 1))
+    assert h == unit
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_hp_signature_and_ahat(k):
+    m = quaternionic_projective_space(k)
+    assert genus(m, GenusKind.LHAT, 1).coeff(0) == (1 if k % 2 == 0 else 0)
+    assert genus(m, GenusKind.AHAT, 1).coeff(0) == 0

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellgen.errors import BadConstantTerm, WeightViolation, ZeroConstantTerm
-from ellgen.series import USeries, us_product
+from ellgen.series import USeries, linear_combination, us_product
 
 
 def u(order=8):
@@ -44,6 +44,30 @@ def invertible_useries(draw):
 
 def test_add_cancellation():
     assert (1 + u()) + (1 - u()) == USeries.const(2, 8)
+
+
+def test_internal_results_equal_normalized_construction():
+    a = USeries({0: F(1, 2), 1: 3, 3: F(-2, 7)}, 6)
+    b = USeries({0: F(-1, 2), 1: F(1, 3), 5: 4}, 6)
+    total = a + b
+    assert total == USeries({1: F(10, 3), 3: F(-2, 7), 5: 4}, 6)
+    assert 0 not in total.support()  # a cancelled sum leaves no stored zero
+    assert (a - a).is_zero() and (a - a).support() == []
+    assert -a == USeries({0: F(-1, 2), 1: -3, 3: F(2, 7)}, 6)
+    assert a.truncate(2) == USeries({0: F(1, 2), 1: 3}, 2)
+    assert all(type(v) is F for s in (total, -a, a.truncate(2)) for _, v in s.items())
+
+
+def test_linear_combination_matches_repeated_addition():
+    a = USeries({0: F(1, 2), 2: F(3, 4), 5: F(-5, 6)}, 8)
+    b = USeries({1: F(2, 9), 2: F(-3, 8), 9: 1}, 10)
+    terms = [(F(2, 3), a), (-3, b), (0, a), (F(-2, 3), a)]
+    expected = USeries.zero(8)
+    for c, s in terms:
+        expected = expected + s.truncate(8) * c
+    assert linear_combination(terms, 8) == expected == b.truncate(8) * -3
+    assert linear_combination([], 4) == USeries.zero(4)
+    assert linear_combination([(F(1, 2), a), (F(-1, 2), a)], 8).support() == []
 
 
 def test_add_identity_preserves_order():
