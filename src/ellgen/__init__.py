@@ -30,7 +30,6 @@ from .chern import (
     newton_power_sum,
     pair,
     partitions_of,
-    rs_product,
 )
 from .genera import (
     Hypersurface,
@@ -55,7 +54,7 @@ from .modular import (
     numeric_eval,
     reconstruct_ell1,
 )
-from .series import USeries, default_uorder, us_product
+from .series import USeries, default_uorder, weighted_product
 from .sobolev import (
     MoserExponents,
     moser_constant,

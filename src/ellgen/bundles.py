@@ -148,7 +148,8 @@ class VirtualBundlePoly:
         t: dict[BundleMonomial, int] = {}
         for m1, c1 in self._t.items():
             for m2, c2 in other._t.items():
-                m = BundleMonomial.make(m1.sym + m2.sym, m1.ext + m2.ext)
+                # Both factors are valid monomials: merge their sorted powers.
+                m = BundleMonomial(tuple(sorted(m1.sym + m2.sym)), tuple(sorted(m1.ext + m2.ext)))
                 t[m] = t.get(m, 0) + c1 * c2
         return VirtualBundlePoly(t, self.n)
 
@@ -418,8 +419,6 @@ def ell2_via_bundles(m: Manifold, uorder: int | None = None) -> USeries:
     """Ell_2 as sum_k ind(D x B_k) u^k: the bundle route."""
     if uorder is None:
         uorder = default_uorder()
-    if m.dim % 4:
-        raise DimMismatch(f"dimension {m.dim} not a multiple of 4")
     numbers = {mu: power_sum_number(mu, m) for mu in partitions_of(m.n)}
     coeffs = {}
     for k in range(uorder):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotInUpperHalfPlane, ResidualNonzero
-from .series import USeries, default_uorder
+from .series import USeries, default_uorder, linear_combination
 
 
 def _odd_divisor_sum(k: int) -> int:
@@ -116,7 +116,7 @@ def expand_in_basis(e2: USeries, n: int) -> ModBasisDecomp:
         lead = basis.coeff(r)
         hr = resid.coeff(r) / lead
         h.append(hr)
-        resid = resid - basis * hr
+        resid = linear_combination(((1, resid), (-hr, basis)), uorder)
     if not resid.is_zero():
         k = resid.valuation()
         raise ResidualNonzero(
@@ -135,11 +135,9 @@ def reconstruct_ell1(d: ModBasisDecomp, uorder: int | None = None) -> USeries:
     if uorder is None:
         uorder = default_uorder()
     n = d.n
-    acc = USeries.zero(uorder)
-    for r, hr in enumerate(d.h):
-        if hr:
-            acc = acc + _basis1(n, r, uorder) * hr
-    return acc * 4**n
+    return linear_combination(
+        ((hr * 4**n, _basis1(n, r, uorder)) for r, hr in enumerate(d.h) if hr), uorder
+    )
 
 
 def numeric_eval(s: USeries, tau: complex) -> tuple[complex, float]:

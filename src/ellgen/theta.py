@@ -11,7 +11,10 @@ u^k, an integer Laurent polynomial in y = e^x as its coefficient.  The
 product is kept in that form (one dict j -> int per u-power) and every factor
 is applied in place by an integer recurrence.  It is converted to x once at
 the end, [u^k x^d] = sum_j c_(k,j) j^d / d!, and multiplied once by the
-u-constant prefactor (x/2)/sinh(x/2) or cosh(x/2).
+u-constant prefactor (x/2)/sinh(x/2) or cosh(x/2).  The prefactors in x are
+closed forms: their x^(2k) coefficients are Bernoulli numbers B_2k (or 1/4^k
+for cosh) over (2k)! (Hirzebruch, Topological Methods in Algebraic Geometry,
+section 1.5).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .chern import RootSeries
 from .series import USeries
@@ -28,75 +31,39 @@ XPoly = dict[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# Rational polynomial helpers in the root variable x
+# The u-constant prefactors in x, in closed form
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(a: XPoly, b: XPoly, xdeg: int) -> XPoly:
-    out: XPoly = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            k = k1 + k2
-            if k < xdeg:
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-    return {k: v for k, v in out.items() if v}
+def _even_poly(xdeg: int, coeff) -> XPoly:
+    """sum_{2k < xdeg} coeff(k, B_2k) x^(2k) / (2k)! with the Bernoulli numbers B_2k.
 
-
-def _poly_inv(a: XPoly, xdeg: int) -> XPoly:
-    a0 = a.get(0, Fraction(0))
-    if not a0:
-        raise ZeroDivisionError("polynomial has zero constant term")
-    out = {0: Fraction(1) / a0}
-    for n in range(1, xdeg):
-        acc = Fraction(0)
-        for k, v in a.items():
-            if 1 <= k <= n:
-                acc += v * out.get(n - k, Fraction(0))
-        if acc:
-            out[n] = -acc / a0
-    return {k: v for k, v in out.items() if v}
-
-
-def _even_exp_poly(xdeg: int, quarter_scale: bool, shift: int) -> XPoly:
-    """sum_k x^(2k) / (s^k (2k + shift)!) with s = 4 when quarter_scale."""
-    out: XPoly = {}
-    k = 0
-    while 2 * k < xdeg:
-        denom = 1
-        for j in range(1, 2 * k + shift + 1):
-            denom *= j
-        if quarter_scale:
-            denom *= 4**k
-        out[2 * k] = Fraction(1, denom)
-        k += 1
-    return out
-
-
-def sinh_half_over_half_poly(xdeg: int) -> XPoly:
-    """sinh(x/2) / (x/2)."""
-    return _even_exp_poly(xdeg, True, 1)
+    B_0..B_(xdeg-1) follow from B_0 = 1 and sum_{j<=i} C(i+1, j) B_j = 0 (i >= 1).
+    """
+    b = [Fraction(1)]
+    for i in range(1, xdeg):
+        b.append(-sum(comb(i + 1, j) * b[j] for j in range(i)) / (i + 1))
+    return {2 * k: coeff(k, b[2 * k]) / factorial(2 * k) for k in range((xdeg + 1) // 2)}
 
 
 def cosh_half_poly(xdeg: int) -> XPoly:
-    return _even_exp_poly(xdeg, True, 0)
+    """cosh(x/2): coefficients 1/4^k."""
+    return _even_poly(xdeg, lambda k, b: Fraction(1, 4**k))
 
 
 def half_x_over_sinh_half_poly(xdeg: int) -> XPoly:
-    """(x/2) / sinh(x/2): the u^0 slice of the theta factor (A-hat factor)."""
-    return _poly_inv(sinh_half_over_half_poly(xdeg), xdeg)
+    """(x/2) / sinh(x/2), coefficients (2/4^k - 1) B_2k: the u^0 slice of the theta factor (A-hat factor)."""
+    return _even_poly(xdeg, lambda k, b: (Fraction(2, 4**k) - 1) * b)
 
 
 def x_over_tanh_half_poly(xdeg: int) -> XPoly:
-    """x / tanh(x/2): the u^0 slice of the Ell1 factor (L-hat factor)."""
-    two_cosh_half = {k: 2 * v for k, v in cosh_half_poly(xdeg).items()}
-    return _poly_mul(two_cosh_half, half_x_over_sinh_half_poly(xdeg), xdeg)
+    """x / tanh(x/2), coefficients 2 B_2k: the u^0 slice of the Ell1 factor (L-hat factor)."""
+    return _even_poly(xdeg, lambda k, b: 2 * b)
 
 
 def x_over_tanh_poly(xdeg: int) -> XPoly:
-    """x / tanh(x): the signature factor in complex Chern-root normalization."""
-    cosh = _even_exp_poly(xdeg, False, 0)
-    sinh_over_x = _even_exp_poly(xdeg, False, 1)
-    return _poly_mul(cosh, _poly_inv(sinh_over_x, xdeg), xdeg)
+    """x / tanh(x), coefficients 4^k B_2k: the signature factor in complex Chern-root normalization."""
+    return _even_poly(xdeg, lambda k, b: 4**k * b)
 
 
 def rotate_poly(a: XPoly) -> XPoly:
@@ -183,7 +150,7 @@ def _theta_product(kinds: tuple[str, ...], prefactor: XPoly, xdeg: int, uorder: 
         moments.append(sums)
     series = RootSeries(
         {
-            2 * i: USeries({k: Fraction(sums[i], factorial(2 * i)) for k, sums in enumerate(moments)}, uorder)
+            2 * i: USeries._raw({k: Fraction(s[i], factorial(2 * i)) for k, s in enumerate(moments) if s[i]}, uorder)
             for i in range(half)
         },
         xdeg,

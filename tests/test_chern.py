@@ -1,8 +1,11 @@
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellgen.chern import (
     Manifold,
@@ -348,3 +351,151 @@ def test_power_sum_table_numeric_check():
         for mu in partitions_of(w):
             value = sum(c * sympy.prod([e[i] for i in lam]) for lam, c in _power_sum_terms(mu))
             assert value == sympy.prod([sum(y**k for y in ys) for k in mu]), mu
+
+
+# -- the shared ring core against a dense reference ----------------------------
+
+_PARTS = [p for w in range(5) for p in partitions_of(w)]
+_fracs = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+def _grade(cls, key):
+    return key if cls is RootSeries else sum(key)
+
+
+def dense(x):
+    """(class, largest kept grade, uorder, {key: USeries}) of a graded element."""
+    top = x.xdeg - 1 if isinstance(x, RootSeries) else x.nmax
+    return type(x), top, x.uorder, dict(x.items())
+
+
+def lift(s, like, for_mul):
+    """A scalar as a dense constant shaped like `like`; None where `+` must refuse it."""
+    cls, top, uorder, _ = like
+    unit = 0 if cls is RootSeries else ()
+    if isinstance(s, USeries):
+        if not for_mul and s.order < uorder:
+            return None
+        s = s if for_mul else s.truncate(uorder)
+    else:
+        s = USeries.const(s, uorder)
+    return cls, top, s.order, ({unit: s} if not s.is_zero() else {})
+
+
+def ref_add(a, b):
+    cls, top, uorder = a[0], min(a[1], b[1]), min(a[2], b[2])
+    out = {}
+    for terms in (a[3], b[3]):
+        for k, s in terms.items():
+            if _grade(cls, k) <= top:
+                out[k] = out.get(k, USeries.zero(uorder)) + s.truncate(uorder)
+    return cls, top, uorder, {k: s for k, s in out.items() if not s.is_zero()}
+
+
+def ref_neg(a):
+    return a[0], a[1], a[2], {k: -s for k, s in a[3].items()}
+
+
+def ref_mul(a, b):
+    """Direct double sum; partition keys join by the union of their parts."""
+    cls, top, uorder = a[0], min(a[1], b[1]), min(a[2], b[2])
+    out = {}
+    for k1, s1 in a[3].items():
+        for k2, s2 in b[3].items():
+            k = k1 + k2 if cls is RootSeries else tuple(sorted(k1 + k2, reverse=True))
+            if _grade(cls, k) <= top:
+                out[k] = out.get(k, USeries.zero(uorder)) + s1.truncate(uorder) * s2.truncate(uorder)
+    return cls, top, uorder, {k: s for k, s in out.items() if not s.is_zero()}
+
+
+def ref_pow(a, e):
+    out = lift(1, a, True)
+    for _ in range(e):
+        out = ref_mul(out, a)
+    return out
+
+
+@st.composite
+def graded(draw, cls):
+    uorder = draw(st.integers(1, 4))
+    if cls is RootSeries:
+        bound = draw(st.integers(1, 5))
+        keys = st.integers(0, bound)  # x^bound lies beyond xdeg: dropped
+    else:
+        bound = draw(st.integers(0, 3))
+        keys = st.sampled_from([p for p in _PARTS if sum(p) <= bound + 1])
+    terms = st.dictionaries(st.integers(0, uorder), _fracs, min_size=1, max_size=3)
+    coeffs = draw(st.dictionaries(keys, terms, min_size=1, max_size=4))
+    # coefficient orders at or above uorder: the constructor truncates them
+    extra = draw(st.integers(0, 1))
+    return cls({k: USeries(c, uorder + extra) for k, c in coeffs.items()}, bound, uorder)
+
+
+scalars = st.one_of(
+    st.integers(-2, 2),
+    _fracs,
+    st.builds(lambda c, order: USeries(c, order), st.dictionaries(st.integers(0, 4), _fracs, max_size=3), st.integers(1, 5)),
+)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+@pytest.mark.parametrize("cls", [RootSeries, PontPoly])
+@given(data=st.data())
+@settings(max_examples=120)
+def test_graded_ring_ops_match_dense_reference(cls, data):
+    a = data.draw(graded(cls))
+    b = data.draw(st.one_of(graded(cls), scalars, st.just(-a)))  # -a: sums cancel to zero
+    swap = data.draw(st.booleans()) and not isinstance(b, cls)  # scalar on the left
+
+    def apply(op):
+        return _OPS[op](b, a) if swap else _OPS[op](a, b)
+
+    da = dense(a)
+    if isinstance(b, cls):
+        db = dense(b)
+        cases = {"+": ref_add(da, db), "-": ref_add(da, ref_neg(db)), "*": ref_mul(da, db)}
+        assert (a - a).is_zero() and dense(a + (-a)) == ref_add(da, ref_neg(da))
+    else:
+        add, mul = lift(b, da, False), lift(b, da, True)
+        cases = {"*": ref_mul(mul, da) if swap else ref_mul(da, mul)}
+        if add is None:  # a USeries scalar below the operand's uorder
+            for op in ("+", "-"):
+                with pytest.raises(ValueError):
+                    apply(op)
+        else:
+            cases["+"] = ref_add(da, add)
+            cases["-"] = ref_add(add, ref_neg(da)) if swap else ref_add(da, ref_neg(add))
+    for op, expected in cases.items():
+        got = apply(op)
+        assert type(got) is cls
+        assert dense(got) == expected, op
+    for e in range(4):
+        assert dense(a**e) == ref_pow(da, e), e
+
+
+@given(graded(RootSeries), st.integers(1, 3), _fracs.filter(bool))
+@settings(max_examples=60)
+def test_rootseries_negative_powers_invert(a, e, c0):
+    a = a + (c0 - a.coeff(0).coeff(0))  # an invertible x^0 coefficient
+    inv = a ** -e
+    assert dense(inv) == dense(a.inverse() ** e)
+    assert dense(a**e * inv) == lift(1, dense(a), True)
+
+
+def test_graded_constructor_contracts():
+    with pytest.raises(ValueError, match="xdeg"):
+        RootSeries({}, 0, 4)
+    with pytest.raises(ValueError, match="negative x-exponent"):
+        RootSeries({-1: USeries.one(4)}, 3, 4)
+    with pytest.raises(ValueError, match="below the RootSeries order"):
+        RootSeries({0: USeries.one(2)}, 3, 4)
+    with pytest.raises(ValueError, match="below the PontPoly order"):
+        PontPoly({(1,): USeries.one(2)}, 2, 4)
+    rs, pp = RootSeries.const(1, 3, 4), PontPoly.const(1, 2, 4)
+    assert (rs == pp) is False and (pp == rs) is False and rs != pp
+    for op in _OPS.values():
+        for x, y in ((rs, pp), (pp, rs)):
+            with pytest.raises(TypeError):
+                op(x, y)

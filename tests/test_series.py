@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellgen.errors import BadConstantTerm, WeightViolation, ZeroConstantTerm
-from ellgen.series import USeries, linear_combination, us_product
+from ellgen.series import USeries, linear_combination, weighted_product
 
 
 def u(order=8):
@@ -232,21 +232,21 @@ def test_product_pentagonal_numbers():
     direct = USeries.one(order)
     for m in range(1, order):
         direct = direct * (USeries.one(order) - USeries.monomial(2 * m, 1, order))
-    p = us_product(euler_factors(order), order)
+    p = weighted_product(euler_factors(order), USeries.one(order), order)
     assert p == direct
     assert p == USeries({0: 1, 2: -1, 4: -1, 10: 1}, order)
 
 
 def test_product_empty():
-    assert us_product(iter(()), 6) == USeries.one(6)
+    assert weighted_product(iter(()), USeries.one(6), 6) == USeries.one(6)
 
 
 def test_product_euler_identity():
     # prod (1 - q^(2m)) = prod (1 - q^m) * prod (1 + q^m)
     order = 20
-    lhs = us_product(euler_factors(order, step=4), order)
-    rhs = us_product(euler_factors(order, -1), order) * us_product(
-        euler_factors(order, +1), order
+    lhs = weighted_product(euler_factors(order, step=4), USeries.one(order), order)
+    rhs = weighted_product(euler_factors(order, -1), USeries.one(order), order) * weighted_product(
+        euler_factors(order, +1), USeries.one(order), order
     )
     assert lhs == rhs
 
@@ -256,7 +256,7 @@ def test_product_weight_violation():
         yield 4, USeries.one(order) + USeries.monomial(2, 1, order)
 
     with pytest.raises(WeightViolation):
-        us_product(bad(8), 8)
+        weighted_product(bad(8), USeries.one(8), 8)
 
 
 def test_product_weights_must_increase():
@@ -265,7 +265,7 @@ def test_product_weights_must_increase():
         yield 2, USeries.one(order) + USeries.monomial(2, 1, order)
 
     with pytest.raises(WeightViolation):
-        us_product(bad(8), 8)
+        weighted_product(bad(8), USeries.one(8), 8)
 
 
 # -- ring laws and round trips (property tests) ------------------------------

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from ellgen.chern import RootSeries, rs_product
+from ellgen.chern import RootSeries
 from ellgen.errors import OddTermPresent, WeightViolation
-from ellgen.series import USeries
+from ellgen.series import USeries, weighted_product
 from ellgen.theta import (
     GenusKind,
+    cosh_half_poly,
     genus_root_series,
     half_x_over_sinh_half_poly,
     rotate_poly,
@@ -36,6 +37,22 @@ def test_hyperbolic_polys_match_sympy():
     assert rotate_poly(half_x_over_sinh_half_poly(10)) == sympy_even_coeffs(
         (x / 2) / sympy.sin(x / 2), x, 10
     )
+
+
+def test_prefactor_closed_forms_match_sympy_at_every_xdeg():
+    x = sympy.symbols("x")
+    cases = {
+        half_x_over_sinh_half_poly: (x / 2) / sympy.sinh(x / 2),
+        x_over_tanh_half_poly: x / sympy.tanh(x / 2),
+        x_over_tanh_poly: x / sympy.tanh(x),
+        cosh_half_poly: sympy.cosh(x / 2),
+    }
+    for poly, expr in cases.items():
+        full = sympy_even_coeffs(expr, x, 24)
+        for xdeg in range(1, 25):
+            got = poly(xdeg)
+            assert got == {k: v for k, v in full.items() if k < xdeg}, (poly.__name__, xdeg)
+            assert all(type(v) is F for v in got.values())
 
 
 def test_theta_u0_slice_is_ahat_factor():
@@ -144,7 +161,16 @@ def test_rs_product_weight_violation():
         yield 4, RootSeries.const(1, 3, 8) + RootSeries.const(USeries.monomial(1, 1, 8), 3, 8)
 
     with pytest.raises(WeightViolation):
-        rs_product(bad(), 3, 8)
+        weighted_product(bad(), RootSeries.const(1, 3, 8), 8)
+
+
+def test_weighted_product_rootseries_weights_must_increase():
+    def bad():
+        yield 1, RootSeries.const(1, 3, 8) + RootSeries.const(USeries.monomial(2, 1, 8), 3, 8)
+        yield 1, RootSeries.const(1, 3, 8) + RootSeries.const(USeries.monomial(2, 1, 8), 3, 8)
+
+    with pytest.raises(WeightViolation, match="strictly increase"):
+        weighted_product(bad(), RootSeries.const(1, 3, 8), 8)
 
 
 # -- oracle: the product built factor by factor as RootSeries ------------------
@@ -152,7 +178,7 @@ def test_rs_product_weight_violation():
 
 @functools.lru_cache(maxsize=None)
 def oracle_theta_factor(kind, xdeg, uorder):
-    """Each factor m as a RootSeries, multiplied in with `rs_product`; the
+    """Each factor m as a RootSeries, multiplied in with `weighted_product`; the
     theta denominators inverted as series (shares no code with the integer
     Laurent-polynomial construction of `theta_factor`)."""
     two_cosh = RootSeries.from_xpoly(
@@ -180,7 +206,7 @@ def oracle_theta_factor(kind, xdeg, uorder):
                 yield w, den.inverse() * num
             m += 1
 
-    prod = rs_product(factors(), xdeg, uorder)
+    prod = weighted_product(factors(), RootSeries.const(1, xdeg, uorder), uorder)
     x = sympy.symbols("x")
     if kind == "theta":
         prefactor = sympy_even_coeffs((x / 2) / sympy.sinh(x / 2), x, xdeg)
