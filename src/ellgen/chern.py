@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 from .errors import DimMismatch, NonUnitConstant, OddTermPresent
-from .series import Scalar, USeries, _RingOps, default_uorder, linear_combination
+from .series import Scalar, USeries, _RingOps, as_int, default_uorder, linear_combination
 
 Partition = tuple[int, ...]
 
@@ -128,10 +128,7 @@ class Manifold:
             raise ValueError(f"manifold JSON must be an object, not {type(obj).__name__}")
         try:
             name = str(obj.get("name", ""))
-            raw_dim = obj["dim"]
-            dim = int(raw_dim)
-            if isinstance(raw_dim, float) and raw_dim != dim:
-                raise ValueError(f"manifold dimension must be an integer, got {raw_dim}")
+            dim = as_int(obj["dim"], "manifold dimension")
             raw = obj.get("pontryagin_numbers", {})
             pont = {partition_from_str(k): Fraction(v) for k, v in raw.items()}
         except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError) as exc:
@@ -223,8 +220,10 @@ class _Graded(_RingOps):
     def _coerce(self, other):
         if isinstance(other, type(self)):
             return other
-        if isinstance(other, (int, Fraction, USeries)):
+        if isinstance(other, (int, Fraction)):
             return self.const(other, getattr(self, self._bound_name), self.uorder)
+        if isinstance(other, USeries):  # at its own order: the result truncates to the smaller
+            return self.const(other, getattr(self, self._bound_name), other.order)
         return None
 
     def __add__(self, other):
@@ -246,12 +245,8 @@ class _Graded(_RingOps):
         return self._raw({k: -s for k, s in self._c.items()}, self._top, self.uorder)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, USeries)):
-            s = other if isinstance(other, USeries) else USeries.const(other, self.uorder)
-            return self._raw(
-                {k: c * s for k, c in self._c.items()}, self._top, min(self.uorder, s.order)
-            )
-        if not isinstance(other, type(self)):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         top = min(self._top, other._top)
         uorder = min(self.uorder, other.uorder)

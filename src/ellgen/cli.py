@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["cancellation", "modular-relation", "route-equivalence", "transformation-laws"],
     )
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--uorder", type=_positive_int, default=12)
     p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0, help="RNG seed for reproducible runs")

@@ -35,7 +35,7 @@ from .chern import (
     weight_class,
 )
 from .errors import DimNotMultipleOf4, NonUnitConstant
-from .series import USeries, default_uorder
+from .series import USeries, as_int, default_uorder
 from .theta import (
     GenusKind,
     genus_root_series,
@@ -128,7 +128,7 @@ class Hypersurface:
 
     @classmethod
     def from_json(cls, obj) -> "Hypersurface":
-        return cls(ambient=int(obj["ambient"]), degree=int(obj["degree"]))
+        return cls(ambient=as_int(obj["ambient"], "ambient"), degree=as_int(obj["degree"], "degree"))
 
 
 def hypersurface_pont(h: Hypersurface) -> Manifold:

@@ -1,12 +1,15 @@
 """Truncated power series in u = q^(1/2) with exact rational coefficients.
 
 Every q-expansion in the package lives in this one ring: series with
-integral q-support simply have even u-support.  Coefficients are
-`fractions.Fraction` throughout; there is no floating point here.
+integral q-support simply have even u-support.  A series is stored as
+integer numerators, one per exponent below its truncation order, over one
+positive denominator, reduced after every operation so that the pair is
+canonical; there is no floating point here, and a `fractions.Fraction` is
+built only when a coefficient is read.
 
-A series carries an explicit truncation order (exclusive bound on the
-u-exponent).  Binary operations truncate to the minimum of the two orders,
-and two series are equal iff their orders and all coefficients agree.
+The truncation order is an exclusive bound on the u-exponent.  Binary
+operations truncate to the minimum of the two orders, and two series are
+equal iff their orders and all coefficients agree.
 `_RingOps` gives this class and the graded containers of `chern` their one
 `-` and `**`; `weighted_product` is the one weight-checked infinite product.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .errors import BadConstantTerm, WeightViolation, ZeroConstantTerm
@@ -36,12 +39,20 @@ def default_uorder() -> int:
     return order
 
 
+def as_int(value, what: str) -> int:
+    """`value` read as an int: 8, 8.0 and "8" parse; 8.7 is a ValueError."""
+    out = int(value)
+    if not isinstance(value, str) and out != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return out
+
+
 class _RingOps:
     """`-` and `**` for a ring class, from its `_coerce`, `+`, unary `-`, `*` and `inverse`.
 
     `_coerce(other)` lifts a scalar into the class (None when it cannot);
     `_coerce(1)` is the unit that `**` starts from.  A negative power needs
-    `inverse`.
+    `inverse`; a class without one has none.
     """
 
     __slots__ = ()
@@ -59,7 +70,7 @@ class _RingOps:
         return o + (-self)
 
     def __pow__(self, e: int):
-        if not isinstance(e, int):
+        if not isinstance(e, int) or (e < 0 and not hasattr(self, "inverse")):
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
@@ -74,38 +85,44 @@ class _RingOps:
 
 
 class USeries(_RingOps):
-    """Immutable truncated series sum_k c_k u^k with c_k in Q, 0 <= k < order."""
+    """Immutable truncated series sum_k (_n[k] / _d) u^k, 0 <= k < order = len(_n).
 
-    __slots__ = ("order", "_c")
+    The numerators `_n` are ints and the denominator `_d` is a positive int
+    with gcd(_d, *_n) == 1, so the pair is canonical: `==` and `hash`
+    compare it directly, and a Fraction is built only when a coefficient is
+    read.
+    """
+
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Mapping[int, Scalar] = (), order: int | None = None):
         if order is None:
             order = default_uorder()
         if order < 0:
             raise ValueError("order must be nonnegative")
-        self.order = order
         c: dict[int, Fraction] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for k, v in items:
             if k < 0:
                 raise ValueError(f"negative u-exponent {k}")
-            if k >= order:
-                continue
-            v = Fraction(v)
-            if v:
-                c[k] = v
-        self._c = c
+            if k < order:
+                c[k] = Fraction(v)
+        # Over the lcm of reduced denominators the numerators share no factor
+        # with it: the denominator of largest p-power keeps p out of its term.
+        d = lcm(*(v.denominator for v in c.values()))
+        n = [0] * order
+        for k, v in c.items():
+            n[k] = v.numerator * (d // v.denominator)
+        self._n = tuple(n)
+        self._d = d
 
     @classmethod
-    def _raw(cls, c: dict[int, Fraction], order: int) -> "USeries":
-        """Wrap coefficients that are already reduced nonzero Fractions below `order`.
-
-        Internal results are built this way; the public constructor still
-        normalizes outside input (ints, unreduced values, zeros).
-        """
+    def _make(cls, numerators, den: int) -> "USeries":
+        """The series numerators[k] / den (den > 0), reduced to the canonical pair."""
+        g = gcd(den, *numerators)
         out = cls.__new__(cls)
-        out.order = order
-        out._c = c
+        out._n = tuple(numerators) if g == 1 else tuple(v // g for v in numerators)
+        out._d = den // g
         return out
 
     # -- constructors ------------------------------------------------------
@@ -128,30 +145,36 @@ class USeries(_RingOps):
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def order(self) -> int:
+        """Exclusive bound on the u-exponent."""
+        return len(self._n)
+
     def coeff(self, k: int) -> Fraction:
         """Coefficient of u^k.  Asking at or beyond the order is an error."""
         if k >= self.order:
             raise ValueError(f"coefficient u^{k} beyond truncation order {self.order}")
-        return self._c.get(k, Fraction(0))
+        return Fraction(self._n[k], self._d) if k >= 0 else Fraction(0)
 
     def items(self) -> Iterator[Tuple[int, Fraction]]:
-        return iter(sorted(self._c.items()))
+        d = self._d
+        return ((k, Fraction(v, d)) for k, v in enumerate(self._n) if v)
 
     def support(self) -> list[int]:
-        return sorted(self._c)
+        return [k for k, v in enumerate(self._n) if v]
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not any(self._n)
 
     def valuation(self) -> int | None:
         """Smallest exponent with nonzero coefficient, or None for 0."""
-        return min(self._c) if self._c else None
+        return next((k for k, v in enumerate(self._n) if v), None)
 
     def is_even_support(self) -> bool:
-        return all(k % 2 == 0 for k in self._c)
+        return not any(self._n[1::2])
 
     def constant(self) -> Fraction:
-        return self._c.get(0, Fraction(0))
+        return Fraction(self._n[0], self._d) if self._n else Fraction(0)
 
     # -- ring structure ----------------------------------------------------
 
@@ -160,7 +183,7 @@ class USeries(_RingOps):
             if order == self.order:
                 return self
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return USeries._raw({k: v for k, v in self._c.items() if k < order}, order)
+        return USeries._make(self._n[:order], self._d)
 
     def _coerce(self, other) -> "USeries | None":
         if isinstance(other, USeries):
@@ -173,47 +196,30 @@ class USeries(_RingOps):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        order = min(self.order, o.order)
-        c = {k: v for k, v in self._c.items() if k < order}
-        for k, v in o._c.items():
-            if k < order:
-                if k in c:
-                    v += c[k]
-                    if not v:
-                        del c[k]
-                        continue
-                c[k] = v
-        return USeries._raw(c, order)
+        d = lcm(self._d, o._d)
+        sa, sb = d // self._d, d // o._d
+        return USeries._make([a * sa + b * sb for a, b in zip(self._n, o._n)], d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "USeries":
-        return USeries._raw({k: -v for k, v in self._c.items()}, self.order)
+        return USeries._make([-v for v in self._n], self._d)
 
     def __mul__(self, other) -> "USeries":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         order = min(self.order, o.order)
-        a = [(k, v) for k, v in self._c.items() if k < order]
-        b = sorted((k, v) for k, v in o._c.items() if k < order)
-        if not a or not b:
-            return USeries.zero(order)
-        # Convolve integer numerators over the common denominators da and db
-        # of the two operands; one Fraction (one gcd) per output coefficient.
-        da = lcm(*(v.denominator for _, v in a))
-        db = lcm(*(v.denominator for _, v in b))
-        bn = [(k, v.numerator * (db // v.denominator)) for k, v in b]
-        acc: dict[int, int] = {}
-        for k1, v1 in a:
-            v1 = v1.numerator * (da // v1.denominator)
-            for k2, v2 in bn:
-                k = k1 + k2
-                if k >= order:
-                    break
-                acc[k] = acc.get(k, 0) + v1 * v2
-        d = da * db
-        return USeries._raw({k: Fraction(v, d) for k, v in acc.items() if v}, order)
+        acc = [0] * order
+        b = [(k, v) for k, v in enumerate(o._n[:order]) if v]
+        for k1, v1 in enumerate(self._n[:order]):
+            if v1:
+                for k2, v2 in b:
+                    k = k1 + k2
+                    if k >= order:
+                        break
+                    acc[k] += v1 * v2
+        return USeries._make(acc, self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -227,25 +233,28 @@ class USeries(_RingOps):
         return NotImplemented
 
     def inverse(self) -> "USeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a0 = self.constant()
-        if not a0:
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        With self = N / d and N = sum_j n_j u^j, 1/N = sum_k C_k u^k / n_0^(k+1)
+        for C_0 = 1 and C_k = -sum_(j=1..k) n_j n_0^(j-1) C_(k-j), so the
+        inverse is sum_k d C_k n_0^(order-1-k) u^k over n_0^order.
+        """
+        if not self.constant():
             raise ZeroConstantTerm("series has zero constant term")
-        order = self.order
-        inv0 = Fraction(1) / a0
-        out = [Fraction(0)] * max(order, 1)
-        out[0] = inv0
-        a = [Fraction(0)] * order
-        for k, v in self._c.items():
-            a[k] = v
-        for n in range(1, order):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if a[k]:
-                    acc += a[k] * out[n - k]
-            if acc:
-                out[n] = -inv0 * acc
-        return USeries._raw({k: v for k, v in enumerate(out) if v}, order)
+        n, d, order = self._n, self._d, self.order
+        n0 = n[0]
+        if n0 < 0:  # keep the denominator n0^order positive
+            n, d, n0 = [-v for v in n], -d, -n0
+        p = [(j, v * n0 ** (j - 1)) for j, v in enumerate(n) if v and j]
+        c = [1] * order
+        for k in range(1, order):
+            acc = 0
+            for j, pj in p:
+                if j > k:
+                    break
+                acc += pj * c[k - j]
+            c[k] = -acc
+        return USeries._make([d * ck * n0 ** (order - 1 - k) for k, ck in enumerate(c)], n0**order)
 
     # Bound here, not only inherited: the benchmark tracer patches a method
     # only where the owner's own class dict binds it.
@@ -285,10 +294,10 @@ class USeries(_RingOps):
     def __eq__(self, other) -> bool:
         if not isinstance(other, USeries):
             return NotImplemented
-        return self.order == other.order and self._c == other._c
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self) -> int:
-        return hash((self.order, frozenset(self._c.items())))
+        return hash((self._d, self._n))
 
     # -- serialization -----------------------------------------------------
 
@@ -304,8 +313,8 @@ class USeries(_RingOps):
     def from_json(cls, obj: Mapping) -> "USeries":
         if obj.get("var", "u") != "u":
             raise ValueError(f"unsupported series variable {obj.get('var')!r}")
-        order = int(obj["order"])
-        coeffs = {int(k): Fraction(v) for k, v in obj["coeffs"]}
+        order = as_int(obj["order"], "order")
+        coeffs = {as_int(k, "u-exponent"): Fraction(v) for k, v in obj["coeffs"]}
         return cls(coeffs, order)
 
     def qstring(self) -> str:
@@ -353,23 +362,16 @@ def linear_combination(terms: Iterable[Tuple[Scalar, USeries]], order: int) -> U
     """sum_i a_i s_i truncated at `order`, for scalars a_i and series s_i.
 
     Every product is accumulated as an integer numerator over one common
-    denominator, so each output coefficient costs one Fraction (one gcd).
+    denominator, the lcm of the a_i and s_i denominators.
     """
-    rows = []
-    for a, s in terms:
-        items = [(k, v) for k, v in s._c.items() if k < order]
-        if a and items:
-            d = lcm(*(v.denominator for _, v in items))
-            rows.append((a.numerator, a.denominator * d, d, items))
-    if not rows:
-        return USeries.zero(order)
-    den = lcm(*(row[1] for row in rows))
-    acc: dict[int, int] = {}
-    for an, ad, d, items in rows:
-        scale = an * (den // ad)
-        for k, v in items:
-            acc[k] = acc.get(k, 0) + scale * v.numerator * (d // v.denominator)
-    return USeries._raw({k: Fraction(v, den) for k, v in acc.items() if v}, order)
+    rows = [(a, s) for a, s in terms if a]
+    den = lcm(*(a.denominator * s._d for a, s in rows))
+    acc = [0] * order
+    for a, s in rows:
+        scale = a.numerator * (den // (a.denominator * s._d))
+        for k, v in enumerate(s._n[:order]):
+            acc[k] += scale * v
+    return USeries._make(acc, den)
 
 
 def weighted_product(factors: Iterable[Tuple[int, _RingOps]], one: _RingOps, order: int):

@@ -149,12 +149,7 @@ def _theta_product(kinds: tuple[str, ...], prefactor: XPoly, xdeg: int, uorder: 
                     v *= j2
         moments.append(sums)
     series = RootSeries(
-        {
-            2 * i: USeries._raw({k: Fraction(s[i], factorial(2 * i)) for k, s in enumerate(moments) if s[i]}, uorder)
-            for i in range(half)
-        },
-        xdeg,
-        uorder,
+        {2 * i: USeries._make([s[i] for s in moments], factorial(2 * i)) for i in range(half)}, xdeg, uorder
     )
     return series * RootSeries.from_xpoly(prefactor, xdeg, uorder)
 

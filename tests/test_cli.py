@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ellgen.chern import Manifold
 from ellgen.cli import main
+from ellgen.genera import Hypersurface
 from ellgen.series import USeries
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -210,6 +212,23 @@ def test_integral_manifold_dim_still_parses(dim):
     assert m.dim == 8 and m.pont == {(2,): 1}
 
 
+@pytest.mark.parametrize("value, ok", [(8, True), (8.0, True), ("8", True), (8.7, False), (Fraction(17, 2), False)])
+def test_json_integer_fields_reject_fractional_values(value, ok):
+    parses = [
+        (lambda: USeries.from_json({"order": value, "coeffs": [[0, "1"]]}), USeries.one(8)),
+        (lambda: USeries.from_json({"order": 9, "coeffs": [[value, "1/2"]]}), USeries.monomial(8, Fraction(1, 2), 9)),
+        (lambda: Hypersurface.from_json({"ambient": value, "degree": 2}), Hypersurface(8, 2)),
+        (lambda: Hypersurface.from_json({"ambient": 5, "degree": value}), Hypersurface(5, 8)),
+        (lambda: Manifold.from_json({"dim": value}), Manifold("", 8)),
+    ]
+    for parse, expected in parses:
+        if ok:
+            assert parse() == expected
+        else:
+            with pytest.raises(ValueError, match="must be an integer"):
+                parse()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -217,8 +236,10 @@ def test_integral_manifold_dim_still_parses(dim):
         ["bundles", "--n", "-1"],
         ["verify", "--check", "route-equivalence", "--samples", "0"],
         ["verify", "--check", "route-equivalence", "--samples", "-3"],
+        ["verify", "--check", "modular-relation", "--n", "0"],
+        ["verify", "--check", "route-equivalence", "--n", "-1"],
     ],
-    ids=["bundles-n0", "bundles-n-1", "samples0", "samples-3"],
+    ids=["bundles-n0", "bundles-n-1", "samples0", "samples-3", "verify-n0", "verify-n-1"],
 )
 def test_nonpositive_count_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -352,6 +352,35 @@ def test_json_roundtrip(s):
     assert USeries.from_json(s.to_json()) == s
 
 
+@settings(max_examples=100)
+@given(useries(), useries(), invertible_useries(), small_fracs.filter(bool), st.integers(2, 5), st.integers(1, 3))
+def test_equal_series_share_one_canonical_form(a, b, c, x, scale, extra):
+    """Every way of building a series lands on one stored form: equal values, equal hashes."""
+    order = min(a.order, b.order, c.order)
+    a, b, c = a.truncate(order), b.truncate(order), c.truncate(order)
+    # unreduced Fraction numerators, ints for integral values, explicit zeros
+    raw = {k: 0 for k in range(order)}
+    for k, v in a.items():
+        raw[k] = int(v) if v.denominator == 1 else F(v.numerator * scale, v.denominator * scale)
+    longer = USeries({**dict(a.items()), **{order + i: x for i in range(extra)}}, order + extra)
+    for same, of in (
+        (USeries(raw, order), a),
+        ((a + b) - b, a),
+        (a * c / c, a),
+        (linear_combination([(1, a), (x, b), (-x, b), (0, c)], order), a),
+        (longer.truncate(order), a),
+        (c.inverse().inverse(), c),
+    ):
+        assert same == of and hash(same) == hash(of)
+        assert all(type(v) is F and v for _, v in same.items())
+
+
+@pytest.mark.parametrize("zero", [USeries({}, 0), USeries.zero(3)])
+def test_zero_series_reads_zero(zero):
+    assert zero.constant() == 0 and zero.valuation() is None
+    assert zero.is_zero() and list(zero.items()) == []
+
+
 def test_equality_requires_same_order():
     assert USeries.const(2, 4) != USeries.const(2, 5)
 
