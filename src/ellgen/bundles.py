@@ -229,7 +229,7 @@ def _bqs_scale(a: BundleQSeries, s: USeries) -> BundleQSeries:
     return BundleQSeries(a.n, order, {k: v for k, v in out.items() if not v.is_zero()})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def expand_witten(which: str, n: int, uorder: int) -> BundleQSeries:
     """Expand Theta x Theta_1 ("theta1") or Theta x Theta_2 ("theta2").
 

@@ -35,7 +35,7 @@ from .genera import (
 )
 from .modular import delta1, delta2, eps1, eps2, expand_in_basis, numeric_eval, reconstruct_ell1
 from .series import USeries
-from .sobolev import radius_r, sobolev_c, wallis
+from .sobolev import _radius, sobolev_c, wallis
 from .theta import GenusKind
 
 EXIT_OK = 0
@@ -223,7 +223,7 @@ def cmd_sobolev(args) -> int:
         "m": args.m,
         "b": args.b,
         "C_b": c,
-        "R": radius_r(args.diam, args.b, args.m, args.tol),
+        "R": _radius(args.diam, args.b, c),
         "residual": abs(_residual(args.m, args.b, c)),
         "wallis": wallis(args.m),
     }

@@ -63,7 +63,7 @@ def genus_columns(kind: GenusKind, n: int, uorder: int) -> PontPoly:
     return weight_class(genus_root_series(kind, 2 * n + 2, uorder), n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def ahat_class(n: int, uorder: int) -> PontPoly:
     return genus_class(genus_root_series(GenusKind.AHAT, 2 * n + 2, uorder), n)
 

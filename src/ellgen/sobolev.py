@@ -1,9 +1,16 @@
 """Explicit analytic constants: Sobolev radius root and Moser exponents.
 
 This is the one floating-point corner of the package.  C(b) is the unique
-positive root of x int_0^b (cosh t + x sinh t)^(m-1) dt = int_0^pi
-sin^(m-1) t dt; x -> x F(x) is strictly increasing, so bracketing bisection
-is unconditionally safe.  The iteration constant of the mean value
+positive root of g(x) = x F(x) = W, with F(x) = int_0^b (cosh t + x sinh
+t)^(m-1) dt and W = int_0^pi sin^(m-1) t dt.  g'' = 2 F' + x F'' >= 0
+because F' and F'' integrate nonnegative terms, so g is increasing and
+convex on x >= 0: the root is unique, and a bracket [lo, hi] with
+g(lo) < W <= g(hi) keeps it.  The solver brackets with the closed form
+g(1) = (e^((m-1) b) - 1)/(m-1), narrows [0, 1] to [0, W/F(0)] when the
+root lies below 1 (g(x) >= x F(0)), and then runs Illinois regula falsi:
+false position whose retained endpoint value is halved when the same end
+moves twice running, with the midpoint taken whenever the secant point is
+not strictly inside the bracket.  The iteration constant of the mean value
 inequality is assembled from closed forms of the geometric sums K_1, K_2.
 
 The sphere Sobolev constant Sigma(m, l1, l2) and the Moser constant C(m, p)
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import ExponentRangeViolation, FloatRangeExceeded, ToleranceNotReached
 
-_MAX_BISECT = 400
+_MAX_STEPS = 400
 
 
 def wallis(m: int) -> float:
@@ -39,6 +46,9 @@ def _simpson(f, a: float, b: float) -> float:
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, depth: int = 40) -> float:
     whole = _simpson(f, a, b)
+    if not math.isfinite(whole):
+        # inf - inf in the error estimate would recurse to full depth
+        raise OverflowError("quadrature sum overflows")
     return _adaptive_step(f, a, b, tol, whole, depth)
 
 
@@ -99,48 +109,92 @@ def sobolev_c(m: int, b: float, tol: float = 1e-11) -> float:
     equation becomes ((1+s)^m - 1)/m = W + O(b^2).
 
     Raises FloatRangeExceeded when F overflows a double on the way, as it
-    does for m = 2000, b = 1 (binomial weights) or b = 1e300 (e^((m-1) b)).
+    does for m = 2000, b = 1 and for b = 1e300 (e^((m-1) b)), or when the
+    root itself does (b = 5e-324); ToleranceNotReached when tol is below
+    what the rounding of x F(x) allows within the iteration cap.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     _require_positive_finite("b", b)
     _require_positive_finite("tol", tol)
     try:
-        return _bisect_root(m, b, tol)
+        return _solve_root(m, b, tol)
     except OverflowError as exc:
         raise FloatRangeExceeded(
             f"C(b) at m = {m}, b = {b} overflows double precision ({exc})"
         ) from exc
 
 
-def _bisect_root(m: int, b: float, tol: float) -> float:
+def _solve_root(m: int, b: float, tol: float) -> float:
     target = wallis(m)
     qtol = tol / 10.0
-    f_at_zero = _closed_form_F(m, b, 0.0)
-    hi = target / f_at_zero + 1.0  # x F(x) >= x F(0), so this always brackets
-    while _xF(m, b, hi, qtol) < target:
-        hi *= 2.0
+    # Bracket with the exact g(1) (cosh t + sinh t = e^t), so a root below
+    # 1 never pays a quadrature.  Above 1, cosh t >= 1 and sinh t >= t give
+    # g(x) >= ((1 + x b)^m - 1)/m, so the root lies below the small-b limit
+    # ((m W + 1)^(1/m) - 1)/b; doubling only guards against quadrature
+    # rounding there.  g_lo < 0 <= g_hi hold g - W at lo and hi.
+    g_one = math.expm1((m - 1) * b) / (m - 1) - target
+    if g_one >= 0.0:
+        lo, g_lo, hi, g_hi = 0.0, -target, 1.0, g_one
+        # g(x) >= x F(0) puts the root below W/F(0).  Far below 1 the root
+        # sits in the near-linear part of g, where this bound all but hits
+        # it; false position from [0, 1] would instead creep up from 0 by
+        # about one doubling per step.
+        cap = target / _closed_form_F(m, b, 0.0)
+        if cap < 1.0:
+            g_cap = _xF(m, b, cap, qtol) - target
+            if abs(g_cap) < tol:
+                return cap
+            if g_cap > 0.0:
+                hi, g_hi = cap, g_cap
+            else:  # rounding put g(cap) a hair below W
+                lo, g_lo = cap, g_cap
+    else:
+        lo, g_lo, hi = 1.0, g_one, ((m * target + 1.0) ** (1.0 / m) - 1.0) / b
+        while math.isfinite(hi) and (g_hi := _xF(m, b, hi, qtol) - target) < 0.0:
+            lo, g_lo, hi = hi, g_hi, 2.0 * hi
         if not math.isfinite(hi):
-            raise ToleranceNotReached("bracketing diverged")
-    lo = 0.0
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        value = _xF(m, b, mid, qtol)
-        if abs(value - target) < tol:
-            return mid
-        if value < target:
-            lo = mid
+            raise OverflowError("the root exceeds the largest double")
+    moved = 0  # -1 or 1: the end the previous step replaced
+    steps = 0
+    while steps < _MAX_STEPS:
+        denom = g_hi - g_lo
+        x = (lo * g_hi - hi * g_lo) / denom if denom else lo  # lo: bisect
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break  # lo and hi are adjacent doubles
+        steps += 1
+        value = _xF(m, b, x, qtol) - target
+        if abs(value) < tol:
+            return x
+        if value < 0.0:
+            lo, g_lo = x, value
+            if moved < 0:
+                g_hi *= 0.5
+            moved = -1
         else:
-            hi = mid
+            hi, g_hi = x, value
+            if moved > 0:
+                g_lo *= 0.5
+            moved = 1
     raise ToleranceNotReached(
-        f"residual tolerance {tol} not reached after {_MAX_BISECT} bisections"
+        f"residual tolerance {tol} not reached after {steps} iterations"
     )
 
 
 def radius_r(diam: float, b: float, m: int, tol: float = 1e-11) -> float:
-    """R = diam / (b C(b))."""
+    """R = diam / (b C(b)).  Raises FloatRangeExceeded when R overflows."""
+    return _radius(diam, b, sobolev_c(m, b, tol))
+
+
+def _radius(diam: float, b: float, c: float) -> float:
+    # R from an already solved root c = C(b)
     _require_positive_finite("diam", diam)
-    return diam / (b * sobolev_c(m, b, tol))
+    r = diam / (b * c)
+    if not math.isfinite(r):
+        raise FloatRangeExceeded(f"R = diam / (b C(b)) = {diam} / {b * c} overflows double precision")
+    return r
 
 
 def sphere_volume(m: int) -> float:

@@ -154,7 +154,7 @@ def _theta_product(kinds: tuple[str, ...], prefactor: XPoly, xdeg: int, uorder: 
     return series * RootSeries.from_xpoly(prefactor, xdeg, uorder)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def theta_factor(kind: str, xdeg: int, uorder: int) -> RootSeries:
     """Normalized per-root theta ratio as an even RootSeries.
 
@@ -178,7 +178,7 @@ class GenusKind(str, Enum):
     WITTEN = "witten"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def genus_root_series(kind: GenusKind, xdeg: int, uorder: int) -> RootSeries:
     """The per-root factor of a genus, ready for `genus_class`.
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from scipy.integrate import quad
+from scipy.special import beta
 
 from ellgen.chern import Manifold
 from ellgen.cli import main
@@ -298,18 +301,56 @@ def test_sobolev_non_finite_input_is_bad_input(argv):
 
 
 def test_sobolev_unreachable_tolerance_is_domain_error(capsys):
-    # (m - 1) b = 315: the root lies below 1e-120, out of reach of 400 bisections
-    code, out, err = run(capsys, "sobolev", "--m", "64", "--b", "5")
+    # a residual of 1e-300 is below the rounding of x F(x) near W = 1
+    code, out, err = run(capsys, "sobolev", "--m", "12", "--b", "1", "--tol", "1e-300")
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "not reached" in err
 
 
+def test_sobolev_root_far_below_one(capsys):
+    # (m - 1) b = 315: the root is about 3e-117; halving [0, 1] down to it
+    # and then to the residual tolerance takes more than 400 steps
+    code, out, _ = run(capsys, "sobolev", "--m", "64", "--b", "5")
+    assert code == 0
+    x = json.loads(out)["C_b"]
+    assert 0 < x < 1e-100
+    integral, _ = quad(lambda t: (math.cosh(t) + x * math.sinh(t)) ** 63, 0.0, 5.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert abs(x * integral - beta(0.5, 32.0)) < 1e-10  # beta(1/2, m/2) = int_0^pi sin^(m-1)
+
+
+def test_sobolev_solves_once_and_reuses_the_root(capsys, monkeypatch):
+    import ellgen.cli
+    import ellgen.sobolev
+
+    calls = []
+    solve = ellgen.sobolev.sobolev_c
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(ellgen.sobolev, "sobolev_c", counted)
+    monkeypatch.setattr(ellgen.cli, "sobolev_c", counted)
+    code, out, _ = run(capsys, "sobolev", "--m", "16", "--b", "0.3", "--diam", "2.5")
+    assert code == 0
+    assert len(calls) == 1
+    report = json.loads(out)
+    assert report["R"] == 2.5 / (0.3 * report["C_b"])
+    assert report["R"] == ellgen.sobolev.radius_r(2.5, 0.3, 16)
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["--m", "2000", "--b", "1"], ["--m", "3", "--b", "1e300"]],
-    ids=["binomial-overflow", "exponential-overflow"],
+    [
+        ["--m", "2000", "--b", "1"],
+        ["--m", "3", "--b", "1e300"],
+        ["--m", "3", "--b", "5e-324"],
+        ["--m", "3", "--b", "1e-308"],
+        ["--m", "40", "--b", "4", "--diam", "1e308"],
+    ],
+    ids=["binomial-overflow", "exponential-overflow", "root-overflow", "quadrature-overflow", "radius-overflow"],
 )
 def test_sobolev_double_overflow_is_domain_error(argv):
     proc = run_subprocess("sobolev", *argv)

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -322,3 +323,19 @@ def test_genus_columns_memo_is_bounded():
     from ellgen.genera import genus_columns
 
     assert genus_columns.cache_info().maxsize == 128
+
+
+# genus_columns above and the modular bases in test_modular.py are the
+# other memos keyed by a uorder
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("genera", "ahat_class"),
+        ("theta", "theta_factor"),
+        ("theta", "genus_root_series"),
+        ("bundles", "expand_witten"),
+    ],
+)
+def test_uorder_keyed_memos_are_bounded(module, name):
+    memo = getattr(importlib.import_module(f"ellgen.{module}"), name)
+    assert memo.cache_info().maxsize == 128

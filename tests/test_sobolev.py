@@ -3,6 +3,7 @@ import math
 import pytest
 import scipy.integrate as si
 
+import ellgen.sobolev
 from ellgen.errors import ExponentRangeViolation, ToleranceNotReached
 from ellgen.sobolev import (
     moser_constant,
@@ -65,6 +66,68 @@ def test_small_b_limit():
         s_limit = (m * wallis(m) + 1.0) ** (1.0 / m) - 1.0
         got = 1e-4 * sobolev_c(m, 1e-4, 1e-11)
         assert abs(got - s_limit) / s_limit < 1e-3
+
+
+def reference_bisect_root(m, b, tol):
+    """Plain bisection from [0, W/F(0) + 1], the solver sobolev_c replaced."""
+    target = wallis(m)
+    qtol = tol / 10.0
+    hi = target / ellgen.sobolev._closed_form_F(m, b, 0.0) + 1.0
+    while ellgen.sobolev._xF(m, b, hi, qtol) < target:
+        hi *= 2.0
+        if not math.isfinite(hi):
+            raise ToleranceNotReached("bracketing diverged")
+    lo = 0.0
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        value = ellgen.sobolev._xF(m, b, mid, qtol)
+        if abs(value - target) < tol:
+            return mid
+        if value < target:
+            lo = mid
+        else:
+            hi = mid
+    raise ToleranceNotReached(f"residual tolerance {tol} not reached after 400 bisections")
+
+
+def test_solver_against_reference_bisection(monkeypatch):
+    calls = {"ref": 0, "new": 0}
+    xF = ellgen.sobolev._xF
+    side = "ref"
+
+    def counted(*args):
+        calls[side] += 1
+        return xF(*args)
+
+    monkeypatch.setattr(ellgen.sobolev, "_xF", counted)
+    ref_misses = []
+    for m in range(2, 65, 3):
+        for b in (1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 2.0, 4.0, 5.0):
+            side = "ref"
+            try:
+                reference_bisect_root(m, b, 1e-11)
+            except ToleranceNotReached:
+                ref_misses.append((m, b))
+            side = "new"
+            x = sobolev_c(m, b, 1e-11)  # returns wherever the reference does, and more
+            assert residual(m, b, x) < 1e-10, (m, b, x)
+    # (m - 1) b = 305: the root is about 1.6e-113, beyond 400 halvings of
+    # [0, 1] at the residual tolerance
+    assert ref_misses == [(62, 5.0)]
+    # 231 roots: 1204 evaluations measured for this solver, 17072 for the reference
+    assert calls["new"] <= 1250, calls
+    assert 10 * calls["new"] < calls["ref"], calls
+
+
+@pytest.mark.parametrize("m, b", [(600, 0.8), (500, 1.0)])
+def test_solver_root_far_below_one_at_large_m(m, b):
+    # roots near 1e-74 and 1e-92, which the reference reaches in 280 and 340
+    # halvings: false position from [0, 1] alone would creep up from 0 by
+    # about one doubling per step and exceed the 400-step cap
+    reference = reference_bisect_root(m, b, 1e-11)
+    x = sobolev_c(m, b, 1e-11)
+    assert residual(m, b, x) < 1e-10
+    assert abs(x - reference) < 1e-9 * reference
 
 
 def test_tolerance_not_reached():
