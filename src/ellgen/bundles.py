@@ -9,21 +9,26 @@ factors (1 -+ t)^(+-4n), so the monomials stay honest S/Lambda powers of T.
 The coefficient bundles feed an index-route computation of Ell_2 through
 the Chern character, entirely independent of the theta-product route.
 Chern characters live in the power-sum basis s_mu = prod_i s_(mu_i),
-s_k = sum_j x_j^(2k), with rational coefficients: the k-scaled tangent
-character is linear in the s_k, ch(S^a T) and ch(Lambda^b T) follow from a
-t-adic exp, and each monomial's character is memoized on (monomial, n,
-nmax).  The index ind(D x B_k) pairs the weight-n s-vector of
-A-hat(T) ch(B_k) with the numbers <s_mu, [M]>; the public `ch_*` functions
+s_k = sum_j x_j^(2k): a class is one vector of integer numerators, one per
+partition of weight <= nmax, over one reduced denominator, and a product is
+one integer convolution through a per-nmax table of partition unions.  The
+k-scaled tangent character is linear in the s_k, ch(S^a T) and
+ch(Lambda^b T) follow from a t-adic exp, and a monomial's character is that
+of the monomial without its last factor times that of the last factor,
+memoized on (monomial, n, nmax).  The index is linear in the bundle: each
+monomial's index vector, the weight-n part of A-hat(T) ch(monomial), is
+memoized on (monomial, n), and ind(D x B_k) pairs an integer combination of
+those vectors with the numbers <s_mu, [M]>.  The public `ch_*` functions
 convert to the p-basis once, on return.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Mapping
+from math import comb, factorial, gcd, lcm
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .chern import (
     Manifold,
@@ -36,12 +41,11 @@ from .chern import (
     power_sum_number,
 )
 from .errors import DimMismatch
-from .series import USeries, default_uorder
+from .series import USeries, as_int, default_uorder, linear_combination
 from .theta import GenusKind, genus_root_series
 
 
-@dataclass(frozen=True)
-class BundleMonomial:
+class BundleMonomial(NamedTuple):
     """S^a1(T) x ... x Lambda^b1(T) x ...; powers stored as sorted tuples."""
 
     sym: tuple[int, ...] = ()
@@ -49,8 +53,8 @@ class BundleMonomial:
 
     @staticmethod
     def make(sym=(), ext=()) -> "BundleMonomial":
-        sym = tuple(sorted(int(a) for a in sym))
-        ext = tuple(sorted(int(b) for b in ext))
+        sym = tuple(sorted(as_int(a, "tensor power") for a in sym))
+        ext = tuple(sorted(as_int(b, "tensor power") for b in ext))
         if any(a < 1 for a in sym) or any(b < 1 for b in ext):
             raise ValueError("tensor powers must be >= 1")
         return BundleMonomial(sym, ext)
@@ -88,11 +92,19 @@ class VirtualBundlePoly:
         self.n = n
         t: dict[BundleMonomial, int] = {}
         for mono, coef in terms.items():
-            coef = int(coef)
+            coef = as_int(coef, "bundle coefficient")
             # Exterior powers above the rank are the zero bundle.
             if coef and all(b <= 4 * n for b in mono.ext):
                 t[mono] = coef
         self._t = t
+
+    @classmethod
+    def _make(cls, t: dict[BundleMonomial, int], n: int) -> "VirtualBundlePoly":
+        """Wrap nonzero int coefficients of monomials already valid for rank 4n."""
+        out = cls.__new__(cls)
+        out.n = n
+        out._t = t
+        return out
 
     @classmethod
     def const(cls, value: int, n: int) -> "VirtualBundlePoly":
@@ -184,13 +196,12 @@ class VirtualBundlePoly:
         return f"VirtualBundlePoly({self.pretty()!r}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class BundleQSeries:
+class BundleQSeries(NamedTuple):
     """q-expansion (in u = q^(1/2)) with VirtualBundlePoly coefficients."""
 
     n: int
     order: int
-    coeffs: Mapping[int, VirtualBundlePoly] = field(default_factory=dict)
+    coeffs: Mapping[int, VirtualBundlePoly] = MappingProxyType({})
 
     def coeff(self, k: int) -> VirtualBundlePoly:
         if k >= self.order:
@@ -198,35 +209,23 @@ class BundleQSeries:
         return self.coeffs.get(k, VirtualBundlePoly({}, self.n))
 
 
-def _bqs_mul(a: BundleQSeries, b: BundleQSeries) -> BundleQSeries:
-    order = min(a.order, b.order)
-    out: dict[int, VirtualBundlePoly] = {}
-    for k1, v1 in a.coeffs.items():
-        if k1 >= order:
-            continue
-        for k2, v2 in b.coeffs.items():
-            k = k1 + k2
-            if k >= order:
-                continue
-            prod = v1 * v2
-            out[k] = out[k] + prod if k in out else prod
-    return BundleQSeries(a.n, order, {k: v for k, v in out.items() if not v.is_zero()})
+def _mul_powers(terms: list[dict], w: int, slot: int, sign: int, top: int) -> None:
+    """Multiply by 1 + sum_(1 <= a <= top) sign^a X^a u^(w a) in place.
 
-
-def _bqs_scale(a: BundleQSeries, s: USeries) -> BundleQSeries:
-    """Multiply every coefficient of `a` by the integer u-series `s`."""
-    if any(v.denominator != 1 for _, v in s.items()):
-        raise ValueError("bundle scalar series must have integer coefficients")
-    order = min(a.order, s.order)
-    terms: dict[int, dict[BundleMonomial, int]] = {}
-    for i, c in s.items():
-        for j, v in a.coeffs.items():
-            if i + j < order:
-                acc = terms.setdefault(i + j, {})
-                for mono, coef in v._t.items():
-                    acc[mono] = acc.get(mono, 0) + c.numerator * coef
-    out = {k: VirtualBundlePoly(t, a.n) for k, t in terms.items()}
-    return BundleQSeries(a.n, order, {k: v for k, v in out.items() if not v.is_zero()})
+    terms[k] maps (sym, ext) pairs of sorted power tuples to the integer
+    coefficient of u^k; X^a is S^a (slot 0) or Lambda^a (slot 1).  Walking k
+    downwards reads each old coefficient before any product lands on it.
+    """
+    order = len(terms)
+    for k in range(order - 1 - w, -1, -1):
+        src = terms[k]
+        for a in range(1, min(top, (order - 1 - k) // w) + 1):
+            dst = terms[k + w * a]
+            f = sign**a
+            for key, c in src.items():
+                merged = tuple(sorted(key[slot] + (a,)))
+                out = (merged, key[1]) if slot == 0 else (key[0], merged)
+                dst[out] = dst.get(out, 0) + f * c
 
 
 @lru_cache(maxsize=128)
@@ -245,7 +244,9 @@ def expand_witten(which: str, n: int, uorder: int) -> BundleQSeries:
     if uorder < 1:
         raise ValueError("uorder must be >= 1")
     rank = 4 * n
-    result = BundleQSeries(n, uorder, {0: VirtualBundlePoly.const(1, n)})
+    sign = 1 if which == "theta1" else -1
+    terms: list[dict] = [{} for _ in range(uorder)]
+    terms[0][((), ())] = 1
     scalar = USeries.one(uorder)
     m = 1
     while True:
@@ -254,71 +255,109 @@ def expand_witten(which: str, n: int, uorder: int) -> BundleQSeries:
         if min(w_sym, w_twist) >= uorder:
             break
         if w_sym < uorder:
-            sym_terms = {0: VirtualBundlePoly.const(1, n)}
-            a = 1
-            while w_sym * a < uorder:
-                sym_terms[w_sym * a] = VirtualBundlePoly({BundleMonomial.make(sym=(a,)): 1}, n)
-                a += 1
-            result = _bqs_mul(result, BundleQSeries(n, uorder, sym_terms))
+            _mul_powers(terms, w_sym, 0, 1, uorder)
             scalar = scalar * (USeries.one(uorder) - USeries.monomial(w_sym, 1, uorder)) ** rank
         if w_twist < uorder:
-            sign = 1 if which == "theta1" else -1
-            ext_terms = {0: VirtualBundlePoly.const(1, n)}
-            b = 1
-            while w_twist * b < uorder:
-                ext_terms[w_twist * b] = VirtualBundlePoly(
-                    {BundleMonomial.make(ext=(b,)): sign**b}, n
-                )
-                b += 1
-            result = _bqs_mul(result, BundleQSeries(n, uorder, ext_terms))
+            # Lambda^b of the rank-4n bundle is zero for b > 4n.
+            _mul_powers(terms, w_twist, 1, sign, rank)
             tsigned = USeries.monomial(w_twist, sign, uorder)
             scalar = scalar * (USeries.one(uorder) + tsigned) ** (-rank)
         m += 1
-    return _bqs_scale(result, scalar)
+    scaled: list[dict] = [{} for _ in range(uorder)]
+    for i, s in scalar.items():
+        s = as_int(s, "bundle scalar coefficient")
+        for k in range(uorder - i):
+            dst = scaled[i + k]
+            for key, c in terms[k].items():
+                dst[key] = dst.get(key, 0) + s * c
+    coeffs = {}
+    for k, acc in enumerate(scaled):
+        t = {BundleMonomial(*key): c for key, c in acc.items() if c}
+        if t:
+            coeffs[k] = VirtualBundlePoly._make(t, n)
+    # One memoized series goes to every caller, so its mapping is read-only.
+    return BundleQSeries(n, uorder, MappingProxyType(coeffs))
 
 
 # ---------------------------------------------------------------------------
 # Chern characters of the monomials, in the power-sum basis
 # ---------------------------------------------------------------------------
 
-# A class as rational coefficients on s_mu = prod_i s_(mu_i), s_k = sum_j x_j^(2k),
-# of weight |mu| <= nmax.  Memoized classes are tuples of (mu, coefficient)
-# items, so no caller can mutate a cached value.
-SClass = tuple[tuple[Partition, Fraction], ...]
+# A class is (numerators, den): the coefficients on s_mu = prod_i s_(mu_i),
+# s_k = sum_j x_j^(2k), as integer numerators in the partition order of
+# _s_basis over one positive denominator, with gcd(den, *numerators) == 1.
+# Index vectors use the same form on the partitions of n alone.  Both parts
+# are immutable, so no caller can mutate a cached class.
+SClass = tuple[tuple[int, ...], int]
 
-_ONE_S: SClass = (((), Fraction(1)),)
+
+@lru_cache(maxsize=None)
+def _s_basis(nmax: int):
+    """(parts, table): the partitions of weight 0..nmax, by weight, and the product table.
+
+    table[i] lists the (j, k) with s_(parts[i]) s_(parts[j]) = s_(parts[k])
+    of weight <= nmax.
+    """
+    parts = tuple(mu for w in range(nmax + 1) for mu in partitions_of(w))
+    index = {mu: i for i, mu in enumerate(parts)}
+    table = tuple(
+        tuple(
+            (j, index[tuple(sorted(mu + nu, reverse=True))])
+            for j, nu in enumerate(parts)
+            if sum(mu) + sum(nu) <= nmax
+        )
+        for mu in parts
+    )
+    return parts, table
+
+
+def _s_make(nums, den: int) -> SClass:
+    g = gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(v // g for v in nums), den // g
+
+
+def _s_class(coeffs: Mapping[Partition, Fraction], nmax: int) -> SClass:
+    """The class sum_mu c_mu s_mu of rational coefficients, weight <= nmax."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return _s_make([int(coeffs.get(mu, 0) * den) for mu in _s_basis(nmax)[0]], den)
 
 
 def _s_mul(a: SClass, b: SClass, nmax: int) -> SClass:
     """Product truncated at weight nmax; s_mu s_nu is s of the union of mu and nu."""
-    acc: dict[Partition, Fraction] = {}
-    for mu, c in a:
-        w = sum(mu)
-        for nu, d in b:
-            if w + sum(nu) <= nmax:
-                key = tuple(sorted(mu + nu, reverse=True))
-                acc[key] = acc.get(key, 0) + c * d
-    return tuple((mu, c) for mu, c in acc.items() if c)
+    parts, table = _s_basis(nmax)
+    (an, ad), (bn, bd) = a, b
+    out = [0] * len(parts)
+    for x, row in zip(an, table):
+        if x:
+            for j, k in row:
+                y = bn[j]
+                if y:
+                    out[k] += x * y
+    return _s_make(out, ad * bd)
 
 
-def _s_combine(terms) -> SClass:
-    """sum_i f_i c_i over (f_i, c_i) pairs of a scalar and a class."""
-    acc: dict[Partition, Fraction] = {}
-    for f, c in terms:
-        for mu, d in c:
-            acc[mu] = acc.get(mu, 0) + f * d
-    return tuple((mu, c) for mu, c in acc.items() if c)
+def _s_combine(terms, size: int) -> SClass:
+    """sum_i f_i c_i over (f_i, c_i) pairs of an int and a class of `size` numerators."""
+    rows = [(f, c) for f, c in terms if f]
+    den = lcm(*(d for _, (_, d) in rows))
+    out = [0] * size
+    for f, (nums, d) in rows:
+        scale = f * (den // d)
+        for i, v in enumerate(nums):
+            if v:
+                out[i] += scale * v
+    return _s_make(out, den)
 
 
 @lru_cache(maxsize=None)
 def _scaled_tangent_ch(k: int, n: int, nmax: int) -> SClass:
     """sum_j (e^{k x_j} + e^{-k x_j}) = 4n + sum_r 2 k^(2r) s_r / (2r)!."""
-    terms = [((), Fraction(4 * n))]
-    fact = 1
+    coeffs = {(): Fraction(4 * n)}
     for r in range(1, nmax + 1):
-        fact *= (2 * r) * (2 * r - 1)
-        terms.append(((r,), Fraction(2 * k ** (2 * r), fact)))
-    return tuple(terms)
+        coeffs[(r,)] = Fraction(2 * k ** (2 * r), factorial(2 * r))
+    return _s_class(coeffs, nmax)
 
 
 @lru_cache(maxsize=None)
@@ -329,41 +368,52 @@ def _power_ch(a: int, n: int, nmax: int, sign: int) -> SClass:
     k-scaled tangent character; differentiating in t gives the recursion
     a ch_a = sum_{j=1}^a sign^(j-1) psi_j ch_(a-j).
     """
+    size = len(_s_basis(nmax)[0])
     if a == 0:
-        return _ONE_S
-    return _s_combine(
+        return (1,) + (0,) * (size - 1), 1
+    nums, den = _s_combine(
         (
-            Fraction(sign ** (j - 1), a),
-            _s_mul(_scaled_tangent_ch(j, n, nmax), _power_ch(a - j, n, nmax, sign), nmax),
-        )
-        for j in range(1, a + 1)
+            (sign ** (j - 1), _s_mul(_scaled_tangent_ch(j, n, nmax), _power_ch(a - j, n, nmax, sign), nmax))
+            for j in range(1, a + 1)
+        ),
+        size,
     )
+    return _s_make(nums, den * a)
 
 
 @lru_cache(maxsize=None)
 def _ch_monomial_s(mono: BundleMonomial, n: int, nmax: int) -> SClass:
-    """ch of a bundle monomial (ch is multiplicative)."""
-    result = _ONE_S
-    for a in mono.sym:
-        result = _s_mul(result, _power_ch(a, n, nmax, 1), nmax)
-    for b in mono.ext:
-        result = _s_mul(result, _power_ch(b, n, nmax, -1), nmax)
-    return result
+    """ch of a bundle monomial: ch of the monomial without its last factor, times ch of that factor."""
+    sym, ext = mono
+    if ext:
+        rest, last = (sym, ext[:-1]), _power_ch(ext[-1], n, nmax, -1)
+    elif sym:
+        rest, last = (sym[:-1], ()), _power_ch(sym[-1], n, nmax, 1)
+    else:
+        return _power_ch(0, n, nmax, 1)
+    return _s_mul(_ch_monomial_s(rest, n, nmax), last, nmax)
 
 
 def _ch_virtual_s(v: VirtualBundlePoly, nmax: int) -> SClass:
-    return _s_combine((coef, _ch_monomial_s(mono, v.n, nmax)) for mono, coef in v.items())
+    return _s_combine(
+        ((coef, _ch_monomial_s(mono, v.n, nmax)) for mono, coef in v._t.items()),
+        len(_s_basis(nmax)[0]),
+    )
 
 
 def _to_pont(c: SClass, nmax: int, uorder: int | None) -> PontPoly:
     """Rewrite an s-basis class in p_1..p_nmax with constant u-series coefficients."""
     if uorder is None:
         uorder = default_uorder()
-    terms: dict[Partition, Fraction] = {}
-    for mu, coef in c:
-        for lam, t in _power_sum_terms(mu):
-            terms[lam] = terms.get(lam, 0) + coef * t
-    return PontPoly({lam: USeries.const(v, uorder) for lam, v in terms.items()}, nmax, uorder)
+    nums, den = c
+    terms: dict[Partition, int] = {}
+    for mu, x in zip(_s_basis(nmax)[0], nums):
+        if x:
+            for lam, t in _power_sum_terms(mu):
+                terms[lam] = terms.get(lam, 0) + x * t
+    return PontPoly(
+        {lam: USeries.const(Fraction(v, den), uorder) for lam, v in terms.items()}, nmax, uorder
+    )
 
 
 def ch_sym_power(a: int, n: int, nmax: int, uorder: int) -> PontPoly:
@@ -394,35 +444,49 @@ def ch_virtual(v: VirtualBundlePoly, nmax: int, uorder: int | None = None) -> Po
 def _ahat_s(n: int) -> SClass:
     """A-hat(T) of a 4n-manifold in the s-basis, up to weight n."""
     scale, coeffs = _class_coefficients(genus_root_series(GenusKind.AHAT, 2 * n + 2, 1), n)
-    return tuple((mu, scale.coeff(0) * c.coeff(0)) for mu, c in coeffs.items() if c.coeff(0))
+    return _s_class({mu: scale.coeff(0) * c.coeff(0) for mu, c in coeffs.items()}, n)
+
+
+@lru_cache(maxsize=None)
+def _index_mono(mono: BundleMonomial, n: int) -> SClass:
+    """Weight-n part of A-hat(T) ch(mono) on the partitions of n: its pairing with [M] is ind(D x mono)."""
+    nums, den = _s_mul(_ahat_s(n), _ch_monomial_s(mono, n, n), n)
+    # The partitions of n come last in the weight order.
+    return _s_make(nums[-len(partitions_of(n)):], den)
 
 
 def _index_vector(v: VirtualBundlePoly) -> SClass:
-    """Weight-n part of A-hat(T) ch(v); its pairing with [M] is ind(D x v)."""
-    n = v.n
-    return tuple((mu, c) for mu, c in _s_mul(_ahat_s(n), _ch_virtual_s(v, n), n) if sum(mu) == n)
+    """Weight-n part of A-hat(T) ch(v) on the partitions of n."""
+    return _s_combine(
+        ((coef, _index_mono(mono, v.n)) for mono, coef in v._t.items()), len(partitions_of(v.n))
+    )
 
 
 def index_bundle(m: Manifold, v: VirtualBundlePoly) -> Fraction:
     """<A-hat(TM) ch(v), [M]>: the index of the v-twisted Dirac operator."""
     if v.n != m.n:
         raise DimMismatch(f"bundle built for n = {v.n}, manifold has n = {m.n}")
-    return sum((c * power_sum_number(mu, m) for mu, c in _index_vector(v)), Fraction(0))
+    nums, den = _index_vector(v)
+    pairing = (x * power_sum_number(mu, m) for mu, x in zip(partitions_of(m.n), nums) if x)
+    return sum(pairing, Fraction(0)) / den
 
 
-@lru_cache(maxsize=None)
-def _index_class(n: int, uorder: int, k: int) -> SClass:
-    return _index_vector(expand_witten("theta2", n, uorder).coeff(k))
+@lru_cache(maxsize=128)
+def _index_class(n: int, uorder: int) -> tuple[tuple[Partition, USeries], ...]:
+    """(mu, column) pairs: ind(D x B_k) = sum_mu [u^k] column_mu <s_mu, [M]>."""
+    b = expand_witten("theta2", n, uorder) if uorder else None  # uorder 0 asks for no coefficient
+    rows = [_index_vector(b.coeff(k)) for k in range(uorder)]
+    den = lcm(*(d for _, d in rows))
+    return tuple(
+        (mu, USeries._make([nums[i] * (den // d) for nums, d in rows], den))
+        for i, mu in enumerate(partitions_of(n))
+    )
 
 
 def ell2_via_bundles(m: Manifold, uorder: int | None = None) -> USeries:
     """Ell_2 as sum_k ind(D x B_k) u^k: the bundle route."""
     if uorder is None:
         uorder = default_uorder()
-    numbers = {mu: power_sum_number(mu, m) for mu in partitions_of(m.n)}
-    coeffs = {}
-    for k in range(uorder):
-        value = sum((c * numbers[mu] for mu, c in _index_class(m.n, uorder, k)), Fraction(0))
-        if value:
-            coeffs[k] = value
-    return USeries(coeffs, uorder)
+    return linear_combination(
+        ((power_sum_number(mu, m), col) for mu, col in _index_class(m.n, uorder)), uorder
+    )

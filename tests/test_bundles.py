@@ -17,10 +17,21 @@ from ellgen.bundles import (
     expand_witten,
     index_bundle,
 )
-from ellgen.chern import Manifold, PontPoly, ch_tangent, newton_power_sum, pair, partitions_of
+from ellgen.chern import (
+    Manifold,
+    PontPoly,
+    _class_coefficients,
+    _power_sum_terms,
+    ch_tangent,
+    newton_power_sum,
+    pair,
+    partitions_of,
+    power_sum_number,
+)
 from ellgen.errors import DimMismatch
 from ellgen.genera import Hypersurface, ahat_class, genus, hypersurface_pont
 from ellgen.series import USeries
+from ellgen.theta import GenusKind, genus_root_series
 
 K3 = Manifold("K3", 4, {(1,): F(-48)})
 QUADRIC = hypersurface_pont(Hypersurface(5, 2))
@@ -306,9 +317,139 @@ def _reference_expand_witten(which, n, uorder):
 
 @pytest.mark.parametrize("which", ["theta1", "theta2"])
 def test_expand_witten_matches_in_place_reference(which):
-    for n in (1, 2, 3):
-        for uorder in (1, 2, 3, 5, 8, 12):
-            assert expand_witten(which, n, uorder) == _reference_expand_witten(which, n, uorder)
+    # the small grid holds the benchmark's (3, 12); add its (2, 16), and (4, 8)
+    cases = [(n, uorder) for n in (1, 2, 3) for uorder in (1, 2, 3, 5, 8, 12)] + [(2, 16), (4, 8)]
+    for n, uorder in cases:
+        assert expand_witten(which, n, uorder) == _reference_expand_witten(which, n, uorder)
+
+
+def test_memoized_expansion_is_read_only():
+    b = expand_witten("theta2", 2, 8)
+    with pytest.raises(TypeError):
+        b.coeffs[3] = VirtualBundlePoly.const(7, 2)
+    assert expand_witten("theta2", 2, 8).coeff(3) == _reference_expand_witten("theta2", 2, 8).coeff(3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: VirtualBundlePoly({BundleMonomial.make(sym=(1,)): F(1, 2)}, 2),
+        lambda: VirtualBundlePoly({BundleMonomial.make(sym=(1,)): 2.7}, 2),
+        lambda: BundleMonomial.make(sym=(1.5,)),
+        lambda: BundleMonomial.make(ext=(2, 1.5)),
+    ],
+    ids=["fraction-coefficient", "float-coefficient", "float-sym-power", "float-ext-power"],
+)
+def test_non_integral_bundle_inputs_are_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_integral_bundle_inputs_of_other_types_are_read_exactly():
+    s1 = BundleMonomial.make(sym=(1,))
+    assert VirtualBundlePoly({s1: F(4, 2)}, 2) == VirtualBundlePoly({s1: 2}, 2)
+    assert VirtualBundlePoly({s1: 3.0}, 2).coeff(s1) == 3
+    assert BundleMonomial.make(sym=(2.0,), ext=(F(3),)) == BundleMonomial.make(sym=(2,), ext=(3,))
+
+
+def test_index_class_memo_holds_one_entry_per_uorder():
+    from ellgen.bundles import _index_class
+
+    _index_class.cache_clear()
+    ell2_via_bundles(K3, 6)
+    ell2_via_bundles(K3, 7)
+    ell2_via_bundles(Manifold("k3-twice", 4, {(1,): F(-96)}), 7)
+    assert _index_class.cache_info().currsize == 2
+
+
+# -- reference: the s-basis kernels over Fractions ----------------------------
+#
+# A test-local copy of the s-basis kernels as tuples of (mu, Fraction) items:
+# products by partition union, each monomial's character built factor by
+# factor, and the index as the weight-n part of A-hat(T) ch(v).  The module
+# keeps the same classes as integer numerators over one denominator.
+
+
+def _frac_mul(a, b, nmax):
+    acc = {}
+    for mu, c in a:
+        for nu, d in b:
+            if sum(mu) + sum(nu) <= nmax:
+                key = tuple(sorted(mu + nu, reverse=True))
+                acc[key] = acc.get(key, 0) + c * d
+    return tuple((mu, c) for mu, c in acc.items() if c)
+
+
+def _frac_combine(terms):
+    acc = {}
+    for f, c in terms:
+        for mu, d in c:
+            acc[mu] = acc.get(mu, 0) + f * d
+    return tuple((mu, c) for mu, c in acc.items() if c)
+
+
+def _frac_scaled_tangent(k, n, nmax):
+    terms = [((), F(4 * n))]
+    fact = 1
+    for r in range(1, nmax + 1):
+        fact *= (2 * r) * (2 * r - 1)
+        terms.append(((r,), F(2 * k ** (2 * r), fact)))
+    return tuple(terms)
+
+
+@lru_cache(maxsize=None)
+def _frac_power(a, n, nmax, sign):
+    if a == 0:
+        return (((), F(1)),)
+    return _frac_combine(
+        (F(sign ** (j - 1), a), _frac_mul(_frac_scaled_tangent(j, n, nmax), _frac_power(a - j, n, nmax, sign), nmax))
+        for j in range(1, a + 1)
+    )
+
+
+def _frac_monomial(mono, n, nmax):
+    result = (((), F(1)),)
+    for a in mono.sym:
+        result = _frac_mul(result, _frac_power(a, n, nmax, 1), nmax)
+    for b in mono.ext:
+        result = _frac_mul(result, _frac_power(b, n, nmax, -1), nmax)
+    return result
+
+
+def _frac_virtual(v, nmax):
+    return _frac_combine((coef, _frac_monomial(mono, v.n, nmax)) for mono, coef in v.items())
+
+
+def _frac_to_pont(c, nmax, uorder):
+    terms = {}
+    for mu, coef in c:
+        for lam, t in _power_sum_terms(mu):
+            terms[lam] = terms.get(lam, 0) + coef * t
+    return PontPoly({lam: USeries.const(x, uorder) for lam, x in terms.items()}, nmax, uorder)
+
+
+def _frac_index(m, v):
+    n = v.n
+    scale, coeffs = _class_coefficients(genus_root_series(GenusKind.AHAT, 2 * n + 2, 1), n)
+    ahat = tuple((mu, scale.coeff(0) * c.coeff(0)) for mu, c in coeffs.items() if c.coeff(0))
+    top = [(mu, c) for mu, c in _frac_mul(ahat, _frac_virtual(v, n), n) if sum(mu) == n]
+    return sum((c * power_sum_number(mu, m) for mu, c in top), F(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integer_s_classes_match_fraction_kernels(n):
+    for a in range(7):
+        assert ch_sym_power(a, n, n, 1) == _frac_to_pont(_frac_power(a, n, n, 1), n, 1)
+        assert ch_ext_power(a, n, n, 1) == _frac_to_pont(_frac_power(a, n, n, -1), n, 1)
+    m = _random_manifold(n, random.Random(200 + n))
+    for which in ("theta1", "theta2"):
+        bqs = expand_witten(which, n, 8)
+        for k in range(8):
+            v = bqs.coeff(k)
+            assert ch_virtual(v, n, 1) == _frac_to_pont(_frac_virtual(v, n), n, 1)
+            for mono, _ in v.items():
+                assert ch_monomial(mono, n, n, 1) == _frac_to_pont(_frac_monomial(mono, n, n), n, 1)
+            assert index_bundle(m, v) == _frac_index(m, v)
 
 
 @pytest.mark.parametrize("n,uorder", [(1, 16), (2, 12), (3, 10), (4, 8)])

@@ -334,6 +334,7 @@ def test_genus_columns_memo_is_bounded():
         ("theta", "theta_factor"),
         ("theta", "genus_root_series"),
         ("bundles", "expand_witten"),
+        ("bundles", "_index_class"),
     ],
 )
 def test_uorder_keyed_memos_are_bounded(module, name):

@@ -13,6 +13,7 @@ from math import comb, prod
 
 import pytest
 
+from ellgen.bundles import ell2_via_bundles
 from ellgen.chern import Manifold, partitions_of
 from ellgen.genera import genus
 from ellgen.modular import expand_in_basis
@@ -45,3 +46,13 @@ def test_hp_signature_and_ahat(k):
     m = quaternionic_projective_space(k)
     assert genus(m, GenusKind.LHAT, 1).coeff(0) == (1 if k % 2 == 0 else 0)
     assert genus(m, GenusKind.AHAT, 1).coeff(0) == 0
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_hp_bundle_route_is_a_power_of_eps2(k):
+    # the index route through the Witten bundles B_j, independent of the theta products
+    m = quaternionic_projective_space(k)
+    ell2 = ell2_via_bundles(m, 12)
+    assert ell2 == genus(m, GenusKind.ELL2, 12)
+    unit = tuple(int(k % 2 == 0 and r == k // 2) for r in range(k // 2 + 1))
+    assert expand_in_basis(ell2, k).h == unit
