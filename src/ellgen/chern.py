@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
-from .errors import DimMismatch, NonUnitConstant, OddTermPresent
+from .errors import DimMismatch, NonUnitConstant, OddTermPresent, Record
 from .series import Scalar, USeries, _RingOps, as_int, default_uorder, linear_combination
 
 Partition = tuple[int, ...]
@@ -76,32 +75,27 @@ def partition_from_str(s: str) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Manifold:
+class Manifold(Record):
     """A 4n-dimensional pairing target: name, dimension, Pontryagin numbers.
 
     `pont` maps partitions of n = dim/4 to rationals; absent keys read as 0.
     """
 
-    name: str
-    dim: int
-    pont: Mapping[Partition, Fraction] = field(default_factory=dict)
+    _fields = ("name", "dim", "pont")
 
-    def __post_init__(self):
-        if self.dim <= 0 or self.dim % 4:
-            raise DimMismatch(f"dimension {self.dim} is not a positive multiple of 4")
-        n = self.dim // 4
+    def __init__(self, name: str, dim: int, pont: Mapping[Partition, Fraction] | None = None):
+        if dim <= 0 or dim % 4:
+            raise DimMismatch(f"dimension {dim} is not a positive multiple of 4")
+        n = dim // 4
         clean: dict[Partition, Fraction] = {}
-        for k, v in self.pont.items():
+        for k, v in (pont or {}).items():
             key = partition_key(k)
             if weight(key) != n:
-                raise ValueError(
-                    f"partition {key} has weight {weight(key)}, expected {n} for dim {self.dim}"
-                )
+                raise ValueError(f"partition {key} has weight {weight(key)}, expected {n} for dim {dim}")
             v = Fraction(v)
             if v:
                 clean[key] = v
-        object.__setattr__(self, "pont", clean)
+        self._set(name, dim, clean)
 
     @property
     def n(self) -> int:

@@ -1,4 +1,35 @@
-"""Exception types shared across the package."""
+"""Exception types and the frozen record base shared across the package."""
+
+
+class Record:
+    """A frozen value record: `__init__` sets the fields named in `_fields`
+    once, through `_set`; `==`, `hash` and `repr` go by those fields, and
+    assignment raises.  It keeps `dataclasses` (and `inspect`, `ast`) off
+    the import path."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 class ZeroConstantTerm(ArithmeticError):

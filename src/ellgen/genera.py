@@ -19,7 +19,6 @@ admissible N and is the default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -34,7 +33,7 @@ from .chern import (
     partitions_of,
     weight_class,
 )
-from .errors import DimNotMultipleOf4, NonUnitConstant
+from .errors import DimNotMultipleOf4, NonUnitConstant, Record
 from .series import USeries, as_int, default_uorder
 from .theta import (
     GenusKind,
@@ -106,18 +105,17 @@ def cancellation_residual(p11, p2) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Hypersurface:
+class Hypersurface(Record):
     """Smooth degree-d hypersurface in CP^N; real dimension 2(N-1)."""
 
-    ambient: int
-    degree: int
+    _fields = ("ambient", "degree")
 
-    def __post_init__(self):
-        if self.ambient < 2:
-            raise ValueError(f"ambient dimension must be >= 2, got {self.ambient}")
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
+    def __init__(self, ambient: int, degree: int):
+        if ambient < 2:
+            raise ValueError(f"ambient dimension must be >= 2, got {ambient}")
+        if degree < 1:
+            raise ValueError(f"degree must be >= 1, got {degree}")
+        self._set(ambient, degree)
 
     @property
     def real_dim(self) -> int:

@@ -11,11 +11,10 @@ numerically at chosen points of the upper half-plane.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotInUpperHalfPlane, ResidualNonzero
+from .errors import FloatRangeExceeded, NotInUpperHalfPlane, Record, ResidualNonzero
 from .series import USeries, default_uorder, linear_combination
 
 
@@ -71,12 +70,13 @@ def eps2(uorder: int | None = None) -> USeries:
     return USeries(c, uorder)
 
 
-@dataclass(frozen=True)
-class ModBasisDecomp:
+class ModBasisDecomp(Record):
     """Coordinates of Ell_2 in the basis (8 delta_2)^(n-2r) eps_2^r."""
 
-    n: int
-    h: tuple[Fraction, ...]
+    _fields = ("n", "h")
+
+    def __init__(self, n: int, h: tuple[Fraction, ...]):
+        self._set(n, h)
 
     @property
     def all_integer(self) -> bool:
@@ -145,18 +145,21 @@ def numeric_eval(s: USeries, tau: complex) -> tuple[complex, float]:
 
     Returns (value, tail_bound); the bound is the crude geometric estimate
     |c_last| |u|^order / (1 - |u|) from the last retained coefficient.
+    Raises FloatRangeExceeded when |u| rounds to 1 (Im tau below ~1e-16).
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise NotInUpperHalfPlane(f"tau = {tau} has nonpositive imaginary part")
     w = cmath.exp(1j * cmath.pi * tau)
+    r = abs(w)
+    if r >= 1.0:
+        raise FloatRangeExceeded(f"|e^(pi i tau)| rounds to 1 at the evaluation point tau = {tau}")
     value = 0j
     for k, v in s.items():
         value += float(v) * w**k
     support = s.support()
     if not support:
         return value, 0.0
-    r = abs(w)
     c_last = abs(float(s.coeff(support[-1])))
     tail = c_last * r**s.order / (1.0 - r)
     return value, tail

@@ -20,9 +20,8 @@ have no closed form here and stay caller-supplied parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ExponentRangeViolation, FloatRangeExceeded, ToleranceNotReached
+from .errors import ExponentRangeViolation, FloatRangeExceeded, Record, ToleranceNotReached
 
 _MAX_STEPS = 400
 
@@ -217,17 +216,14 @@ def poincare_s(l1: float, l2: float, V: float, R: float, m: int, Sigma: float) -
     return (V / sphere_volume(m)) ** (1.0 / l1 - 1.0 / l2) * R * Sigma
 
 
-@dataclass(frozen=True)
-class MoserExponents:
+class MoserExponents(Record):
     """mu = m/(m-2), eps = (mu(p-1)-p)/(p(mu-1)), and the iteration sums
     K1 = sum_i i mu^-i, K2 = sum_i mu^-i in closed form."""
 
-    m: int
-    p: float
-    mu: float
-    eps: float
-    K1: float
-    K2: float
+    _fields = ("m", "p", "mu", "eps", "K1", "K2")
+
+    def __init__(self, m: int, p: float, mu: float, eps: float, K1: float, K2: float):
+        self._set(m, p, mu, eps, K1, K2)
 
 
 def moser_exponents(m: int, p: float) -> MoserExponents:

@@ -7,14 +7,17 @@ trigonometry collapses to hyperbolic series with rational coefficients, so
 nothing transcendental is ever materialized.
 
 Each infinite product over m of (1 -+ u^w e^(+-x)) factors has, per power
-u^k, an integer Laurent polynomial in y = e^x as its coefficient.  The
-product is kept in that form (one dict j -> int per u-power) and every factor
-is applied in place by an integer recurrence.  It is converted to x once at
-the end, [u^k x^d] = sum_j c_(k,j) j^d / d!, and multiplied once by the
-u-constant prefactor (x/2)/sinh(x/2) or cosh(x/2).  The prefactors in x are
-closed forms: their x^(2k) coefficients are Bernoulli numbers B_2k (or 1/4^k
-for cosh) over (2k)! (Hirzebruch, Topological Methods in Algebraic Geometry,
-section 1.5).
+u^k, an integer Laurent polynomial sum_j c_(k,j) y^j in y = e^x as its
+coefficient.  Every factor is symmetric under y -> 1/y, so c_(k,-j) =
+c_(k,j) and the product keeps only j >= 0, one dense integer list per
+u-power.  Per weight w, one in-place pass applies the pair
+(1 + c u^w y)(1 + c u^w/y) = 1 + c u^w (y + 1/y) + u^(2w) and one the squared
+scalar (1 + c u^w)^2.  The product is converted to x once at the end,
+[u^k x^(2i)] = sum_j c_(k,j) j^(2i) / (2i)! with the j > 0 terms doubled,
+and multiplied once by the u-constant prefactor (x/2)/sinh(x/2) or
+cosh(x/2).  The prefactors in x are closed forms: their x^(2k) coefficients
+are Bernoulli numbers B_2k (or 1/4^k for cosh) over (2k)! (Hirzebruch,
+Topological Methods in Algebraic Geometry, section 1.5).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import add, mul, sub
 
 from .chern import RootSeries
 from .series import USeries
@@ -77,8 +81,10 @@ def rotate_poly(a: XPoly) -> XPoly:
 # Theta product factors
 # ---------------------------------------------------------------------------
 
-# Per u-power k, the integer Laurent polynomial sum_j c_(k,j) y^j, y = e^x.
-Laurent = list[dict[int, int]]
+# Per u-power k, the coefficients c_(k,j), j >= 0, of the integer Laurent
+# polynomial sum_j c_(k,j) y^j, y = e^x.  Every factor is symmetric under
+# y -> 1/y, so c_(k,-j) = c_(k,j) and only the half j >= 0 is kept.
+Half = list[list[int]]
 
 # kind -> (weight of the m = 1 factor, sign c in the factors 1 + c u^w y^(+-1)
 # and 1 + c u^w).  The weights step by 2.
@@ -92,23 +98,29 @@ _PREFACTORS = {
 }
 
 
-def _multiply(prod: Laurent, w: int, shift: int, c: int) -> None:
-    """prod *= 1 + c u^w y^shift, in place: k descends, so u^(k-w) is still old."""
-    for k in range(len(prod) - 1, w - 1, -1):
-        dst = prod[k]
-        for j, v in prod[k - w].items():
-            dst[j + shift] = dst.get(j + shift, 0) + c * v
+def _apply(prod: Half, w: int, c: int, pair: bool, divide: bool) -> None:
+    """prod *= F or prod /= F in place, F = 1 + c u^w L + u^(2w), c = +-1:
+    L = y + 1/y for the pair (1 + c u^w y)(1 + c u^w/y), L = 2 for the
+    squared scalar (1 + c u^w)^2.
+
+    Multiplying, k descends, so u^(k-w) and u^(k-2w) are still the old P;
+    dividing, Q_k = P_k - c L Q_(k-w) - Q_(k-2w) with k ascending.
+    """
+    lin = add if (c > 0) != divide else sub
+    sq = sub if divide else add
+    ks = range(w, len(prod)) if divide else range(len(prod) - 1, w - 1, -1)
+    for k in ks:
+        src, dst = prod[k - w], prod[k]
+        # (y + 1/y) on a half: [j] <- [j-1] + [j+1], with [-1] = [1].  The
+        # map stops at the end of dst; all it can drop is src's spare zero.
+        lift = map(add, src[1:2] + src, src[1:] + [0, 0]) if pair else map(add, src, src)
+        dst[: len(src) + pair] = map(lin, dst, lift)
+        if k >= 2 * w:
+            low = prod[k - 2 * w]
+            dst[: len(low)] = map(sq, dst, low)
 
 
-def _divide(prod: Laurent, w: int, shift: int, c: int) -> None:
-    """prod /= 1 + c u^w y^shift, in place: Q_k = P_k - c y^shift Q_(k-w), k ascending."""
-    for k in range(w, len(prod)):
-        dst = prod[k]
-        for j, v in prod[k - w].items():
-            dst[j + shift] = dst.get(j + shift, 0) - c * v
-
-
-def _apply_family(prod: Laurent, kind: str) -> None:
+def _apply_family(prod: Half, kind: str) -> None:
     """Multiply prod by every factor m >= 1 of one theta product.
 
     theta:  (1-u^w)^2 / ((1-u^w y)(1-u^w/y)),   w = 2m
@@ -119,39 +131,30 @@ def _apply_family(prod: Laurent, kind: str) -> None:
     >= the order are never applied.
     """
     first, c = _FAMILIES[kind]
-    pair_op, scalar_op = (_divide, _multiply) if kind == "theta" else (_multiply, _divide)
     for w in range(first, len(prod), 2):
-        pair_op(prod, w, 1, c)
-        pair_op(prod, w, -1, c)
-        scalar_op(prod, w, 0, c)
-        scalar_op(prod, w, 0, c)
+        _apply(prod, w, c, True, kind == "theta")
+        _apply(prod, w, c, False, kind != "theta")
 
 
 def _theta_product(kinds: tuple[str, ...], prefactor: XPoly, xdeg: int, uorder: int) -> RootSeries:
     """prefactor(x) times the theta products of `kinds`, as an even RootSeries."""
     if xdeg < 1 or uorder < 1:
         raise ValueError("xdeg and uorder must be >= 1")
-    prod: Laurent = [{} for _ in range(uorder)]
+    # |j| <= (k+1)/2 at u^k: every y-factor has weight >= 2 but theta2's
+    # first pair, which is multiplied once.  One spare zero slot per row
+    # keeps [1] in range and absorbs the top of the (y + 1/y) shift.
+    prod: Half = [[0] * ((k + 1) // 2 + 2) for k in range(uorder)]
     prod[0][0] = 1
     for kind in kinds:
         _apply_family(prod, kind)
-    # Every factor is symmetric under y -> 1/y, so only even x-powers occur:
-    # [u^k x^(2i)] = sum_j c_(k,j) j^(2i) / (2i)!.
-    half = (xdeg + 1) // 2
-    moments = []
-    for slice_k in prod:
-        sums = [0] * half
-        for j, v in slice_k.items():
-            if v:
-                j2 = j * j
-                for i in range(half):
-                    sums[i] += v
-                    v *= j2
-        moments.append(sums)
-    series = RootSeries(
-        {2 * i: USeries._make([s[i] for s in moments], factorial(2 * i)) for i in range(half)}, xdeg, uorder
-    )
-    return series * RootSeries.from_xpoly(prefactor, xdeg, uorder)
+    # Only even x-powers occur: [u^k x^(2i)] = sum_j c_(k,j) j^(2i) / (2i)!,
+    # the j > 0 terms counted twice for their mirror images at -j.
+    width = len(prod[-1])
+    series = {}
+    for i in range((xdeg + 1) // 2):
+        weights = [(1 if j == 0 else 2) * j ** (2 * i) for j in range(width)]
+        series[2 * i] = USeries._make([sum(map(mul, row, weights)) for row in prod], factorial(2 * i))
+    return RootSeries(series, xdeg, uorder) * RootSeries.from_xpoly(prefactor, xdeg, uorder)
 
 
 @lru_cache(maxsize=128)

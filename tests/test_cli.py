@@ -382,3 +382,26 @@ def test_transformation_laws_non_finite_tau_is_bad_input(capsys, tau):
     code, out, err = run(capsys, "verify", "--check", "transformation-laws", f"--tau={tau}")
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tau", ["1e-17i", "1e-300i", "0.5+1e-300i"])
+def test_transformation_laws_tau_with_unit_modulus_u_is_domain_error(capsys, tau):
+    # |e^(pi i tau)| (or at -1/tau) rounds to 1, so no tail bound is finite
+    code, out, err = run(capsys, "verify", "--check", "transformation-laws", f"--tau={tau}")
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "rounds to 1" in err
+
+
+def test_cli_import_path_skips_dataclasses_and_loads_every_module():
+    # -S keeps a site .pth from preloading modules
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import ellgen.cli; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "ast"}
+    for name in ("series", "chern", "theta", "genera", "bundles", "modular", "sobolev"):
+        assert f"ellgen.{name}" in loaded

@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from ellgen.errors import OddTermPresent, WeightViolation
 from ellgen.series import USeries, weighted_product
 from ellgen.theta import (
     GenusKind,
+    _theta_product,
     cosh_half_poly,
     genus_root_series,
     half_x_over_sinh_half_poly,
@@ -238,3 +240,52 @@ def test_genus_root_series_matches_oracle_products(xdeg, uorder):
     assert set(expected) == set(GenusKind)
     for kind, value in expected.items():
         assert genus_root_series(kind, xdeg, uorder) == value, kind
+
+
+# The dict-Laurent theta product the symmetric-half one replaced: one dict
+# j -> int per u-power over all j, each factor applied by its own pass.
+def _ref_multiply(prod, w, shift, c):
+    for k in range(len(prod) - 1, w - 1, -1):
+        dst = prod[k]
+        for j, v in prod[k - w].items():
+            dst[j + shift] = dst.get(j + shift, 0) + c * v
+
+
+def _ref_divide(prod, w, shift, c):
+    for k in range(w, len(prod)):
+        dst = prod[k]
+        for j, v in prod[k - w].items():
+            dst[j + shift] = dst.get(j + shift, 0) - c * v
+
+
+def _ref_apply_family(prod, kind):
+    first, c = {"theta": (2, -1), "theta1": (2, 1), "theta2": (1, -1)}[kind]
+    pair_op, scalar_op = (_ref_divide, _ref_multiply) if kind == "theta" else (_ref_multiply, _ref_divide)
+    for w in range(first, len(prod), 2):
+        pair_op(prod, w, 1, c)
+        pair_op(prod, w, -1, c)
+        scalar_op(prod, w, 0, c)
+        scalar_op(prod, w, 0, c)
+
+
+def _ref_theta_product(kinds, prefactor, xdeg, uorder):
+    prod = [{} for _ in range(uorder)]
+    prod[0][0] = 1
+    for kind in kinds:
+        _ref_apply_family(prod, kind)
+    coeffs = {}
+    for d in range(0, xdeg, 2):
+        moments = [sum(v * j**d for j, v in row.items()) for row in prod]
+        coeffs[d] = USeries({k: F(s, math.factorial(d)) for k, s in enumerate(moments)}, uorder)
+    return RootSeries(coeffs, xdeg, uorder) * RootSeries.from_xpoly(prefactor, xdeg, uorder)
+
+
+@pytest.mark.parametrize(
+    "kinds", [("theta",), ("theta1",), ("theta2",), ("theta", "theta1"), ("theta", "theta2")]
+)
+@pytest.mark.parametrize("xdeg", [1, 2, 6, 8, 14, 42])
+def test_theta_product_matches_dict_laurent_reference(kinds, xdeg):
+    prefactor = half_x_over_sinh_half_poly(xdeg)
+    for uorder in (1, 2, 3, 12, 24, 64):
+        expected = _ref_theta_product(kinds, prefactor, xdeg, uorder)
+        assert _theta_product(kinds, prefactor, xdeg, uorder) == expected, (kinds, xdeg, uorder)
