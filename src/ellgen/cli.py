@@ -12,13 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
-from fractions import Fraction
 
-from . import __version__
-from .bundles import ell2_via_bundles, expand_witten
-from .chern import Manifold, partitions_of
+from . import __version__, bundles, chern, genera, modular, series, sobolev, theta
 from .errors import (
     DimMismatch,
     FloatRangeExceeded,
@@ -26,17 +22,6 @@ from .errors import (
     ResidualNonzero,
     ToleranceNotReached,
 )
-from .genera import (
-    Hypersurface,
-    cancellation_class,
-    cancellation_residual,
-    genus,
-    hypersurface_pont,
-)
-from .modular import delta1, delta2, eps1, eps2, expand_in_basis, numeric_eval, reconstruct_ell1
-from .series import USeries
-from .sobolev import _radius, sobolev_c, wallis
-from .theta import GenusKind
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,10 +29,10 @@ EXIT_BAD_INPUT = 2
 EXIT_DOMAIN = 3
 
 
-def _load_manifold(path: str) -> Manifold:
+def _load_manifold(path: str) -> chern.Manifold:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    m = Manifold.from_json(obj)
+    m = chern.Manifold.from_json(obj)
     missing = m.missing_partitions()
     if missing:
         names = ", ".join("p" + "p".join(map(str, p)) for p in missing)
@@ -58,7 +43,7 @@ def _load_manifold(path: str) -> Manifold:
     return m
 
 
-def _emit_series(s: USeries, fmt: str) -> None:
+def _emit_series(s: series.USeries, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(s.to_json()))
     else:
@@ -67,17 +52,17 @@ def _emit_series(s: USeries, fmt: str) -> None:
 
 def cmd_genus(args) -> int:
     m = _load_manifold(args.manifold)
-    result = genus(m, GenusKind(args.genus), args.uorder)
+    result = genera.genus(m, theta.GenusKind(args.genus), args.uorder)
     _emit_series(result, args.format)
     return EXIT_OK
 
 
 def cmd_hypersurface(args) -> int:
-    h = Hypersurface(ambient=args.ambient, degree=args.degree)
-    m = hypersurface_pont(h)
-    sigma = genus(m, GenusKind.LHAT, 1).coeff(0)
-    ahat = genus(m, GenusKind.AHAT, 1).coeff(0)
-    ell2 = genus(m, GenusKind.ELL2, args.uorder)
+    h = genera.Hypersurface(ambient=args.ambient, degree=args.degree)
+    m = genera.hypersurface_pont(h)
+    sigma = genera.genus(m, theta.GenusKind.LHAT, 1).coeff(0)
+    ahat = genera.genus(m, theta.GenusKind.AHAT, 1).coeff(0)
+    ell2 = genera.genus(m, theta.GenusKind.ELL2, args.uorder)
     if args.format == "json":
         print(
             json.dumps(
@@ -100,7 +85,7 @@ def cmd_hypersurface(args) -> int:
 def cmd_bundles(args) -> int:
     which = "theta1" if args.which == "theta1" else "theta2"
     label = "A" if which == "theta1" else "B"
-    bqs = expand_witten(which, args.n, args.uorder)
+    bqs = bundles.expand_witten(which, args.n, args.uorder)
     if args.format == "json":
         out = {
             f"{label}{k}": bqs.coeff(k).pretty() for k in range(args.uorder)
@@ -112,11 +97,13 @@ def cmd_bundles(args) -> int:
     return EXIT_OK
 
 
-def _random_manifold(n: int, rng: random.Random) -> Manifold:
+def _random_manifold(n: int, rng) -> chern.Manifold:
+    from fractions import Fraction
+
     pont = {
-        p: Fraction(rng.randint(-60, 60), rng.randint(1, 6)) for p in partitions_of(n)
+        p: Fraction(rng.randint(-60, 60), rng.randint(1, 6)) for p in chern.partitions_of(n)
     }
-    return Manifold(name=f"random-n{n}", dim=4 * n, pont=pont)
+    return chern.Manifold(name=f"random-n{n}", dim=4 * n, pont=pont)
 
 
 def _parse_tau(text: str) -> complex:
@@ -136,18 +123,21 @@ def _parse_tau(text: str) -> complex:
 
 
 def cmd_verify(args) -> int:
+    import random
+    from fractions import Fraction
+
     rng = random.Random(args.seed)
     report: dict = {"check": args.check}
     failures: list[str] = []
 
     if args.check == "cancellation":
-        if not cancellation_class().is_zero():
+        if not genera.cancellation_class().is_zero():
             failures.append("symbolic weight-2 residual is nonzero")
         residuals = []
         for _ in range(args.samples):
             p11 = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999))
             p2 = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999))
-            r = cancellation_residual(p11, p2)
+            r = genera.cancellation_residual(p11, p2)
             residuals.append(str(r))
             if r:
                 failures.append(f"residual {r} at (p1^2, p2) = ({p11}, {p2})")
@@ -163,14 +153,14 @@ def cmd_verify(args) -> int:
         resid = "0"
         for _ in range(args.samples):
             m = _random_manifold(n, rng)
-            e2 = genus(m, GenusKind.ELL2, uorder)
+            e2 = genera.genus(m, theta.GenusKind.ELL2, uorder)
             try:
-                dec = expand_in_basis(e2, n)
+                dec = modular.expand_in_basis(e2, n)
             except ResidualNonzero as exc:
                 failures.append(f"{m.name}: {exc}")
                 resid = "nonzero"
                 continue
-            if reconstruct_ell1(dec, uorder) != genus(m, GenusKind.ELL1, uorder):
+            if modular.reconstruct_ell1(dec, uorder) != genera.genus(m, theta.GenusKind.ELL1, uorder):
                 failures.append(f"{m.name}: reconstructed Ell1 mismatch")
                 resid = "nonzero"
         report["residual"] = resid
@@ -182,7 +172,7 @@ def cmd_verify(args) -> int:
         report["uorder"] = uorder
         for _ in range(args.samples):
             m = _random_manifold(n, rng)
-            if ell2_via_bundles(m, uorder) != genus(m, GenusKind.ELL2, uorder):
+            if bundles.ell2_via_bundles(m, uorder) != genera.genus(m, theta.GenusKind.ELL2, uorder):
                 failures.append(f"{m.name}: bundle route disagrees with theta route")
         report["residual"] = "0" if not failures else "nonzero"
 
@@ -191,10 +181,10 @@ def cmd_verify(args) -> int:
         if tau.imag <= 0:
             raise NotInUpperHalfPlane(f"tau = {tau} has nonpositive imaginary part")
         uorder = max(args.uorder, 40)
-        d2v, d2t = numeric_eval(delta2(uorder), -1 / tau)
-        d1v, d1t = numeric_eval(delta1(uorder), tau)
-        e2v, e2t = numeric_eval(eps2(uorder), -1 / tau)
-        e1v, e1t = numeric_eval(eps1(uorder), tau)
+        d2v, d2t = modular.numeric_eval(modular.delta2(uorder), -1 / tau)
+        d1v, d1t = modular.numeric_eval(modular.delta1(uorder), tau)
+        e2v, e2t = modular.numeric_eval(modular.eps2(uorder), -1 / tau)
+        e1v, e1t = modular.numeric_eval(modular.eps1(uorder), tau)
         rd = abs(d2v - tau**2 * d1v)
         re = abs(e2v - tau**4 * e1v)
         tol = max(1e-9, 10 * (d2t + d1t + e2t + e1t))
@@ -218,23 +208,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sobolev(args) -> int:
-    c = sobolev_c(args.m, args.b, args.tol)
+    c = sobolev.sobolev_c(args.m, args.b, args.tol)
     out = {
         "m": args.m,
         "b": args.b,
         "C_b": c,
-        "R": _radius(args.diam, args.b, c),
+        "R": sobolev._radius(args.diam, args.b, c),
         "residual": abs(_residual(args.m, args.b, c)),
-        "wallis": wallis(args.m),
+        "wallis": sobolev.wallis(args.m),
     }
     print(json.dumps(out))
     return EXIT_OK
 
 
 def _residual(m: int, b: float, x: float) -> float:
-    from .sobolev import _xF
-
-    return _xF(m, b, x, 1e-13) - wallis(m)
+    return sobolev._xF(m, b, x, 1e-13) - sobolev.wallis(m)
 
 
 def _positive_int(text: str) -> int:
@@ -257,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--genus",
         required=True,
-        choices=[k.value for k in GenusKind],
+        choices=("ahat", "lhat", "ell1", "ell2", "witten"),  # theta.GenusKind values, not loaded here
         help="which genus to compute",
     )
     p.add_argument("--uorder", type=_positive_int, default=None, help="truncation order in u = q^(1/2)")
@@ -312,6 +300,11 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+
+
+def __getattr__(name: str):
+    """Old `ellgen.cli.<name>` lookups of the package's public names."""
+    return sys.modules[__package__].__getattr__(name)
 
 
 if __name__ == "__main__":

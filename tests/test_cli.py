@@ -11,9 +11,10 @@ from scipy.integrate import quad
 from scipy.special import beta
 
 from ellgen.chern import Manifold
-from ellgen.cli import main
+from ellgen.cli import build_parser, main
 from ellgen.genera import Hypersurface
 from ellgen.series import USeries
+from ellgen.theta import GenusKind
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -403,5 +404,69 @@ def test_cli_import_path_skips_dataclasses_and_loads_every_module():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert not loaded & {"dataclasses", "inspect", "ast"}
+    # registered in sys.modules by `import ellgen`, executed on first use (see below)
     for name in ("series", "chern", "theta", "genera", "bundles", "modular", "sobolev"):
         assert f"ellgen.{name}" in loaded
+
+
+def executed_modules(*argv):
+    """Run `main(argv)` in a fresh `python -S` child; the module names it executed.
+
+    A lazily registered submodule that was never touched is in `sys.modules`
+    but is not yet a plain `types.ModuleType`, and `type()` does not load it.
+    """
+    code = (
+        f"import sys, types; sys.path.insert(0, {str(ROOT / 'src')!r}); import ellgen.cli; "
+        f"rc = ellgen.cli.main({list(argv)!r}); "
+        "print(); print(rc, *sorted(n for n, m in sys.modules.items() if type(m) is types.ModuleType))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, *names = proc.stdout.splitlines()[-1].split()
+    assert rc == "0", proc.stdout
+    return set(names)
+
+
+GENUS_ROUTE = {"ellgen.series", "ellgen.chern", "ellgen.theta", "ellgen.genera"}
+NOT_FOR_GENERA = {"ellgen.bundles", "ellgen.modular", "ellgen.sobolev"}
+
+
+def test_cli_import_executes_only_the_front_end():
+    code = (
+        f"import sys, types; sys.path.insert(0, {str(ROOT / 'src')!r}); import ellgen.cli; "
+        "print(*sorted(n for n, m in sys.modules.items() if n.startswith('ellgen') and type(m) is types.ModuleType))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ellgen", "ellgen.cli", "ellgen.errors"]
+
+
+def test_sobolev_command_executes_only_sobolev():
+    executed = executed_modules("sobolev", "--m", "8", "--b", "1")
+    assert "ellgen.sobolev" in executed
+    assert not executed & (GENUS_ROUTE | {"ellgen.bundles", "ellgen.modular", "fractions", "random"})
+
+
+def test_genus_command_skips_bundles_modular_sobolev(k3_file):
+    executed = executed_modules("genus", "--manifold", k3_file, "--genus", "ell2", "--uorder", "4")
+    assert GENUS_ROUTE <= executed
+    assert not executed & NOT_FOR_GENERA
+
+
+def test_hypersurface_command_skips_bundles_modular_sobolev():
+    executed = executed_modules("hypersurface", "--ambient", "5", "--degree", "2", "--uorder", "4")
+    assert GENUS_ROUTE <= executed
+    assert not executed & NOT_FOR_GENERA
+
+
+def test_route_equivalence_skips_modular_sobolev():
+    executed = executed_modules("verify", "--check", "route-equivalence", "--samples", "1", "--uorder", "4")
+    assert GENUS_ROUTE | {"ellgen.bundles"} <= executed
+    assert not executed & {"ellgen.modular", "ellgen.sobolev"}
+
+
+def test_genus_choices_follow_genus_kind():
+    parser = build_parser()
+    genus_parser = next(a for a in parser._actions if a.dest == "command").choices["genus"]
+    choices = next(a for a in genus_parser._actions if a.dest == "genus").choices
+    assert list(choices) == [k.value for k in GenusKind]

@@ -1,0 +1,71 @@
+"""The package namespace: every public name, resolved late from its submodule."""
+
+import importlib
+import sys
+
+import pytest
+
+import ellgen
+
+# The names `ellgen/__init__.py` imported eagerly from each submodule.
+EXPORTED = {
+    "bundles": [
+        "BundleMonomial", "BundleQSeries", "VirtualBundlePoly", "ch_monomial", "ch_virtual",
+        "ell2_via_bundles", "expand_witten", "index_bundle",
+    ],
+    "chern": [
+        "Manifold", "Partition", "PontPoly", "RootSeries", "ch_tangent", "disjoint_union",
+        "genus_class", "newton_power_sum", "pair", "partitions_of",
+    ],
+    "genera": [
+        "Hypersurface", "ahat_class", "ahat_factor", "cancellation_class", "cancellation_residual",
+        "genus", "hypersurface_genus", "hypersurface_pont", "signature_factor", "twisted_ahat",
+        "twisted_ahat_series",
+    ],
+    "modular": [
+        "ModBasisDecomp", "delta1", "delta2", "eps1", "eps2", "expand_in_basis", "numeric_eval",
+        "reconstruct_ell1",
+    ],
+    "series": ["USeries", "default_uorder", "weighted_product"],
+    "sobolev": [
+        "MoserExponents", "moser_constant", "moser_exponents", "poincare_s", "radius_r",
+        "sobolev_c", "sphere_volume", "wallis",
+    ],
+    "theta": ["GenusKind", "genus_root_series", "theta_factor"],
+}
+NAMES = sorted(name for names in EXPORTED.values() for name in names)
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTED.items() for n in names])
+def test_public_name_is_its_submodule_object(module, name):
+    assert getattr(ellgen, name) is getattr(importlib.import_module(f"ellgen.{module}"), name)
+
+
+def test_all_and_dir_list_every_public_name():
+    assert sorted(ellgen.__all__) == NAMES
+    assert set(NAMES) <= set(dir(ellgen))
+    assert set(EXPORTED) <= set(dir(ellgen))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from ellgen import *", namespace)
+    assert {name: namespace[name] for name in NAMES} == {name: getattr(ellgen, name) for name in NAMES}
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ellgen.no_such_name
+
+
+def test_submodule_import_forms_agree():
+    from ellgen import chern
+
+    assert chern is sys.modules["ellgen.chern"] is importlib.import_module("ellgen.chern") is ellgen.chern
+
+
+def test_reload_keeps_the_loaded_submodules():
+    chern, manifold = sys.modules["ellgen.chern"], ellgen.Manifold
+    importlib.reload(ellgen)
+    assert sys.modules["ellgen.chern"] is chern and ellgen.chern is chern
+    assert ellgen.Manifold is manifold
