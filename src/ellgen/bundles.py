@@ -34,7 +34,7 @@ from .chern import (
     Manifold,
     Partition,
     PontPoly,
-    _class_coefficients,
+    _mu_coefficients,
     _power_sum_terms,
     pair,  # noqa: F401  (kept as a module binding: the benchmark tracer patches bundles.pair)
     partitions_of,
@@ -42,7 +42,7 @@ from .chern import (
 )
 from .errors import DimMismatch
 from .series import USeries, as_int, default_uorder, linear_combination
-from .theta import GenusKind, genus_root_series
+from .theta import GenusKind, genus_log
 
 
 class BundleMonomial(NamedTuple):
@@ -403,8 +403,7 @@ def _ch_virtual_s(v: VirtualBundlePoly, nmax: int) -> SClass:
 
 def _to_pont(c: SClass, nmax: int, uorder: int | None) -> PontPoly:
     """Rewrite an s-basis class in p_1..p_nmax with constant u-series coefficients."""
-    if uorder is None:
-        uorder = default_uorder()
+    uorder = default_uorder(uorder)
     nums, den = c
     terms: dict[Partition, int] = {}
     for mu, x in zip(_s_basis(nmax)[0], nums):
@@ -443,7 +442,7 @@ def ch_virtual(v: VirtualBundlePoly, nmax: int, uorder: int | None = None) -> Po
 @lru_cache(maxsize=None)
 def _ahat_s(n: int) -> SClass:
     """A-hat(T) of a 4n-manifold in the s-basis, up to weight n."""
-    scale, coeffs = _class_coefficients(genus_root_series(GenusKind.AHAT, 2 * n + 2, 1), n)
+    scale, coeffs = _mu_coefficients(*genus_log(GenusKind.AHAT, n, 1), n)
     return _s_class({mu: scale.coeff(0) * c.coeff(0) for mu, c in coeffs.items()}, n)
 
 
@@ -485,8 +484,7 @@ def _index_class(n: int, uorder: int) -> tuple[tuple[Partition, USeries], ...]:
 
 def ell2_via_bundles(m: Manifold, uorder: int | None = None) -> USeries:
     """Ell_2 as sum_k ind(D x B_k) u^k: the bundle route."""
-    if uorder is None:
-        uorder = default_uorder()
+    uorder = default_uorder(uorder)
     return linear_combination(
         ((power_sum_number(mu, m), col) for mu, col in _index_class(m.n, uorder)), uorder
     )

@@ -5,10 +5,12 @@ A multiplicative genus enters as one even power series f(x) per formal root;
 with log(f/f(0)) = sum_k a_k x^(2k), prod_{j=1}^{2n} f(x_j) equals
 f(0)^(2n) sum_mu prod_k a_k^(m_k) / m_k! s_mu, where s_mu multiplies the power
 sums s_k = sum_j x_j^(2k) over the parts k of mu, m_k being the multiplicity
-of k (Macdonald, ch. I.2).  `genus_class` rewrites it in p_1..p_n,
-`weight_class` keeps only its weight-n part (the part a 4n-manifold sees),
-and `pair`, the one pairing kernel, contracts a class with [M]: a genus is
-the linear map M -> sum_lambda P_lambda(M) col_lambda on Pontryagin numbers.
+of k (Macdonald, ch. I.2).  The a_k of an arbitrary f come from a recursion
+(`_log_coefficients`), those of the genus columns in closed form from
+`theta.genus_log`, with no theta product.  `genus_class` rewrites the product
+in p_1..p_n, `weight_class` keeps only its weight-n part (the part a
+4n-manifold sees), and `pair`, the one pairing kernel, contracts a class with
+[M]: a genus is the linear map M -> sum_lambda P_lambda(M) col_lambda.
 `RootSeries` (keys: x-degrees) and `PontPoly` (keys: partitions) share one
 ring core, `_Graded`: a dict key -> USeries with the arithmetic written once.
 """
@@ -65,8 +67,8 @@ def partition_to_str(p: Partition) -> str:
 
 def partition_from_str(s: str) -> Partition:
     parts = json.loads(s)
-    if not isinstance(parts, list):
-        raise ValueError(f"partition key must be a JSON array: {s!r}")
+    if not isinstance(parts, list) or not set(map(type, parts)) <= {int}:
+        raise ValueError(f"partition key must be a JSON array of integers: {s!r}")
     return partition_key(parts)
 
 
@@ -124,6 +126,8 @@ class Manifold(Record):
             name = str(obj.get("name", ""))
             dim = as_int(obj["dim"], "manifold dimension")
             raw = obj.get("pontryagin_numbers", {})
+            if bool in map(type, raw.values()):
+                raise TypeError("a Pontryagin number is a JSON boolean")
             pont = {partition_from_str(k): Fraction(v) for k, v in raw.items()}
         except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed manifold JSON: {type(exc).__name__}: {exc}") from exc
@@ -459,13 +463,12 @@ def _power_sum_terms(mu: Partition) -> tuple[tuple[Partition, int], ...]:
 
 def newton_power_sum(k: int, nmax: int, uorder: int | None = None) -> PontPoly:
     """s_k = sum_j (x_j^2)^k expressed in the elementary symmetric p_i."""
-    if uorder is None:
-        uorder = default_uorder()
+    uorder = default_uorder(uorder)
     return PontPoly({p: USeries.const(c, uorder) for p, c in _newton_terms(k)}, nmax, uorder)
 
 
-def _class_coefficients(f: RootSeries, n: int) -> tuple[USeries, dict[Partition, USeries]]:
-    """f(0)^(2n) and c_mu = prod_k a_k^(m_k) / m_k! for |mu| <= n: the closed form's coefficients."""
+def _log_coefficients(f: RootSeries, n: int) -> tuple[USeries, list[USeries]]:
+    """f(0) and [a_1..a_n], a_k = [x^(2k)] log(f/f(0)), of an arbitrary even factor f."""
     if not f.is_even:
         raise OddTermPresent("genus factor must be even in x")
     if f.xdeg < 2 * n + 1:
@@ -480,26 +483,34 @@ def _class_coefficients(f: RootSeries, n: int) -> tuple[USeries, dict[Partition,
     for k in range(1, n + 1):
         acc = sum((a[j] * g[k - j] * j for j in range(1, k)), USeries.zero(f.uorder))
         a.append(g[k] - acc / k)
-    coeffs = {(): USeries.one(f.uorder)}
+    return c0, a[1:]
+
+
+def _mu_coefficients(f0: USeries, a: list[USeries], n: int) -> tuple[USeries, dict[Partition, USeries]]:
+    """f(0)^(2n) and c_mu = prod_k a_k^(m_k) / m_k! for |mu| <= n, from f(0) and [a_1..a_n]."""
+    coeffs = {(): USeries.one(f0.order)}
     for w in range(1, n + 1):
         for mu in partitions_of(w):
             k = mu[-1]  # the smallest part
-            coeffs[mu] = coeffs[mu[:-1]] * a[k] / mu.count(k)
-    return c0 ** (2 * n), coeffs
+            coeffs[mu] = coeffs[mu[:-1]] * a[k - 1] / mu.count(k)
+    return f0 ** (2 * n), coeffs
 
 
-def _p_class(f: RootSeries, n: int, top_only: bool) -> PontPoly:
-    # f(0)^(2n) sum_mu c_mu s_mu in the p-basis: column lambda collects the
-    # integer rows t_(mu, lambda) of _power_sum_terms(mu).
-    scale, coeffs = _class_coefficients(f, n)
+def _class_coefficients(f: RootSeries, n: int) -> tuple[USeries, dict[Partition, USeries]]:
+    """f(0)^(2n) and c_mu = prod_k a_k^(m_k) / m_k! for |mu| <= n: the closed form's coefficients."""
+    return _mu_coefficients(*_log_coefficients(f, n), n)
+
+
+def _p_class(f0: USeries, a: list[USeries], n: int, top_only: bool) -> PontPoly:
+    # f(0)^(2n) sum_mu c_mu s_mu in the p-basis, from f(0) and [a_1..a_n]: column
+    # lambda collects the integer rows t_(mu, lambda) of _power_sum_terms(mu).
+    scale, coeffs = _mu_coefficients(f0, a, n)
     rows: dict[Partition, list[tuple[int, USeries]]] = {}
     for mu in partitions_of(n) if top_only else coeffs:
         c = coeffs[mu] * scale
         for lam, t in _power_sum_terms(mu):
             rows.setdefault(lam, []).append((t, c))
-    return PontPoly(
-        {lam: linear_combination(row, f.uorder) for lam, row in rows.items()}, n, f.uorder
-    )
+    return PontPoly({lam: linear_combination(row, f0.order) for lam, row in rows.items()}, n, f0.order)
 
 
 def genus_class(f: RootSeries, n: int) -> PontPoly:
@@ -508,12 +519,12 @@ def genus_class(f: RootSeries, n: int) -> PontPoly:
     Rewrites f(0)^(2n) sum_{|mu| <= n} c_mu s_mu in the p-basis; the cost is
     independent of the number of roots.
     """
-    return _p_class(f, n, top_only=False)
+    return _p_class(*_log_coefficients(f, n), n, top_only=False)
 
 
 def weight_class(f: RootSeries, n: int) -> PontPoly:
     """The weight-n part of `genus_class(f, n)`, built from the c_mu with mu |- n only."""
-    return _p_class(f, n, top_only=True)
+    return _p_class(*_log_coefficients(f, n), n, top_only=True)
 
 
 def power_sum_number(mu: Partition, m: Manifold) -> Fraction:
@@ -526,8 +537,7 @@ def ch_tangent(n: int, nmax: int, uorder: int | None = None) -> PontPoly:
 
     From roots {e^{x_j}, e^{-x_j}}: ch = 4n + sum_k 2 s_k / (2k)!.
     """
-    if uorder is None:
-        uorder = default_uorder()
+    uorder = default_uorder(uorder)
     result = PontPoly.const(4 * n, nmax, uorder)
     fact = 1
     for k in range(1, nmax + 1):

@@ -189,6 +189,7 @@ def cmd_verify(args) -> int:
         re = abs(e2v - tau**4 * e1v)
         tol = max(1e-9, 10 * (d2t + d1t + e2t + e1t))
         report["tau"] = str(tau)
+        report["uorder"] = uorder
         report["delta_residual"] = rd
         report["eps_residual"] = re
         report["tolerance"] = tol

@@ -2,7 +2,8 @@
 
 Two independent routes to the same numbers coexist here:
 
-* the Pontryagin route (`genus`): per-root factor -> its log coefficients
+* the Pontryagin route (`genus`): the log coefficients of the per-root
+  factor in closed form (`theta.genus_log`; no theta product is built)
   -> the power-sum closed form rewritten as the weight-n class in p_1..p_n,
   memoized per (kind, n, uorder) (`genus_columns`) and paired with the
   Pontryagin numbers of M (`pair`), in the hyperbolic normalization
@@ -27,17 +28,16 @@ from .chern import (
     Manifold,
     PontPoly,
     RootSeries,
+    _p_class,
     ch_tangent,
-    genus_class,
     pair,
     partitions_of,
-    weight_class,
 )
 from .errors import DimNotMultipleOf4, NonUnitConstant, Record
 from .series import USeries, as_int, default_uorder
 from .theta import (
     GenusKind,
-    genus_root_series,
+    genus_log,
     half_x_over_sinh_half_poly,
     rotate_poly,
     x_over_tanh_poly,
@@ -46,8 +46,7 @@ from .theta import (
 
 def genus(m: Manifold, kind: GenusKind | str, uorder: int | None = None) -> USeries:
     """Exact q-expansion of a genus of `m` (constant series for ahat/lhat)."""
-    if uorder is None:
-        uorder = default_uorder()
+    uorder = default_uorder(uorder)
     return pair(genus_columns(GenusKind(kind), m.n, uorder), m)
 
 
@@ -59,12 +58,12 @@ def genus_columns(kind: GenusKind, n: int, uorder: int) -> PontPoly:
     coefficients (f(0)^(2n) folded in) that depend on (kind, n, uorder)
     only; `genus` pairs this one class with every manifold.
     """
-    return weight_class(genus_root_series(kind, 2 * n + 2, uorder), n)
+    return _p_class(*genus_log(kind, n, uorder), n, top_only=True)
 
 
 @lru_cache(maxsize=128)
 def ahat_class(n: int, uorder: int) -> PontPoly:
-    return genus_class(genus_root_series(GenusKind.AHAT, 2 * n + 2, uorder), n)
+    return _p_class(*genus_log(GenusKind.AHAT, n, uorder), n, top_only=False)
 
 
 def twisted_ahat_series(m: Manifold, c: PontPoly) -> USeries:
@@ -84,10 +83,9 @@ def twisted_ahat(m: Manifold, c: PontPoly) -> Fraction:
 
 def cancellation_class() -> PontPoly:
     """Weight-2 part of L-hat - (24 A-hat - A-hat ch(T_C)); identically zero."""
-    uorder = 1
-    lhat = genus_class(genus_root_series(GenusKind.LHAT, 6, uorder), 2)
-    ahat = genus_class(genus_root_series(GenusKind.AHAT, 6, uorder), 2)
-    twisted = ahat * ch_tangent(2, 2, uorder)
+    lhat = _p_class(*genus_log(GenusKind.LHAT, 2, 1), 2, top_only=False)
+    ahat = ahat_class(2, 1)
+    twisted = ahat * ch_tangent(2, 2, 1)
     return (lhat - (ahat * 24 - twisted)).weight_part(2)
 
 
@@ -174,21 +172,19 @@ def hypersurface_genus(h: Hypersurface, f: RootSeries) -> USeries:
     return integrand.coeff(N)
 
 
-def signature_factor(xdeg: int, uorder: int = 1, convention: str = "tanh") -> RootSeries:
-    """x/tanh(x) (or its rotation x/tan(x)) for the residue route."""
-    poly = x_over_tanh_poly(xdeg)
+def _residue_factor(poly, xdeg: int, uorder: int, convention: str) -> RootSeries:
     if convention == "tan":
         poly = rotate_poly(poly)
     elif convention != "tanh":
         raise ValueError(f"unknown convention {convention!r}")
     return RootSeries.from_xpoly(poly, xdeg, uorder)
+
+
+def signature_factor(xdeg: int, uorder: int = 1, convention: str = "tanh") -> RootSeries:
+    """x/tanh(x) (or its rotation x/tan(x)) for the residue route."""
+    return _residue_factor(x_over_tanh_poly(xdeg), xdeg, uorder, convention)
 
 
 def ahat_factor(xdeg: int, uorder: int = 1, convention: str = "tanh") -> RootSeries:
     """(x/2)/sinh(x/2) (or (x/2)/sin(x/2)) for the residue route."""
-    poly = half_x_over_sinh_half_poly(xdeg)
-    if convention == "tan":
-        poly = rotate_poly(poly)
-    elif convention != "tanh":
-        raise ValueError(f"unknown convention {convention!r}")
-    return RootSeries.from_xpoly(poly, xdeg, uorder)
+    return _residue_factor(half_x_over_sinh_half_poly(xdeg), xdeg, uorder, convention)

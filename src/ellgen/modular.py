@@ -32,8 +32,7 @@ def _odd_cofactor_cube_sum(k: int) -> int:
 
 def delta1(uorder: int | None = None) -> USeries:
     """1/4 + 6 sum_n (sum_{d|n, d odd} d) q^n."""
-    if uorder is None:
-        uorder = default_uorder()
+    uorder = default_uorder(uorder)
     c = {0: Fraction(1, 4)}
     for n in range(1, (uorder - 1) // 2 + 1):
         c[2 * n] = Fraction(6 * _odd_divisor_sum(n))
@@ -42,8 +41,7 @@ def delta1(uorder: int | None = None) -> USeries:
 
 def eps1(uorder: int | None = None) -> USeries:
     """1/16 + sum_n (sum_{d|n} (-1)^d d^3) q^n."""
-    if uorder is None:
-        uorder = default_uorder()
+    uorder = default_uorder(uorder)
     c = {0: Fraction(1, 16)}
     for n in range(1, (uorder - 1) // 2 + 1):
         c[2 * n] = Fraction(_signed_cube_sum(n))
@@ -52,8 +50,7 @@ def eps1(uorder: int | None = None) -> USeries:
 
 def delta2(uorder: int | None = None) -> USeries:
     """-1/8 - 3 sum_n (sum_{d|n, d odd} d) q^(n/2)."""
-    if uorder is None:
-        uorder = default_uorder()
+    uorder = default_uorder(uorder)
     c = {0: Fraction(-1, 8)}
     for n in range(1, uorder):
         c[n] = Fraction(-3 * _odd_divisor_sum(n))
@@ -62,8 +59,7 @@ def delta2(uorder: int | None = None) -> USeries:
 
 def eps2(uorder: int | None = None) -> USeries:
     """sum_n (sum_{d|n, n/d odd} d^3) q^(n/2)."""
-    if uorder is None:
-        uorder = default_uorder()
+    uorder = default_uorder(uorder)
     c = {}
     for n in range(1, uorder):
         c[n] = Fraction(_odd_cofactor_cube_sum(n))
@@ -132,8 +128,7 @@ def reconstruct_ell1(d: ModBasisDecomp, uorder: int | None = None) -> USeries:
     (2 tau)^(2n) Ell_2(tau) together with delta_2(-1/tau) = tau^2 delta_1
     and eps_2(-1/tau) = tau^4 eps_1.
     """
-    if uorder is None:
-        uorder = default_uorder()
+    uorder = default_uorder(uorder)
     n = d.n
     return linear_combination(
         ((hr * 4**n, _basis1(n, r, uorder)) for r, hr in enumerate(d.h) if hr), uorder

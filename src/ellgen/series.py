@@ -28,8 +28,10 @@ Scalar = Union[int, Fraction]
 _ENV_ORDER = "GENUS_DEFAULT_UORDER"
 
 
-def default_uorder() -> int:
-    """Default truncation order in u (q-order 12), overridable via env."""
+def default_uorder(uorder: int | None = None) -> int:
+    """`uorder`, or if None the default truncation order in u (q-order 12), overridable via env."""
+    if uorder is not None:
+        return uorder
     raw = os.environ.get(_ENV_ORDER)
     if raw is None:
         return 24
@@ -40,9 +42,9 @@ def default_uorder() -> int:
 
 
 def as_int(value, what: str) -> int:
-    """`value` read as an int: 8, 8.0 and "8" parse; 8.7 is a ValueError."""
+    """`value` read as an int: 8, 8.0 and "8" parse; 8.7 and the bool True are ValueErrors."""
     out = int(value)
-    if not isinstance(value, str) and out != value:
+    if isinstance(value, bool) or (not isinstance(value, str) and out != value):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return out
 
@@ -96,8 +98,7 @@ class USeries(_RingOps):
     __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Mapping[int, Scalar] = (), order: int | None = None):
-        if order is None:
-            order = default_uorder()
+        order = default_uorder(order)
         if order < 0:
             raise ValueError("order must be nonnegative")
         c: dict[int, Fraction] = {}

@@ -1,23 +1,20 @@
-"""Per-root characteristic factors of the genera, from theta products.
+"""Per-root characteristic factors of the genera: theta products and their logs.
 
 The normalized ratios x theta'(0)/theta(x), theta1(x)/theta1(0) and
-theta2(x)/theta2(0) are built directly as even RootSeries: the q^(1/8) and
-eta-like prefactors cancel in the ratios, and with x = 2*pi*sqrt(-1)*z all
-trigonometry collapses to hyperbolic series with rational coefficients, so
-nothing transcendental is ever materialized.
-
-Each infinite product over m of (1 -+ u^w e^(+-x)) factors has, per power
-u^k, an integer Laurent polynomial sum_j c_(k,j) y^j in y = e^x as its
-coefficient.  Every factor is symmetric under y -> 1/y, so c_(k,-j) =
-c_(k,j) and the product keeps only j >= 0, one dense integer list per
-u-power.  Per weight w, one in-place pass applies the pair
-(1 + c u^w y)(1 + c u^w/y) = 1 + c u^w (y + 1/y) + u^(2w) and one the squared
-scalar (1 + c u^w)^2.  The product is converted to x once at the end,
-[u^k x^(2i)] = sum_j c_(k,j) j^(2i) / (2i)! with the j > 0 terms doubled,
-and multiplied once by the u-constant prefactor (x/2)/sinh(x/2) or
-cosh(x/2).  The prefactors in x are closed forms: their x^(2k) coefficients
-are Bernoulli numbers B_2k (or 1/4^k for cosh) over (2k)! (Hirzebruch,
-Topological Methods in Algebraic Geometry, section 1.5).
+theta2(x)/theta2(0) are built as even RootSeries with rational coefficients:
+with x = 2*pi*sqrt(-1)*z the eta-like prefactors cancel and all trigonometry
+is hyperbolic.  Per power u^k, a product over m of (1 -+ u^w y^(+-1))
+factors, y = e^x, is an integer Laurent polynomial in y, symmetric under
+y -> 1/y, so only its half j >= 0 is kept; per weight w one in-place pass
+applies the pair (1 + c u^w y)(1 + c u^w/y) = 1 + c u^w (y + 1/y) + u^(2w)
+and one the squared scalar (1 + c u^w)^2.  The product becomes an x-series
+once, [u^k x^(2i)] = sum_j c_(k,j) j^(2i) / (2i)! with the j > 0 terms
+doubled, times the prefactor (x/2)/sinh(x/2) or cosh(x/2), whose x^(2k)
+coefficients are Bernoulli closed forms (Hirzebruch, Topological Methods in
+Algebraic Geometry, 1.5).  These products serve the residue route and the
+public API: the Pontryagin route builds none, since `genus_log` gives the
+a_k = [x^(2k)] log(f/f(0)) of each genus factor in closed form, Bernoulli
+numbers plus integer divisor sums.
 """
 
 from __future__ import annotations
@@ -39,14 +36,17 @@ XPoly = dict[int, Fraction]
 # ---------------------------------------------------------------------------
 
 
-def _even_poly(xdeg: int, coeff) -> XPoly:
-    """sum_{2k < xdeg} coeff(k, B_2k) x^(2k) / (2k)! with the Bernoulli numbers B_2k.
-
-    B_0..B_(xdeg-1) follow from B_0 = 1 and sum_{j<=i} C(i+1, j) B_j = 0 (i >= 1).
-    """
+def _bernoulli(m: int) -> list[Fraction]:
+    """B_0..B_(m-1), from B_0 = 1 and sum_{j<=i} C(i+1, j) B_j = 0 (i >= 1)."""
     b = [Fraction(1)]
-    for i in range(1, xdeg):
+    for i in range(1, m):
         b.append(-sum(comb(i + 1, j) * b[j] for j in range(i)) / (i + 1))
+    return b
+
+
+def _even_poly(xdeg: int, coeff) -> XPoly:
+    """sum_{2k < xdeg} coeff(k, B_2k) x^(2k) / (2k)! with the Bernoulli numbers B_2k."""
+    b = _bernoulli(xdeg)
     return {2 * k: coeff(k, b[2 * k]) / factorial(2 * k) for k in range((xdeg + 1) // 2)}
 
 
@@ -200,3 +200,36 @@ def genus_root_series(kind: GenusKind, xdeg: int, uorder: int) -> RootSeries:
         # 2 (x/2)/sinh(x/2) cosh(x/2) = x/tanh(x/2)
         return _theta_product(("theta", "theta1"), x_over_tanh_half_poly(xdeg), xdeg, uorder)
     return _theta_product(("theta", "theta2"), half_x_over_sinh_half_poly(xdeg), xdeg, uorder)
+
+
+# family -> (first multiple of r, step in multiples of r, sign of r^(2k-1)) at the u^N it reaches
+_LOG_TERMS = {"theta": (2, 2, lambda r: 1), "theta1": (2, 2, lambda r: (-1) ** (r + 1)),
+              "theta2": (1, 2, lambda r: -1)}
+# kind -> (prefactor x/tanh(x/2) (f(0) = 2) rather than (x/2)/sinh(x/2), theta families)
+_LOGS = {"ahat": (False, ()), "lhat": (True, ()), "witten": (False, ("theta",)),
+         "ell1": (True, ("theta", "theta1")), "ell2": (False, ("theta", "theta2"))}
+
+
+def genus_log(kind: GenusKind, n: int, uorder: int) -> tuple[USeries, list[USeries]]:
+    """f(0) and [a_1..a_n], a_k = [x^(2k)] log(f/f(0)), f = `genus_root_series(kind)`, in closed form.
+
+    a_k = beta_k B_2k / (2k (2k)!) + 2/(2k)! sum_N (sum_r +-r^(2k-1)) u^N: beta_k = -1 for
+    (x/2)/sinh(x/2), 4^k - 2 for x/tanh(x/2); `_LOG_TERMS` sums over r | M at N = 2M (theta,
+    theta1) or r | N with N/r odd (theta2) (Zagier, LNM 1326; Hirzebruch-Berger-Jung, ch. 6).
+    """
+    if uorder < 1:
+        raise ValueError("uorder must be >= 1")
+    tanh, families = _LOGS[GenusKind(kind).value]
+    b = _bernoulli(2 * n + 1)
+    a = []
+    for k in range(1, n + 1):
+        t = [0] * uorder
+        for first, step, sign in map(_LOG_TERMS.get, families):
+            for r in range(1, (uorder - 1) // first + 1):
+                for N in range(first * r, uorder, step * r):
+                    t[N] += sign(r) * r ** (2 * k - 1)
+        # over the denominator 2k (2k)! q, B_2k = p/q: the theta term's 2/(2k)! is 4kq
+        p, q = b[2 * k].numerator, b[2 * k].denominator
+        nums = [((4**k - 2) if tanh else -1) * p] + [4 * k * q * v for v in t[1:]]
+        a.append(USeries._make(nums, 2 * k * factorial(2 * k) * q))
+    return USeries.const(2 if tanh else 1, uorder), a

@@ -197,8 +197,13 @@ def test_manifold_json_roundtrip_via_cli_schema():
         "[1, 2]",  # top level is not an object
         json.dumps({"name": "z", "dim": 4, "pontryagin_numbers": {"[1]": "1/0"}}),
         json.dumps({"name": "z", "dim": 8.7, "pontryagin_numbers": {"[2]": "1"}}),
+        json.dumps({"name": "z", "dim": 4, "pontryagin_numbers": {"[1]": True}}),
+        json.dumps({"name": "z", "dim": True, "pontryagin_numbers": {}}),
+        json.dumps({"name": "z", "dim": 4, "pontryagin_numbers": {"[true]": "-48"}}),
+        json.dumps({"name": "z", "dim": 4, "pontryagin_numbers": {"[1.5]": "-48"}}),
     ],
-    ids=["array-top-level", "zero-denominator", "fractional-dim"],
+    ids=["array-top-level", "zero-denominator", "fractional-dim", "boolean-number", "boolean-dim",
+         "boolean-part", "fractional-part"],
 )
 def test_genus_malformed_manifold_is_bad_input(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
@@ -216,7 +221,9 @@ def test_integral_manifold_dim_still_parses(dim):
     assert m.dim == 8 and m.pont == {(2,): 1}
 
 
-@pytest.mark.parametrize("value, ok", [(8, True), (8.0, True), ("8", True), (8.7, False), (Fraction(17, 2), False)])
+@pytest.mark.parametrize(
+    "value, ok", [(8, True), (8.0, True), ("8", True), (8.7, False), (Fraction(17, 2), False), (True, False)]
+)
 def test_json_integer_fields_reject_fractional_values(value, ok):
     parses = [
         (lambda: USeries.from_json({"order": value, "coeffs": [[0, "1"]]}), USeries.one(8)),
@@ -261,6 +268,15 @@ def test_transformation_laws_tau_outside_upper_half_plane(capsys, tau):
     assert out == ""
     assert err.strip().splitlines() == [err.strip()] and err.startswith("error: ")
     assert "imaginary part" in err
+
+
+@pytest.mark.parametrize(
+    "argv, used", [([], 40), (["--uorder", "12"], 40), (["--uorder", "64"], 64)], ids=["default", "u12", "u64"]
+)
+def test_transformation_laws_reports_the_uorder_it_used(capsys, argv, used):
+    code, out, _ = run(capsys, "verify", "--check", "transformation-laws", *argv)
+    assert code == 0
+    assert json.loads(out)["uorder"] == used
 
 
 def test_transformation_laws_tau_zero_divisor_is_bad_input(capsys):
@@ -457,6 +473,28 @@ def test_hypersurface_command_skips_bundles_modular_sobolev():
     executed = executed_modules("hypersurface", "--ambient", "5", "--degree", "2", "--uorder", "4")
     assert GENUS_ROUTE <= executed
     assert not executed & NOT_FOR_GENERA
+
+
+def theta_products_built(*argv):
+    """Run `main(argv)` in a fresh `python -S` child; (theta_factor entries, genus_root_series misses)."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import ellgen.cli; "
+        f"rc = ellgen.cli.main({list(argv)!r}); from ellgen import theta; print(); "
+        "print(rc, theta.theta_factor.cache_info().currsize, theta.genus_root_series.cache_info().misses)"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, entries, misses = proc.stdout.splitlines()[-1].split()
+    assert rc == "0", proc.stdout
+    return int(entries), int(misses)
+
+
+def test_genus_command_builds_no_theta_product(k3_file):
+    assert theta_products_built("genus", "--manifold", k3_file, "--genus", "ell2", "--uorder", "48") == (0, 0)
+
+
+def test_hypersurface_command_builds_no_theta_product():
+    assert theta_products_built("hypersurface", "--ambient", "5", "--degree", "2", "--uorder", "24") == (0, 0)
 
 
 def test_route_equivalence_skips_modular_sobolev():

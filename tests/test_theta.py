@@ -5,13 +5,15 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from ellgen.chern import RootSeries
+from ellgen.chern import RootSeries, _log_coefficients, _p_class, genus_class, weight_class
 from ellgen.errors import OddTermPresent, WeightViolation
+from ellgen.genera import ahat_class, genus_columns
 from ellgen.series import USeries, weighted_product
 from ellgen.theta import (
     GenusKind,
     _theta_product,
     cosh_half_poly,
+    genus_log,
     genus_root_series,
     half_x_over_sinh_half_poly,
     rotate_poly,
@@ -289,3 +291,35 @@ def test_theta_product_matches_dict_laurent_reference(kinds, xdeg):
     for uorder in (1, 2, 3, 12, 24, 64):
         expected = _ref_theta_product(kinds, prefactor, xdeg, uorder)
         assert _theta_product(kinds, prefactor, xdeg, uorder) == expected, (kinds, xdeg, uorder)
+
+
+# -- closed-form log coefficients against the theta products -------------------
+# The genus columns take a_k = [x^(2k)] log(f/f(0)) from `genus_log` (Bernoulli
+# numbers and divisor sums); the theta product f = genus_root_series, run
+# through the log recursion of `chern`, shares no code with that closed form.
+
+CROSS_UORDERS = (1, 2, 3, 5, 12, 16, 24, 48, 64)
+
+
+@pytest.mark.parametrize("kind", list(GenusKind))
+def test_genus_columns_match_the_theta_product(kind):
+    for n in range(1, 9):
+        for uorder in CROSS_UORDERS:
+            f = genus_root_series(kind, 2 * n + 2, uorder)
+            assert genus_log(kind, n, uorder) == _log_coefficients(f, n), (n, uorder)
+            assert genus_columns(kind, n, uorder) == weight_class(f, n), (n, uorder)
+
+
+@pytest.mark.parametrize("kind", [GenusKind.AHAT, GenusKind.LHAT])
+def test_full_genus_class_matches_the_closed_form(kind):
+    for n in range(1, 9):
+        for uorder in CROSS_UORDERS:
+            full = genus_class(genus_root_series(kind, 2 * n + 2, uorder), n)
+            assert _p_class(*genus_log(kind, n, uorder), n, top_only=False) == full, (n, uorder)
+            if kind is GenusKind.AHAT:
+                assert ahat_class(n, uorder) == full, (n, uorder)
+
+
+def test_genus_log_rejects_an_empty_order():
+    with pytest.raises(ValueError, match="uorder"):
+        genus_log(GenusKind.ELL2, 2, 0)
