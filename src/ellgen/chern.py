@@ -10,7 +10,8 @@ of k (Macdonald, ch. I.2).  The a_k of an arbitrary f come from a recursion
 `theta.genus_log`, with no theta product.  `genus_class` rewrites the product
 in p_1..p_n, `weight_class` keeps only its weight-n part (the part a
 4n-manifold sees), and `pair`, the one pairing kernel, contracts a class with
-[M]: a genus is the linear map M -> sum_lambda P_lambda(M) col_lambda.
+[M]: a genus is the linear map M -> sum_lambda P_lambda(M) col_lambda, one
+integer matrix-vector product on a row view that the class keeps per n.
 `RootSeries` (keys: x-degrees) and `PontPoly` (keys: partitions) share one
 ring core, `_Graded`: a dict key -> USeries with the arithmetic written once.
 """
@@ -21,17 +22,18 @@ import json
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping, Union
 
 from .errors import DimMismatch, NonUnitConstant, OddTermPresent, Record
-from .series import Scalar, USeries, _RingOps, as_int, default_uorder, linear_combination
+from .series import Scalar, USeries, _RingOps, as_fraction, as_int, default_uorder, linear_combination
 
 Partition = tuple[int, ...]
 
 
 def partition_key(parts) -> Partition:
     """Canonical partition: weakly decreasing tuple of positive integers."""
-    t = tuple(sorted((int(p) for p in parts), reverse=True))
+    t = tuple(sorted((as_int(p, "partition part") for p in parts), reverse=True))
     if any(p <= 0 for p in t):
         raise ValueError(f"partition parts must be positive: {parts}")
     return t
@@ -65,6 +67,7 @@ def partition_to_str(p: Partition) -> str:
     return "[" + ",".join(str(i) for i in p) + "]"
 
 
+@lru_cache(maxsize=1024)  # keyed on the JSON text: a tuple key would equate (True,) with (1,)
 def partition_from_str(s: str) -> Partition:
     parts = json.loads(s)
     if not isinstance(parts, list) or not set(map(type, parts)) <= {int}:
@@ -86,15 +89,20 @@ class Manifold(Record):
     _fields = ("name", "dim", "pont")
 
     def __init__(self, name: str, dim: int, pont: Mapping[Partition, Fraction] | None = None):
+        self._fill(name, dim, pont or {}, partition_key)
+
+    def _fill(self, name: str, dim, pont: Mapping, read_key) -> None:
+        """Check and set the fields, reading each key with `read_key` and each entry once."""
+        dim = as_int(dim, "manifold dimension")
         if dim <= 0 or dim % 4:
             raise DimMismatch(f"dimension {dim} is not a positive multiple of 4")
         n = dim // 4
         clean: dict[Partition, Fraction] = {}
-        for k, v in (pont or {}).items():
-            key = partition_key(k)
+        for k, v in pont.items():
+            key = read_key(k)
             if weight(key) != n:
                 raise ValueError(f"partition {key} has weight {weight(key)}, expected {n} for dim {dim}")
-            v = Fraction(v)
+            v = as_fraction(v, "Pontryagin number")
             if v:
                 clean[key] = v
         self._set(name, dim, clean)
@@ -122,16 +130,12 @@ class Manifold(Record):
     def from_json(cls, obj: Mapping) -> "Manifold":
         if not isinstance(obj, Mapping):
             raise ValueError(f"manifold JSON must be an object, not {type(obj).__name__}")
+        m = cls.__new__(cls)
         try:
-            name = str(obj.get("name", ""))
-            dim = as_int(obj["dim"], "manifold dimension")
-            raw = obj.get("pontryagin_numbers", {})
-            if bool in map(type, raw.values()):
-                raise TypeError("a Pontryagin number is a JSON boolean")
-            pont = {partition_from_str(k): Fraction(v) for k, v in raw.items()}
+            m._fill(str(obj.get("name", "")), obj["dim"], obj.get("pontryagin_numbers", {}), partition_from_str)
         except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed manifold JSON: {type(exc).__name__}: {exc}") from exc
-        return cls(name=name, dim=dim, pont=pont)
+        return m
 
 
 def disjoint_union(a: Manifold, b: Manifold) -> Manifold:
@@ -382,7 +386,7 @@ class PontPoly(_Graded):
     4n-manifold, so nmax = n loses nothing.
     """
 
-    __slots__ = ()
+    __slots__ = ("_views",)  # n -> the row view that `pair` builds on first use
 
     _unit = ()
     _bound_name = "nmax"
@@ -549,13 +553,25 @@ def ch_tangent(n: int, nmax: int, uorder: int | None = None) -> PontPoly:
 def pair(c: PontPoly, m: Manifold) -> USeries:
     """Contract the weight-n part of `c` with the Pontryagin numbers of `m`.
 
-    sum_lambda P_lambda(M) c_lambda over the nonzero numbers of `m`, summed
-    as one linear combination of the u-columns c_lambda.
+    sum_lambda P_lambda(M) c_lambda as one integer matrix-vector product.  On
+    first use for a given n, `c` keeps a row view of its weight-n columns:
+    per u-power, one tuple of integer numerators over `partitions_of(n)`,
+    with one denominator.  The numbers of `m` enter over their lcm.
     """
     n = m.n
     if c.nmax < n:
         raise DimMismatch(f"class truncated at weight {c.nmax}, manifold needs {n}")
-    cols = c._c
-    return linear_combination(
-        ((num, cols[lam]) for lam, num in m.pont.items() if lam in cols), c.uorder
-    )
+    parts = partitions_of(n)
+    views = getattr(c, "_views", None)
+    if views is None:
+        views = c._views = {}
+    if n not in views:
+        zero = USeries.zero(c.uorder)
+        cols = [c._c.get(lam, zero) for lam in parts]
+        den = lcm(*(s._d for s in cols))
+        views[n] = tuple(zip(*([v * (den // s._d) for v in s._n] for s in cols))), den
+    rows, den = views[n]
+    pont = m.pont
+    big = lcm(*(v.denominator for v in pont.values()))
+    scales = [v.numerator * (big // v.denominator) if (v := pont.get(lam)) else 0 for lam in parts]
+    return USeries._make([sum(map(operator.mul, scales, row)) for row in rows], big * den)

@@ -5,7 +5,10 @@ same weights over Gamma^0(2)) are generated from their divisor-sum
 q-expansions.  Ell_2 of a 4n-manifold lies in the span of
 (8 delta_2)^(n-2r) eps_2^r, and the coordinates h_r transport it to Ell_1
 through the tau -> -1/tau transformation laws, which are also checkable
-numerically at chosen points of the upper half-plane.
+numerically at chosen points of the upper half-plane.  Both bases are
+memoized in row form (per u-power, integer numerators over one denominator;
+the Ell_2 basis is integral and unitriangular up to the sign (-1)^n), so the
+solve is integer forward substitution and the transport one row product.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .errors import FloatRangeExceeded, NotInUpperHalfPlane, Record, ResidualNonzero
-from .series import USeries, default_uorder, linear_combination
+from .series import USeries, default_uorder
 
 
 def _odd_divisor_sum(k: int) -> int:
@@ -80,45 +85,53 @@ class ModBasisDecomp(Record):
 
 
 @lru_cache(maxsize=128)
-def _basis2(n: int, r: int, uorder: int) -> USeries:
-    """(8 delta_2)^(n-2r) eps_2^r, the r-th element of the Ell_2 basis."""
-    return (delta2(uorder) * 8) ** (n - 2 * r) * eps2(uorder) ** r
+def _basis2(n: int, uorder: int) -> tuple[tuple[int, ...], ...]:
+    """The Ell_2 basis (8 delta_2)^(n-2r) eps_2^r, r = 0..n//2, in row form.
+
+    Row k holds [u^k] of every element.  8 delta_2 and eps_2 have integer
+    coefficients, so the rows are integers; element r starts at u^r with
+    leading coefficient (-1)^n.
+    """
+    d, e = delta2(uorder) * 8, eps2(uorder)
+    return tuple(zip(*((d ** (n - 2 * r) * e**r)._n for r in range(n // 2 + 1))))
 
 
 @lru_cache(maxsize=128)
-def _basis1(n: int, r: int, uorder: int) -> USeries:
-    """(8 delta_1)^(n-2r) eps_1^r, the image of `_basis2(n, r, uorder)` in Ell_1."""
-    return (delta1(uorder) * 8) ** (n - 2 * r) * eps1(uorder) ** r
+def _basis1(n: int, uorder: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, den): the images (8 delta_1)^(n-2r) eps_1^r of the `_basis2` elements,
+    in row form as integer numerators over one denominator."""
+    d, e = delta1(uorder) * 8, eps1(uorder)
+    elements = [d ** (n - 2 * r) * e**r for r in range(n // 2 + 1)]
+    den = lcm(*(s._d for s in elements))
+    return tuple(zip(*([v * (den // s._d) for v in s._n] for s in elements))), den
 
 
 def expand_in_basis(e2: USeries, n: int) -> ModBasisDecomp:
     """Solve e2 = sum_r h_r (8 delta_2)^(n-2r) eps_2^r for the h_r.
 
     The basis element indexed r starts at u^r with leading coefficient
-    (-1)^n, so matching u^0..u^(floor(n/2)) is triangular; the remaining
-    coefficients of e2 are then forced, and any mismatch raises
-    ResidualNonzero.
+    (-1)^n, so matching u^0..u^(floor(n/2)) is triangular: the h_r times
+    e2's denominator come out as integers by forward substitution on e2's
+    numerators.  The remaining coefficients of e2 are then forced, and the
+    first mismatch raises ResidualNonzero.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rmax = n // 2
     if e2.order < rmax + 1:
         raise ValueError(f"series order {e2.order} too small, need >= {rmax + 1}")
-    uorder = e2.order
-    h = []
-    resid = e2
-    for r in range(rmax + 1):
-        basis = _basis2(n, r, uorder)
-        lead = basis.coeff(r)
-        hr = resid.coeff(r) / lead
-        h.append(hr)
-        resid = linear_combination(((1, resid), (-hr, basis)), uorder)
-    if not resid.is_zero():
-        k = resid.valuation()
-        raise ResidualNonzero(
-            f"series is not in the modular span: residual {resid.coeff(k)} at u^{k}"
-        )
-    return ModBasisDecomp(n=n, h=tuple(h))
+    rows = _basis2(n, e2.order)
+    nums, den = e2._n, e2._d
+    sign = -1 if n % 2 else 1
+    h: list[int] = []
+    for k in range(rmax + 1):
+        h.append(sign * (nums[k] - sum(map(mul, h, rows[k]))))
+    for k in range(rmax + 1, e2.order):
+        if resid := nums[k] - sum(map(mul, h, rows[k])):
+            raise ResidualNonzero(
+                f"series is not in the modular span: residual {Fraction(resid, den)} at u^{k}"
+            )
+    return ModBasisDecomp(n=n, h=tuple(Fraction(v, den) for v in h))
 
 
 def reconstruct_ell1(d: ModBasisDecomp, uorder: int | None = None) -> USeries:
@@ -126,13 +139,15 @@ def reconstruct_ell1(d: ModBasisDecomp, uorder: int | None = None) -> USeries:
 
     This is the coefficient-level content of Ell_1(-1/tau) =
     (2 tau)^(2n) Ell_2(tau) together with delta_2(-1/tau) = tau^2 delta_1
-    and eps_2(-1/tau) = tau^4 eps_1.
+    and eps_2(-1/tau) = tau^4 eps_1.  It is one integer row product on
+    `_basis1`, with the h_r over their lcm.
     """
     uorder = default_uorder(uorder)
     n = d.n
-    return linear_combination(
-        ((hr * 4**n, _basis1(n, r, uorder)) for r, hr in enumerate(d.h) if hr), uorder
-    )
+    rows, den = _basis1(n, uorder)
+    big = lcm(*(hr.denominator for hr in d.h))
+    scales = [hr.numerator * (big // hr.denominator) * 4**n for hr in d.h]
+    return USeries._make([sum(map(mul, scales, row)) for row in rows], big * den)
 
 
 def numeric_eval(s: USeries, tau: complex) -> tuple[complex, float]:

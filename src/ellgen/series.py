@@ -49,6 +49,13 @@ def as_int(value, what: str) -> int:
     return out
 
 
+def as_fraction(value, what: str) -> Fraction:
+    """`value` read as a Fraction: the bool True is a ValueError, not the number 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return Fraction(value)
+
+
 class _RingOps:
     """`-` and `**` for a ring class, from its `_coerce`, `+`, unary `-`, `*` and `inverse`.
 
@@ -315,7 +322,7 @@ class USeries(_RingOps):
         if obj.get("var", "u") != "u":
             raise ValueError(f"unsupported series variable {obj.get('var')!r}")
         order = as_int(obj["order"], "order")
-        coeffs = {as_int(k, "u-exponent"): Fraction(v) for k, v in obj["coeffs"]}
+        coeffs = {as_int(k, "u-exponent"): as_fraction(v, "coefficient") for k, v in obj["coeffs"]}
         return cls(coeffs, order)
 
     def qstring(self) -> str:
