@@ -21,12 +21,16 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
 from math import lcm
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .errors import DimMismatch, NonUnitConstant, OddTermPresent, Record
-from .series import Scalar, USeries, _RingOps, as_fraction, as_int, default_uorder, linear_combination
+from .series import (
+    Scalar, USeries, _RingOps, as_int, as_ratio, default_uorder, linear_combination, row_product, row_view,
+)
 
 Partition = tuple[int, ...]
 
@@ -83,10 +87,13 @@ def partition_from_str(s: str) -> Partition:
 class Manifold(Record):
     """A 4n-dimensional pairing target: name, dimension, Pontryagin numbers.
 
-    `pont` maps partitions of n = dim/4 to rationals; absent keys read as 0.
+    The numbers are canonical: nonzero integer numerators `_num` by partition
+    of n = dim/4, over `_den`, the lcm of their reduced denominators; `==`
+    and `hash` go by that form.  `pont` is a read-only partition -> Fraction
+    view of it, built on first read (absent keys read as 0).
     """
 
-    _fields = ("name", "dim", "pont")
+    _fields = ("name", "dim", "_num", "_den")
 
     def __init__(self, name: str, dim: int, pont: Mapping[Partition, Fraction] | None = None):
         self._fill(name, dim, pont or {}, partition_key)
@@ -97,15 +104,26 @@ class Manifold(Record):
         if dim <= 0 or dim % 4:
             raise DimMismatch(f"dimension {dim} is not a positive multiple of 4")
         n = dim // 4
-        clean: dict[Partition, Fraction] = {}
+        ratios: dict[Partition, tuple[int, int]] = {}
         for k, v in pont.items():
             key = read_key(k)
-            if weight(key) != n:
-                raise ValueError(f"partition {key} has weight {weight(key)}, expected {n} for dim {dim}")
-            v = as_fraction(v, "Pontryagin number")
-            if v:
-                clean[key] = v
-        self._set(name, dim, clean)
+            if sum(key) != n:
+                raise ValueError(f"partition {key} has weight {sum(key)}, expected {n} for dim {dim}")
+            p, q = as_ratio(v, "Pontryagin number")
+            if p:
+                ratios[key] = p, q
+        den = lcm(*(q for _, q in ratios.values()))
+        self._set(name, dim, {k: p * (den // q) for k, (p, q) in ratios.items()}, den)
+
+    def _values(self) -> tuple:
+        return self.name, self.dim, frozenset(self._num.items()), self._den
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(name={self.name!r}, dim={self.dim!r}, pont={dict(self.pont)!r})"
+
+    @cached_property
+    def pont(self) -> Mapping[Partition, Fraction]:
+        return MappingProxyType({k: Fraction(v, self._den) for k, v in self._num.items()})
 
     @property
     def n(self) -> int:
@@ -115,7 +133,7 @@ class Manifold(Record):
         return self.pont.get(partition_key(parts), Fraction(0))
 
     def missing_partitions(self) -> list[Partition]:
-        return [p for p in partitions_of(self.n) if p not in self.pont]
+        return [p for p in partitions_of(self.n) if p not in self._num]
 
     def to_json(self) -> dict:
         return {
@@ -128,7 +146,7 @@ class Manifold(Record):
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Manifold":
-        if not isinstance(obj, Mapping):
+        if not isinstance(obj, dict) and not isinstance(obj, Mapping):  # dict first: no ABC check
             raise ValueError(f"manifold JSON must be an object, not {type(obj).__name__}")
         m = cls.__new__(cls)
         try:
@@ -533,7 +551,8 @@ def weight_class(f: RootSeries, n: int) -> PontPoly:
 
 def power_sum_number(mu: Partition, m: Manifold) -> Fraction:
     """<s_mu, [M]> from the Pontryagin numbers of `m`."""
-    return sum((c * m.pont.get(lam, 0) for lam, c in _power_sum_terms(mu)), Fraction(0))
+    num = m._num
+    return Fraction(sum(c * num.get(lam, 0) for lam, c in _power_sum_terms(mu)), m._den)
 
 
 def ch_tangent(n: int, nmax: int, uorder: int | None = None) -> PontPoly:
@@ -554,24 +573,21 @@ def pair(c: PontPoly, m: Manifold) -> USeries:
     """Contract the weight-n part of `c` with the Pontryagin numbers of `m`.
 
     sum_lambda P_lambda(M) c_lambda as one integer matrix-vector product.  On
-    first use for a given n, `c` keeps a row view of its weight-n columns:
-    per u-power, one tuple of integer numerators over `partitions_of(n)`,
-    with one denominator.  The numbers of `m` enter over their lcm.
+    first use for a given n, `c` keeps a row view of its weight-n columns
+    over `partitions_of(n)` (`row_view`: its nonzero u-powers only, integer
+    numerators over one denominator); `m` keeps its numerators lined up with
+    `partitions_of(n)` as `_vec`, built on its first pairing.
     """
     n = m.n
     if c.nmax < n:
         raise DimMismatch(f"class truncated at weight {c.nmax}, manifold needs {n}")
-    parts = partitions_of(n)
     views = getattr(c, "_views", None)
     if views is None:
         views = c._views = {}
     if n not in views:
         zero = USeries.zero(c.uorder)
-        cols = [c._c.get(lam, zero) for lam in parts]
-        den = lcm(*(s._d for s in cols))
-        views[n] = tuple(zip(*([v * (den // s._d) for v in s._n] for s in cols))), den
+        views[n] = row_view([c._c.get(lam, zero) for lam in partitions_of(n)])
     rows, den = views[n]
-    pont = m.pont
-    big = lcm(*(v.denominator for v in pont.values()))
-    scales = [v.numerator * (big // v.denominator) if (v := pont.get(lam)) else 0 for lam in parts]
-    return USeries._make([sum(map(operator.mul, scales, row)) for row in rows], big * den)
+    if (vec := m.__dict__.get("_vec")) is None:  # a plain memo: Manifold fields are frozen
+        vec = m.__dict__["_vec"] = tuple(map(m._num.get, partitions_of(n), repeat(0)))
+    return row_product(rows, vec, m._den * den, c.uorder)

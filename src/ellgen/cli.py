@@ -114,9 +114,11 @@ def _parse_tau(text: str) -> complex:
         denominator = float(text[2:])
         if not denominator:
             raise ValueError(f"tau {text!r} divides by zero")
-        return 1j / denominator
-    # complex() reads a+bi, a+i, -i and bi once i is spelled j.
-    tau = complex(text.replace("i", "j"))
+        # i/inf would read as 0j and i/nan as nan: reject the divisor as well as the quotient
+        tau = 1j / denominator if math.isfinite(denominator) else complex(math.nan)
+    else:
+        # complex() reads a+bi, a+i, -i and bi once i is spelled j.
+        tau = complex(text.replace("i", "j"))
     if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
         raise ValueError(f"tau {text!r} is not finite")
     return tau
@@ -193,9 +195,9 @@ def cmd_verify(args) -> int:
         report["delta_residual"] = rd
         report["eps_residual"] = re
         report["tolerance"] = tol
-        if rd > tol:
+        if not rd <= tol:  # a NaN residual fails too
             failures.append(f"delta law residual {rd} above {tol}")
-        if re > tol:
+        if not re <= tol:
             failures.append(f"eps law residual {re} above {tol}")
 
     else:

@@ -46,8 +46,8 @@ from .theta import (
 
 def genus(m: Manifold, kind: GenusKind | str, uorder: int | None = None) -> USeries:
     """Exact q-expansion of a genus of `m` (constant series for ahat/lhat)."""
-    uorder = default_uorder(uorder)
-    return pair(genus_columns(GenusKind(kind), m.n, uorder), m)
+    kind = kind if isinstance(kind, GenusKind) else GenusKind(kind)  # no Enum lookup for a member
+    return pair(genus_columns(kind, m.n, default_uorder(uorder)), m)
 
 
 @lru_cache(maxsize=128)

@@ -20,7 +20,7 @@ from math import lcm
 from operator import mul
 
 from .errors import FloatRangeExceeded, NotInUpperHalfPlane, Record, ResidualNonzero
-from .series import USeries, default_uorder
+from .series import USeries, default_uorder, row_product, row_view
 
 
 def _odd_divisor_sum(k: int) -> int:
@@ -77,6 +77,8 @@ class ModBasisDecomp(Record):
     _fields = ("n", "h")
 
     def __init__(self, n: int, h: tuple[Fraction, ...]):
+        if n < 1 or len(h) != n // 2 + 1:
+            raise ValueError(f"n = {n} needs n >= 1 and {n // 2 + 1} coordinates, got {len(h)}")
         self._set(n, h)
 
     @property
@@ -97,13 +99,11 @@ def _basis2(n: int, uorder: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=128)
-def _basis1(n: int, uorder: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(rows, den): the images (8 delta_1)^(n-2r) eps_1^r of the `_basis2` elements,
-    in row form as integer numerators over one denominator."""
+def _basis1(n: int, uorder: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], int]:
+    """(rows, den): the images (8 delta_1)^(n-2r) eps_1^r of the `_basis2` elements
+    as a `row_view`; they are series in q = u^2, so only even rows are kept."""
     d, e = delta1(uorder) * 8, eps1(uorder)
-    elements = [d ** (n - 2 * r) * e**r for r in range(n // 2 + 1)]
-    den = lcm(*(s._d for s in elements))
-    return tuple(zip(*([v * (den // s._d) for v in s._n] for s in elements))), den
+    return row_view([d ** (n - 2 * r) * e**r for r in range(n // 2 + 1)])
 
 
 def expand_in_basis(e2: USeries, n: int) -> ModBasisDecomp:
@@ -147,7 +147,7 @@ def reconstruct_ell1(d: ModBasisDecomp, uorder: int | None = None) -> USeries:
     rows, den = _basis1(n, uorder)
     big = lcm(*(hr.denominator for hr in d.h))
     scales = [hr.numerator * (big // hr.denominator) * 4**n for hr in d.h]
-    return USeries._make([sum(map(mul, scales, row)) for row in rows], big * den)
+    return row_product(rows, scales, big * den, uorder)
 
 
 def numeric_eval(s: USeries, tau: complex) -> tuple[complex, float]:

@@ -17,8 +17,11 @@ equal iff their orders and all coefficients agree.
 from __future__ import annotations
 
 import os
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .errors import BadConstantTerm, WeightViolation, ZeroConstantTerm
@@ -26,6 +29,7 @@ from .errors import BadConstantTerm, WeightViolation, ZeroConstantTerm
 Scalar = Union[int, Fraction]
 
 _ENV_ORDER = "GENUS_DEFAULT_UORDER"
+_EXPONENT = r"[eE]([-+]?[\d_]+)\s*\Z"  # the exponent of a Fraction text, compiled on first use
 
 
 def default_uorder(uorder: int | None = None) -> int:
@@ -50,10 +54,32 @@ def as_int(value, what: str) -> int:
 
 
 def as_fraction(value, what: str) -> Fraction:
-    """`value` read as a Fraction: the bool True is a ValueError, not the number 1."""
+    """`value` read as a Fraction: the bool True is a ValueError, not the number 1, and so is a
+    text whose exponent exceeds `sys.get_int_max_str_digits()` (Fraction would build 10**e)."""
     if isinstance(value, bool):
         raise ValueError(f"{what} must be a number, got {value!r}")
+    limit = sys.get_int_max_str_digits()
+    if isinstance(value, str) and limit and (m := re.search(_EXPONENT, value)):
+        if abs(int(m[1])) > limit:  # an exponent int() cannot read is one Fraction rejects too
+            raise ValueError(f"{what} has an exponent beyond the {limit}-digit limit of int()")
     return Fraction(value)
+
+
+def as_ratio(value, what: str) -> tuple[int, int]:
+    """`value` as a reduced (numerator, denominator > 0) pair, with the values and errors of
+    `as_fraction`: an int, or an ASCII text -?[0-9]+(/[0-9]+)?, is read by int(), the rest by Fraction."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        # a zero denominator falls through: Fraction raises its own ZeroDivisionError
+        if digits.isdigit() and (den.isdigit() or not slash) and (q := int(den or 1)):
+            p = int(num)
+            g = gcd(p, q)
+            return p // g, q // g
+    f = as_fraction(value, what)
+    return f.numerator, f.denominator
 
 
 class _RingOps:
@@ -379,6 +405,21 @@ def linear_combination(terms: Iterable[Tuple[Scalar, USeries]], order: int) -> U
         scale = a.numerator * (den // (a.denominator * s._d))
         for k, v in enumerate(s._n[:order]):
             acc[k] += scale * v
+    return USeries._make(acc, den)
+
+
+def row_view(cols: list[USeries]) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], int]:
+    """(rows, den): the nonzero u-rows of `cols`, each (k, integer [u^k] of every column), over one den."""
+    den = lcm(*(s._d for s in cols))
+    rows = zip(*([v * (den // s._d) for v in s._n] for s in cols))
+    return tuple((k, row) for k, row in enumerate(rows) if any(row)), den
+
+
+def row_product(rows, vec, den: int, order: int) -> USeries:
+    """The series sum_j vec[j] column_j / den of a `row_view`, at u-order `order`."""
+    acc = [0] * order
+    for k, row in rows:
+        acc[k] = sum(map(mul, vec, row))
     return USeries._make(acc, den)
 
 

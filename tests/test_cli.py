@@ -317,6 +317,15 @@ def test_sobolev_non_finite_input_is_bad_input(argv):
     assert "finite" in proc.stderr
 
 
+def test_genus_manifold_with_a_huge_exponent_is_bad_input(tmp_path):
+    # Fraction("1e-999999999999") would build 10**999999999999: the parse must refuse it first
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"name": "z", "dim": 4, "pontryagin_numbers": {"[1]": "1e-999999999999"}}))
+    proc = run_subprocess("genus", "--manifold", str(path), "--genus", "ahat")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "exponent" in proc.stderr
+
+
 def test_sobolev_unreachable_tolerance_is_domain_error(capsys):
     # a residual of 1e-300 is below the rounding of x F(x) near W = 1
     code, out, err = run(capsys, "sobolev", "--m", "12", "--b", "1", "--tol", "1e-300")
@@ -394,11 +403,21 @@ def test_transformation_laws_tau_lower_half_plane_is_domain_error(capsys, tau):
     assert "imaginary part" in err
 
 
-@pytest.mark.parametrize("tau", ["nani", "1e400i"])
+@pytest.mark.parametrize("tau", ["nani", "1e400i", "i/nan", "i/inf", "i/-inf", "i/1e-320"])
 def test_transformation_laws_non_finite_tau_is_bad_input(capsys, tau):
+    # i/nan once passed with NaN residuals, i/inf read as 0j, i/1e-320 as inf*i
     code, out, err = run(capsys, "verify", "--check", "transformation-laws", f"--tau={tau}")
     assert code == 2
-    assert out == "" and err.startswith("error: ")
+    assert out == "" and err.startswith("error: ") and "not finite" in err
+
+
+def test_transformation_laws_nan_residual_fails_the_check(capsys, monkeypatch):
+    from ellgen import modular
+
+    monkeypatch.setattr(modular, "numeric_eval", lambda s, tau: (complex(math.nan, 0), 0.0))
+    code, out, _ = run(capsys, "verify", "--check", "transformation-laws")
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False and len(report["failures"]) == 2
 
 
 @pytest.mark.parametrize("tau", ["1e-17i", "1e-300i", "0.5+1e-300i"])

@@ -130,6 +130,13 @@ def test_reconstruct_zero():
     assert reconstruct_ell1(ModBasisDecomp(2, (F(0), F(0))), 8).is_zero()
 
 
+@pytest.mark.parametrize("n, h", [(2, (1, 2, 7)), (2, (1,)), (5, (1, 2)), (1, ()), (0, (1,)), (-2, ())])
+def test_decomposition_needs_one_coordinate_per_basis_element(n, h):
+    # a wrong length used to be read silently: extra coordinates dropped, missing ones as 0
+    with pytest.raises(ValueError, match="coordinates"):
+        ModBasisDecomp(n, tuple(map(F, h)))
+
+
 def test_reconstruct_quadric():
     dec = expand_in_basis(genus(QUADRIC, "ell2", 21), 2)
     assert reconstruct_ell1(dec, 21) == genus(QUADRIC, "ell1", 21)

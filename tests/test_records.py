@@ -41,15 +41,23 @@ def test_record_fields_cannot_be_assigned_or_deleted(rec, same, other):
     assert rec == same
 
 
-@pytest.mark.parametrize("rec, same, other", RECORDS[1:], ids=IDS[1:])
+@pytest.mark.parametrize("rec, same, other", RECORDS, ids=IDS)
 def test_records_without_mutable_fields_hash_by_value(rec, same, other):
     assert hash(rec) == hash(same)
     assert len({rec, same, other}) == 2
 
 
-def test_manifold_is_unhashable():
+def test_manifold_is_hashable_and_read_only():
+    a = Manifold("y", 8, {(1, 1): F(2, 3), (2,): F(-1, 6)})
+    b = Manifold.from_json({"name": "y", "dim": 8, "pontryagin_numbers": {"[2]": "-2/12", "[1,1]": "4/6"}})
+    assert a == b and hash(a) == hash(b)
+    assert a.pont is a.pont
     with pytest.raises(TypeError):
-        hash(Manifold("pt", 4))
+        a.pont[(1, 1)] = 5
+    with pytest.raises(AttributeError):
+        a.pont = {}
+    assert a.pont == {(1, 1): F(2, 3), (2,): F(-1, 6)} and a == b
+    assert Manifold("pt", 4) == Manifold("pt", 4, {(1,): 0}) and hash(Manifold("pt", 4)) == hash(Manifold("pt", 4, {}))
 
 
 def test_record_reprs():

@@ -7,15 +7,23 @@ as oracles: every output must be the same canonical series, the same
 coordinates or the same error message.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from itertools import cycle
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
-from ellgen.chern import Manifold, PontPoly, ch_tangent, pair, partition_from_str, partitions_of
+from ellgen.chern import Manifold, PontPoly, ch_tangent, pair, partition_from_str, partition_to_str, partitions_of
 from ellgen.errors import ResidualNonzero
 from ellgen.genera import ahat_class, genus_columns, twisted_ahat_series
-from ellgen.modular import ModBasisDecomp, delta1, delta2, eps1, eps2, expand_in_basis, reconstruct_ell1
+from ellgen.modular import (
+    ModBasisDecomp, _basis1, delta1, delta2, eps1, eps2, expand_in_basis, reconstruct_ell1,
+)
 from ellgen.series import USeries, linear_combination
 from ellgen.theta import GenusKind
 
@@ -72,17 +80,28 @@ def same_series(a, b):
     return a == b and a._n == b._n and a._d == b._d and a.order == b.order
 
 
+# JSON texts on both sides of the int() rule (unreduced, "-0", zero over a denominator)
+# and texts only Fraction reads (decimal, exponent, padded).
+TEXTS = ("-12/8", "0", "7", "-0", "2.5", "1e2", "-3/9", "0/4", " 5/10", "-1.25E-1", "0006/0004")
+# ints, Fractions (one unreduced on input), texts and zeros in one table
+MIXED = (3, F(-5, 10), "4/6", 0, "-1.25", F(0), -8, "0/7")
+
+
 def manifolds(n):
-    """Missing partitions, negative numbers, large coprime denominators, an empty table."""
+    """Missing partitions, negative numbers, large coprime denominators, an empty table, and
+    numbers read from JSON texts and from mixed ints, Fractions, texts and zeros."""
     rng = random.Random(n)
     parts = partitions_of(n)
     primes = (1_000_003, 999_983, 7_919, 104_729, 2**61 - 1)
+    texts = {partition_to_str(p): t for p, t in zip(parts, cycle(TEXTS[n % 3:] + TEXTS[:n % 3]))}
     return [
         Manifold("dense", 4 * n, {p: F(rng.randint(-60, 60), rng.randint(1, 6)) for p in parts}),
         Manifold("sparse", 4 * n, {p: F(rng.randint(-9, -1)) for p in parts[::2]}),
         Manifold("coprime", 4 * n, {p: F(rng.randint(-10**12, 10**12), primes[i % 5]) for i, p in enumerate(parts)}),
         Manifold("last", 4 * n, {parts[-1]: F(-7, 3)}),
         Manifold("empty", 4 * n, {}),
+        Manifold.from_json({"name": "json", "dim": 4 * n, "pontryagin_numbers": texts}),
+        Manifold("mixed", 4 * n, dict(zip(parts, cycle(MIXED[n % 4:] + MIXED[:n % 4])))),
     ]
 
 
@@ -156,6 +175,35 @@ def test_twisted_pairing_matches_the_reference():
             assert same_series(twisted_ahat_series(m, twist), ref_pair(ahat_class(n, 8) * twist, m))
 
 
+@pytest.mark.parametrize("uorder", [1, 2, 7, 12, 13, 24])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_row_views_keep_exactly_the_nonzero_rows_at_their_exponents(n, uorder):
+    # Ell_1 and the _basis1 images are series in q = u^2: only even rows survive.
+    # Ell_2 is a series in u: odd rows are kept, at their own exponents.
+    for kind, parity in ((GenusKind.ELL1, {0}), (GenusKind.ELL2, {0, 1})):
+        cols = genus_columns(kind, n, uorder)
+        pair(cols, manifolds(n)[0])
+        rows, den = cols._views[n]
+        series = [cols.coeff(p) for p in partitions_of(n)]
+        kept = [k for k in range(uorder) if any(s.coeff(k) for s in series)]
+        assert [k for k, _ in rows] == kept and {k % 2 for k in kept} == parity & set(range(uorder))
+        assert all(row == tuple(s.coeff(k) * den for s in series) for k, row in rows)
+    rows, den = _basis1(n, uorder)
+    series = [ref_basis1(n, r, uorder) for r in range(n // 2 + 1)]
+    kept = [k for k in range(uorder) if any(s.coeff(k) for s in series)]
+    assert [k for k, _ in rows] == kept == list(range(0, uorder, 2))
+    assert all(row == tuple(s.coeff(k) * den for s in series) for k, row in rows)
+
+
+def test_manifold_vector_follows_the_partitions_and_pont_is_its_view():
+    for n in range(1, 7):
+        for m in manifolds(n):
+            pair(genus_columns(GenusKind.AHAT, n, 1), m)
+            assert m._vec == tuple(m.pont.get(p, 0) * m._den for p in partitions_of(n))
+            assert m._den == lcm(*(v.denominator for v in m.pont.values()))
+            assert gcd(m._den, *m._num.values()) == 1 and 0 not in m._num.values()
+
+
 def test_pair_of_an_empty_class_is_zero():
     c = PontPoly({}, 3, 6)
     assert same_series(pair(c, manifolds(3)[0]), USeries.zero(6))
@@ -201,6 +249,22 @@ def test_manifold_constructor_reads_an_integral_float_dimension():
     assert m.pont == {(2,): 1, (1, 1): F(1, 2)}
     assert all(type(p) is int for key in m.pont for p in key)
     assert pair(genus_columns(GenusKind.ELL2, 2, 6), m) == pair(genus_columns(GenusKind.ELL2, 2, 6), Manifold("y", 8, m.pont))
+
+
+def test_a_manifold_of_huge_dimension_builds_without_its_partitions():
+    # pairing needs partitions_of(n); construction, ==, hash and repr must not ask for it
+    code = (
+        "from ellgen.chern import Manifold\n"
+        "m = Manifold('big', 4 * 10**6)\n"
+        "j = Manifold.from_json({'name': 'big', 'dim': 4 * 10**6, 'pontryagin_numbers': {'[1000000]': '-2/4'}})\n"
+        "assert m == Manifold('big', 4 * 10**6, {}) and hash(m) == hash(Manifold('big', 4 * 10**6, {}))\n"
+        "assert repr(j) == \"Manifold(name='big', dim=4000000, pont={(1000000,): Fraction(-1, 2)})\"\n"
+        "print(m.n, j.pont_number([10**6]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1000000", "-1/2"]
 
 
 @pytest.mark.parametrize("value", [True, False])

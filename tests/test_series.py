@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellgen.errors import BadConstantTerm, WeightViolation, ZeroConstantTerm
-from ellgen.series import USeries, linear_combination, weighted_product
+from ellgen.series import USeries, as_fraction, as_ratio, linear_combination, weighted_product
 
 
 def u(order=8):
@@ -388,3 +392,85 @@ def test_equality_requires_same_order():
 def test_qstring():
     s = USeries({0: 2, 1: 48, 4: F(1, 3)}, 6)
     assert s.qstring() == "2 + 48 q^(1/2) + 1/3 q^2 + O(q^3)"
+
+
+# -- reading numbers: as_ratio against Fraction ----------------------------------
+
+
+def read_outcome(read, value):
+    """(numerator, denominator) of read(value), or the type of what it raised."""
+    try:
+        f = read(value)
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
+        return type(exc)
+    return f if isinstance(f, tuple) else (f.numerator, f.denominator)
+
+
+# Up to 5 characters an exponent over the int(str) limit (4300) leaves no room for a
+# mantissa, so Fraction(text) never builds a huge power here; `e` is left out of the
+# longer texts for the same reason.
+PARSE_TEXTS = st.one_of(
+    st.text(alphabet="0123456789-+/ _.eE\t\u0663\uff13", max_size=5),
+    st.text(alphabet="0123456789-+/ _.\u0663\uff13", max_size=10),
+    st.text(max_size=5),
+)
+
+
+@settings(max_examples=1000)
+@given(PARSE_TEXTS)
+@example("-0")
+@example("+3")
+@example(" 3/4")
+@example("3/-4")
+@example("1/0")
+@example("-0/0")
+@example("1_0")
+@example("\u0661\u0662/\u0663")
+@example("\uff13/\uff14")
+@example("-12/8")
+@example("0006/0004")
+@example("0/5")
+@example("3/")
+@example("/3")
+@example("-")
+@example("")
+@example("1e2")
+@example("-1.5E-3")
+@example("nan")
+@example("e9999")
+def test_as_ratio_reads_a_text_as_fraction_does(text):
+    assert read_outcome(lambda v: as_ratio(v, "x"), text) == read_outcome(F, text)
+
+
+@pytest.mark.parametrize("value", [0, -7, 2**70, F(6, -4), F(0), 0.5, -2.75, 1e300, float("nan"), float("inf"), None])
+def test_as_ratio_reads_a_number_as_fraction_does(value):
+    assert read_outcome(lambda v: as_ratio(v, "x"), value) == read_outcome(F, value)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_as_ratio_rejects_a_boolean(value):
+    with pytest.raises(ValueError, match="must be a number"):
+        as_ratio(value, "x")
+
+
+def test_an_exponent_beyond_the_int_limit_is_rejected_without_building_the_power():
+    # In a child with a timeout: an unbounded parse of these texts would not finish.
+    code = """
+import sys
+from ellgen.series import USeries, as_fraction, as_ratio
+limit = sys.get_int_max_str_digits()
+for text in ("1e-999999999999", "1E+99999", f"2e{limit + 1}", f" -3.5e-{limit + 1} ", "1e1_000_000"):
+    for read in (as_fraction, as_ratio, lambda t, w: USeries.from_json({"order": 1, "coeffs": [[0, t]]})):
+        try:
+            read(text, "x")
+        except ValueError as exc:
+            assert "exponent" in str(exc), exc
+        else:
+            raise AssertionError(text)
+assert as_ratio(f"1e-{limit}", "x") == (1, 10**limit) and as_fraction(f"1e{limit}", "x") == 10**limit
+print("ok")
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
