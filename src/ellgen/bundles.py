@@ -34,7 +34,6 @@ from .chern import (
     Manifold,
     Partition,
     PontPoly,
-    _mu_coefficients,
     _power_sum_terms,
     pair,  # noqa: F401  (kept as a module binding: the benchmark tracer patches bundles.pair)
     partitions_of,
@@ -415,16 +414,6 @@ def _to_pont(c: SClass, nmax: int, uorder: int | None) -> PontPoly:
     )
 
 
-def ch_sym_power(a: int, n: int, nmax: int, uorder: int) -> PontPoly:
-    """ch(S^a T_C) via [t^a] exp(sum_k t^k/k * sum_j (e^{kx_j}+e^{-kx_j}))."""
-    return _to_pont(_power_ch(a, n, nmax, 1), nmax, uorder)
-
-
-def ch_ext_power(b: int, n: int, nmax: int, uorder: int) -> PontPoly:
-    """ch(Lambda^b T_C) via [t^b] exp(sum_k (-1)^(k-1) t^k/k * (...))."""
-    return _to_pont(_power_ch(b, n, nmax, -1), nmax, uorder)
-
-
 def ch_monomial(mono: BundleMonomial, n: int, nmax: int, uorder: int | None = None) -> PontPoly:
     """Chern character of a bundle monomial (ch is multiplicative)."""
     return _to_pont(_ch_monomial_s(mono, n, nmax), nmax, uorder)
@@ -441,9 +430,16 @@ def ch_virtual(v: VirtualBundlePoly, nmax: int, uorder: int | None = None) -> Po
 
 @lru_cache(maxsize=None)
 def _ahat_s(n: int) -> SClass:
-    """A-hat(T) of a 4n-manifold in the s-basis, up to weight n."""
-    scale, coeffs = _mu_coefficients(*genus_log(GenusKind.AHAT, n, 1), n)
-    return _s_class({mu: scale.coeff(0) * c.coeff(0) for mu, c in coeffs.items()}, n)
+    """A-hat(T) of a 4n-manifold in the s-basis, up to weight n.
+
+    c_mu = f(0)^(2n) prod_k a_k^(m_k) / m_k!, m_k the multiplicity of k in mu (Macdonald, ch. I.2).
+    """
+    f0, a = genus_log(GenusKind.AHAT, n, 1)
+    coeffs = {(): f0.constant() ** (2 * n)}
+    for mu in (mu for w in range(1, n + 1) for mu in partitions_of(w)):
+        k = mu[-1]  # c_mu from mu less one smallest part
+        coeffs[mu] = coeffs[mu[:-1]] * a[k - 1].constant() / mu.count(k)
+    return _s_class(coeffs, n)
 
 
 @lru_cache(maxsize=None)

@@ -3,15 +3,16 @@
 A 4n-manifold enters as its Pontryagin numbers, indexed by partitions of n.
 A multiplicative genus enters as one even power series f(x) per formal root;
 with log(f/f(0)) = sum_k a_k x^(2k), prod_{j=1}^{2n} f(x_j) equals
-f(0)^(2n) sum_mu prod_k a_k^(m_k) / m_k! s_mu, where s_mu multiplies the power
-sums s_k = sum_j x_j^(2k) over the parts k of mu, m_k being the multiplicity
-of k (Macdonald, ch. I.2).  The a_k of an arbitrary f come from a recursion
-(`_log_coefficients`), those of the genus columns in closed form from
-`theta.genus_log`, with no theta product.  `genus_class` rewrites the product
-in p_1..p_n, `weight_class` keeps only its weight-n part (the part a
-4n-manifold sees), and `pair`, the one pairing kernel, contracts a class with
-[M]: a genus is the linear map M -> sum_lambda P_lambda(M) col_lambda, one
-integer matrix-vector product on a row view that the class keeps per n.
+G = f(0)^(2n) exp(sum_k a_k s_k), s_k = sum_j x_j^(2k) the power sums.  Its
+weight-m part obeys Hirzebruch's recursion m G_m = sum_{k=1}^m k a_k s_k G_(m-k)
+(Hirzebruch, Topological Methods, sec. 1; Macdonald, ch. I.2), run in p_1..p_n
+with s_k from Newton's identities.  The a_k of an arbitrary f come from a
+recursion (`_log_coefficients`), those of the genus columns in closed form
+from `theta.genus_log`, with no theta product.  `genus_class` builds the class
+up to weight n, and `pair`, the one pairing kernel, contracts its weight-n part
+(the part a 4n-manifold sees) with [M]: a genus is the linear map
+M -> sum_lambda P_lambda(M) col_lambda, one integer matrix-vector product on a
+row view that the class keeps per n.
 `RootSeries` (keys: x-degrees) and `PontPoly` (keys: partitions) share one
 ring core, `_Graded`: a dict key -> USeries with the arithmetic written once.
 """
@@ -465,7 +466,7 @@ def _newton_terms(k: int) -> tuple[tuple[Partition, int], ...]:
     acc: dict[Partition, int] = {(k,): (-1) ** (k - 1) * k}
     for i in range(1, k):
         for part, coef in _newton_terms(k - i):
-            key = partition_key(part + (i,))
+            key = PontPoly._join(part, (i,))
             acc[key] = acc.get(key, 0) + (-1) ** (i - 1) * coef
     return tuple(sorted((p, c) for p, c in acc.items() if c))
 
@@ -478,7 +479,7 @@ def _power_sum_terms(mu: Partition) -> tuple[tuple[Partition, int], ...]:
     acc: dict[Partition, int] = {}
     for lam, c in _power_sum_terms(mu[:-1]):
         for nu, d in _newton_terms(mu[-1]):
-            key = partition_key(lam + nu)
+            key = PontPoly._join(lam, nu)
             acc[key] = acc.get(key, 0) + c * d
     return tuple(sorted((p, c) for p, c in acc.items() if c))
 
@@ -508,45 +509,30 @@ def _log_coefficients(f: RootSeries, n: int) -> tuple[USeries, list[USeries]]:
     return c0, a[1:]
 
 
-def _mu_coefficients(f0: USeries, a: list[USeries], n: int) -> tuple[USeries, dict[Partition, USeries]]:
-    """f(0)^(2n) and c_mu = prod_k a_k^(m_k) / m_k! for |mu| <= n, from f(0) and [a_1..a_n]."""
-    coeffs = {(): USeries.one(f0.order)}
-    for w in range(1, n + 1):
-        for mu in partitions_of(w):
-            k = mu[-1]  # the smallest part
-            coeffs[mu] = coeffs[mu[:-1]] * a[k - 1] / mu.count(k)
-    return f0 ** (2 * n), coeffs
-
-
-def _class_coefficients(f: RootSeries, n: int) -> tuple[USeries, dict[Partition, USeries]]:
-    """f(0)^(2n) and c_mu = prod_k a_k^(m_k) / m_k! for |mu| <= n: the closed form's coefficients."""
-    return _mu_coefficients(*_log_coefficients(f, n), n)
-
-
-def _p_class(f0: USeries, a: list[USeries], n: int, top_only: bool) -> PontPoly:
-    # f(0)^(2n) sum_mu c_mu s_mu in the p-basis, from f(0) and [a_1..a_n]: column
-    # lambda collects the integer rows t_(mu, lambda) of _power_sum_terms(mu).
-    scale, coeffs = _mu_coefficients(f0, a, n)
-    rows: dict[Partition, list[tuple[int, USeries]]] = {}
-    for mu in partitions_of(n) if top_only else coeffs:
-        c = coeffs[mu] * scale
-        for lam, t in _power_sum_terms(mu):
-            rows.setdefault(lam, []).append((t, c))
-    return PontPoly({lam: linear_combination(row, f0.order) for lam, row in rows.items()}, n, f0.order)
+def _p_class(f0: USeries, a: list[USeries], n: int) -> PontPoly:
+    # Hirzebruch's recursion from G_0 = f(0)^(2n): each column of G_m is one
+    # integer combination of the products (k/m) a_k G_(m-k)[lambda].
+    order = f0.order
+    g = [{(): f0 ** (2 * n)}]
+    for m in range(1, n + 1):
+        rows: dict[Partition, list[tuple[int, USeries]]] = {}
+        for k in range(1, m + 1):
+            ka = a[k - 1] * Fraction(k, m)
+            for lam, c in g[m - k].items():
+                b = ka * c
+                for nu, t in _newton_terms(k):
+                    rows.setdefault(PontPoly._join(lam, nu), []).append((t, b))
+        g.append({lam: linear_combination(row, order) for lam, row in rows.items()})
+    return PontPoly._raw({lam: c for gm in g for lam, c in gm.items()}, n, order)
 
 
 def genus_class(f: RootSeries, n: int) -> PontPoly:
     """Reduce prod_{j=1}^{2n} f(x_j) to a polynomial in p_1..p_n.
 
-    Rewrites f(0)^(2n) sum_{|mu| <= n} c_mu s_mu in the p-basis; the cost is
-    independent of the number of roots.
+    Runs Hirzebruch's recursion on f(0) and the log coefficients of f; the
+    cost is independent of the number of roots.
     """
-    return _p_class(*_log_coefficients(f, n), n, top_only=False)
-
-
-def weight_class(f: RootSeries, n: int) -> PontPoly:
-    """The weight-n part of `genus_class(f, n)`, built from the c_mu with mu |- n only."""
-    return _p_class(*_log_coefficients(f, n), n, top_only=True)
+    return _p_class(*_log_coefficients(f, n), n)
 
 
 def power_sum_number(mu: Partition, m: Manifold) -> Fraction:

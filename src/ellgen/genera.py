@@ -4,7 +4,7 @@ Two independent routes to the same numbers coexist here:
 
 * the Pontryagin route (`genus`): the log coefficients of the per-root
   factor in closed form (`theta.genus_log`; no theta product is built)
-  -> the power-sum closed form rewritten as the weight-n class in p_1..p_n,
+  -> Hirzebruch's recursion for the class in p_1..p_n up to weight n,
   memoized per (kind, n, uorder) (`genus_columns`) and paired with the
   Pontryagin numbers of M (`pair`), in the hyperbolic normalization
   x = 2*pi*sqrt(-1)*z;
@@ -52,18 +52,19 @@ def genus(m: Manifold, kind: GenusKind | str, uorder: int | None = None) -> USer
 
 @lru_cache(maxsize=128)
 def genus_columns(kind: GenusKind, n: int, uorder: int) -> PontPoly:
-    """The weight-n class of a genus: one u-column per partition of n.
+    """The class of a genus up to weight n: one u-column per partition of weight <= n.
 
     A genus of a 4n-manifold is linear in its Pontryagin numbers, with
     coefficients (f(0)^(2n) folded in) that depend on (kind, n, uorder)
-    only; `genus` pairs this one class with every manifold.
+    only; `genus` pairs the weight-n columns of this one class with every
+    manifold.
     """
-    return _p_class(*genus_log(kind, n, uorder), n, top_only=True)
+    return _p_class(*genus_log(kind, n, uorder), n)
 
 
 @lru_cache(maxsize=128)
 def ahat_class(n: int, uorder: int) -> PontPoly:
-    return _p_class(*genus_log(GenusKind.AHAT, n, uorder), n, top_only=False)
+    return genus_columns(GenusKind.AHAT, n, uorder)
 
 
 def twisted_ahat_series(m: Manifold, c: PontPoly) -> USeries:
@@ -83,7 +84,7 @@ def twisted_ahat(m: Manifold, c: PontPoly) -> Fraction:
 
 def cancellation_class() -> PontPoly:
     """Weight-2 part of L-hat - (24 A-hat - A-hat ch(T_C)); identically zero."""
-    lhat = _p_class(*genus_log(GenusKind.LHAT, 2, 1), 2, top_only=False)
+    lhat = genus_columns(GenusKind.LHAT, 2, 1)
     ahat = ahat_class(2, 1)
     twisted = ahat * ch_tangent(2, 2, 1)
     return (lhat - (ahat * 24 - twisted)).weight_part(2)

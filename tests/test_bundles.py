@@ -9,9 +9,7 @@ from ellgen.bundles import (
     BundleMonomial,
     BundleQSeries,
     VirtualBundlePoly,
-    ch_ext_power,
     ch_monomial,
-    ch_sym_power,
     ch_virtual,
     ell2_via_bundles,
     expand_witten,
@@ -20,7 +18,7 @@ from ellgen.bundles import (
 from ellgen.chern import (
     Manifold,
     PontPoly,
-    _class_coefficients,
+    _log_coefficients,
     _power_sum_terms,
     ch_tangent,
     newton_power_sum,
@@ -117,7 +115,7 @@ def test_ch_of_lambda1_matches_tangent():
 
 
 def test_ch_of_s1_matches_tangent():
-    assert ch_sym_power(1, 2, 2, 1) == ch_tangent(2, 2, 1)
+    assert ch_monomial(BundleMonomial(sym=(1,)), 2, 2, 1) == ch_tangent(2, 2, 1)
 
 
 def test_ch_empty_monomial():
@@ -128,8 +126,8 @@ def test_ch_empty_monomial():
 
 def test_ch_of_top_exterior_power_vanishes():
     # Lambda^(4n+1) of a rank-4n bundle is zero
-    assert ch_ext_power(5, 1, 1, 1).is_zero()
-    assert ch_ext_power(6, 1, 1, 1).is_zero()
+    assert ch_monomial(BundleMonomial(ext=(5,)), 1, 1, 1).is_zero()
+    assert ch_monomial(BundleMonomial(ext=(6,)), 1, 1, 1).is_zero()
 
 
 def test_rank_constraint_drops_zero_bundles():
@@ -259,8 +257,8 @@ def _random_manifold(n, rng):
 def test_power_ch_matches_pontpoly_oracle(n):
     for uorder in (1, 3):
         for a in range(7):
-            assert ch_sym_power(a, n, n, uorder) == _oracle_power(a, n, n, uorder, 1)
-            assert ch_ext_power(a, n, n, uorder) == _oracle_power(a, n, n, uorder, -1)
+            assert ch_monomial(BundleMonomial(sym=(a,)), n, n, uorder) == _oracle_power(a, n, n, uorder, 1)
+            assert ch_monomial(BundleMonomial(ext=(a,)), n, n, uorder) == _oracle_power(a, n, n, uorder, -1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -428,10 +426,21 @@ def _frac_to_pont(c, nmax, uorder):
     return PontPoly({lam: USeries.const(x, uorder) for lam, x in terms.items()}, nmax, uorder)
 
 
+def _frac_ahat(n):
+    # c_mu = f(0)^(2n) prod_k a_k^(m_k) / m_k!, m_k the multiplicity of k in mu, with
+    # f(0) and the a_k read from the theta product (Macdonald, ch. I.2)
+    f0, a = _log_coefficients(genus_root_series(GenusKind.AHAT, 2 * n + 2, 1), n)
+    coeffs = {(): f0.constant() ** (2 * n)}
+    for w in range(1, n + 1):
+        for mu in partitions_of(w):
+            k = mu[-1]
+            coeffs[mu] = coeffs[mu[:-1]] * a[k - 1].constant() / mu.count(k)
+    return tuple((mu, c) for mu, c in coeffs.items() if c)
+
+
 def _frac_index(m, v):
     n = v.n
-    scale, coeffs = _class_coefficients(genus_root_series(GenusKind.AHAT, 2 * n + 2, 1), n)
-    ahat = tuple((mu, scale.coeff(0) * c.coeff(0)) for mu, c in coeffs.items() if c.coeff(0))
+    ahat = _frac_ahat(n)
     top = [(mu, c) for mu, c in _frac_mul(ahat, _frac_virtual(v, n), n) if sum(mu) == n]
     return sum((c * power_sum_number(mu, m) for mu, c in top), F(0))
 
@@ -439,8 +448,8 @@ def _frac_index(m, v):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_integer_s_classes_match_fraction_kernels(n):
     for a in range(7):
-        assert ch_sym_power(a, n, n, 1) == _frac_to_pont(_frac_power(a, n, n, 1), n, 1)
-        assert ch_ext_power(a, n, n, 1) == _frac_to_pont(_frac_power(a, n, n, -1), n, 1)
+        assert ch_monomial(BundleMonomial(sym=(a,)), n, n, 1) == _frac_to_pont(_frac_power(a, n, n, 1), n, 1)
+        assert ch_monomial(BundleMonomial(ext=(a,)), n, n, 1) == _frac_to_pont(_frac_power(a, n, n, -1), n, 1)
     m = _random_manifold(n, random.Random(200 + n))
     for which in ("theta1", "theta2"):
         bqs = expand_witten(which, n, 8)

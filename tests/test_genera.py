@@ -267,18 +267,25 @@ def test_witten_genus_is_ahat_times_e4(t):
 def genus_number_oracle(m, kind, uorder):
     """f(0)^(2n) sum_{mu |- n} c_mu <s_mu, [M]>, paired in the s-basis.
 
-    The construction `genus` used before its classes were memoized; it
-    shares `_class_coefficients` and `power_sum_number` with the package
-    but neither the p-basis columns nor `pair`.
+    c_mu = prod_k a_k^(m_k) / m_k!, m_k the multiplicity of k in mu, is the
+    closed form of exp(sum_k a_k s_k) (Macdonald, ch. I.2), with f(0) and
+    the a_k read from the theta product.  It shares `power_sum_number` (and
+    through it Newton's identities) with the package, but neither
+    Hirzebruch's recursion, the p-basis columns nor `pair`.
     """
-    from ellgen.chern import _class_coefficients, power_sum_number
+    from ellgen.chern import _log_coefficients, power_sum_number
 
     n = m.n
-    scale, coeffs = _class_coefficients(genus_root_series(GenusKind(kind), 2 * n + 2, uorder), n)
+    f0, a = _log_coefficients(genus_root_series(GenusKind(kind), 2 * n + 2, uorder), n)
+    coeffs = {(): USeries.one(uorder)}
+    for w in range(1, n + 1):
+        for mu in partitions_of(w):
+            k = mu[-1]
+            coeffs[mu] = coeffs[mu[:-1]] * a[k - 1] / mu.count(k)
     acc = USeries.zero(uorder)
     for mu in partitions_of(n):
         acc = acc + coeffs[mu] * power_sum_number(mu, m)
-    return acc * scale
+    return acc * f0 ** (2 * n)
 
 
 def oracle_manifolds(n, rng):
@@ -289,12 +296,12 @@ def oracle_manifolds(n, rng):
     yield Manifold("zero", 4 * n, {})
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", [*range(1, 8), 12])
 def test_genus_matches_s_basis_pairing(n):
     rng = random.Random(100 + n)
     manifolds = list(oracle_manifolds(n, rng))
     for kind in GenusKind:
-        for uorder in (1, 2, 12, 24):
+        for uorder in (1, 2, 12, 24) if n < 8 else (1, 2, 3, 4):
             for m in manifolds:
                 assert genus(m, kind, uorder) == genus_number_oracle(m, kind, uorder), (
                     kind, uorder, m.name

@@ -1,7 +1,9 @@
 """The package namespace: every public name, resolved late from its submodule."""
 
+import ast
 import importlib
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +71,24 @@ def test_reload_keeps_the_loaded_submodules():
     importlib.reload(ellgen)
     assert sys.modules["ellgen.chern"] is chern and ellgen.chern is chern
     assert ellgen.Manifold is manifold
+
+
+def test_every_module_level_definition_is_used_or_exported():
+    # A function or class that no code in the package names, outside its own
+    # body, and that `_EXPORTS` does not export is dead code.
+    exported = {name for names in ellgen._EXPORTS.values() for name in names.split()}
+    defined, used = [], set()
+    for path in sorted(Path(ellgen.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", None)  # a def or class statement
+            if owner is not None:
+                defined.append((path.stem, owner))
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != owner:
+                    used.add(name)
+    dead = [
+        f"{module}.{name}" for module, name in defined
+        if name not in used and name not in exported and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert dead == []
