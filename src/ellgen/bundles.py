@@ -17,16 +17,19 @@ ch(Lambda^b T) follow from a t-adic exp, and a monomial's character is that
 of the monomial without its last factor times that of the last factor,
 memoized on (monomial, n, nmax).  The index is linear in the bundle: each
 monomial's index vector, the weight-n part of A-hat(T) ch(monomial), is
-memoized on (monomial, n), and ind(D x B_k) pairs an integer combination of
-those vectors with the numbers <s_mu, [M]>.  The public `ch_*` functions
-convert to the p-basis once, on return.
+memoized on (monomial, n), and the index vector of a virtual bundle, an
+integer combination of those, is rewritten once in p_1..p_n.  Ell_2 is the
+row view of those rows for B_0, B_1, ..., memoized per (n, uorder), and
+`chern._pair_rows`, the pairing kernel of the Pontryagin route too, multiplies
+it by the Pontryagin numbers of M.  The public `ch_*` functions convert to
+the p-basis once, on return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -34,13 +37,13 @@ from .chern import (
     Manifold,
     Partition,
     PontPoly,
+    _pair_rows,
     _power_sum_terms,
     pair,  # noqa: F401  (kept as a module binding: the benchmark tracer patches bundles.pair)
     partitions_of,
-    power_sum_number,
 )
 from .errors import DimMismatch
-from .series import USeries, as_int, default_uorder, linear_combination
+from .series import USeries, as_int, combine, default_uorder, reduce_ratio
 from .theta import GenusKind, genus_log
 
 
@@ -310,17 +313,10 @@ def _s_basis(nmax: int):
     return parts, table
 
 
-def _s_make(nums, den: int) -> SClass:
-    g = gcd(den, *nums)
-    if g == 1:
-        return tuple(nums), den
-    return tuple(v // g for v in nums), den // g
-
-
 def _s_class(coeffs: Mapping[Partition, Fraction], nmax: int) -> SClass:
     """The class sum_mu c_mu s_mu of rational coefficients, weight <= nmax."""
     den = lcm(*(c.denominator for c in coeffs.values()))
-    return _s_make([int(coeffs.get(mu, 0) * den) for mu in _s_basis(nmax)[0]], den)
+    return reduce_ratio([int(coeffs.get(mu, 0) * den) for mu in _s_basis(nmax)[0]], den)
 
 
 def _s_mul(a: SClass, b: SClass, nmax: int) -> SClass:
@@ -334,20 +330,7 @@ def _s_mul(a: SClass, b: SClass, nmax: int) -> SClass:
                 y = bn[j]
                 if y:
                     out[k] += x * y
-    return _s_make(out, ad * bd)
-
-
-def _s_combine(terms, size: int) -> SClass:
-    """sum_i f_i c_i over (f_i, c_i) pairs of an int and a class of `size` numerators."""
-    rows = [(f, c) for f, c in terms if f]
-    den = lcm(*(d for _, (_, d) in rows))
-    out = [0] * size
-    for f, (nums, d) in rows:
-        scale = f * (den // d)
-        for i, v in enumerate(nums):
-            if v:
-                out[i] += scale * v
-    return _s_make(out, den)
+    return reduce_ratio(out, ad * bd)
 
 
 @lru_cache(maxsize=None)
@@ -370,14 +353,14 @@ def _power_ch(a: int, n: int, nmax: int, sign: int) -> SClass:
     size = len(_s_basis(nmax)[0])
     if a == 0:
         return (1,) + (0,) * (size - 1), 1
-    nums, den = _s_combine(
+    nums, den = combine(
         (
             (sign ** (j - 1), _s_mul(_scaled_tangent_ch(j, n, nmax), _power_ch(a - j, n, nmax, sign), nmax))
             for j in range(1, a + 1)
         ),
         size,
     )
-    return _s_make(nums, den * a)
+    return reduce_ratio(nums, den * a)
 
 
 @lru_cache(maxsize=None)
@@ -394,21 +377,27 @@ def _ch_monomial_s(mono: BundleMonomial, n: int, nmax: int) -> SClass:
 
 
 def _ch_virtual_s(v: VirtualBundlePoly, nmax: int) -> SClass:
-    return _s_combine(
+    return reduce_ratio(*combine(
         ((coef, _ch_monomial_s(mono, v.n, nmax)) for mono, coef in v._t.items()),
         len(_s_basis(nmax)[0]),
-    )
+    ))
+
+
+def _s_to_p(nums, parts) -> dict[Partition, int]:
+    """The numerators of sum_mu nums[mu] s_mu over `parts` rewritten in the p_lambda."""
+    terms: dict[Partition, int] = {}
+    for mu, x in zip(parts, nums):
+        if x:
+            for lam, t in _power_sum_terms(mu):
+                terms[lam] = terms.get(lam, 0) + x * t
+    return terms
 
 
 def _to_pont(c: SClass, nmax: int, uorder: int | None) -> PontPoly:
     """Rewrite an s-basis class in p_1..p_nmax with constant u-series coefficients."""
     uorder = default_uorder(uorder)
     nums, den = c
-    terms: dict[Partition, int] = {}
-    for mu, x in zip(_s_basis(nmax)[0], nums):
-        if x:
-            for lam, t in _power_sum_terms(mu):
-                terms[lam] = terms.get(lam, 0) + x * t
+    terms = _s_to_p(nums, _s_basis(nmax)[0])
     return PontPoly(
         {lam: USeries.const(Fraction(v, den), uorder) for lam, v in terms.items()}, nmax, uorder
     )
@@ -447,40 +436,36 @@ def _index_mono(mono: BundleMonomial, n: int) -> SClass:
     """Weight-n part of A-hat(T) ch(mono) on the partitions of n: its pairing with [M] is ind(D x mono)."""
     nums, den = _s_mul(_ahat_s(n), _ch_monomial_s(mono, n, n), n)
     # The partitions of n come last in the weight order.
-    return _s_make(nums[-len(partitions_of(n)):], den)
+    return reduce_ratio(nums[-len(partitions_of(n)):], den)
 
 
-def _index_vector(v: VirtualBundlePoly) -> SClass:
-    """Weight-n part of A-hat(T) ch(v) on the partitions of n."""
-    return _s_combine(
-        ((coef, _index_mono(mono, v.n)) for mono, coef in v._t.items()), len(partitions_of(v.n))
-    )
+def _index_row(v: VirtualBundlePoly) -> SClass:
+    """Weight-n part of A-hat(T) ch(v), rewritten from the s_mu to the p_lambda, lambda |- n."""
+    parts = partitions_of(v.n)
+    nums, den = combine(((coef, _index_mono(mono, v.n)) for mono, coef in v._t.items()), len(parts))
+    terms = _s_to_p(nums, parts)
+    return reduce_ratio([terms.get(lam, 0) for lam in parts], den)
 
 
 def index_bundle(m: Manifold, v: VirtualBundlePoly) -> Fraction:
     """<A-hat(TM) ch(v), [M]>: the index of the v-twisted Dirac operator."""
     if v.n != m.n:
         raise DimMismatch(f"bundle built for n = {v.n}, manifold has n = {m.n}")
-    nums, den = _index_vector(v)
-    pairing = (x * power_sum_number(mu, m) for mu, x in zip(partitions_of(m.n), nums) if x)
-    return sum(pairing, Fraction(0)) / den
+    nums, den = _index_row(v)
+    return _pair_rows((((0, nums),), den), m, 1).coeff(0)
 
 
 @lru_cache(maxsize=128)
-def _index_class(n: int, uorder: int) -> tuple[tuple[Partition, USeries], ...]:
-    """(mu, column) pairs: ind(D x B_k) = sum_mu [u^k] column_mu <s_mu, [M]>."""
-    b = expand_witten("theta2", n, uorder) if uorder else None  # uorder 0 asks for no coefficient
-    rows = [_index_vector(b.coeff(k)) for k in range(uorder)]
+def _index_class(n: int, uorder: int):
+    """Ell_2 of the bundle route on p_1..p_n as a row view: row k is the index row of B_k."""
+    b = expand_witten("theta2", n, uorder)
+    rows = [_index_row(b.coeff(k)) for k in range(uorder)]
     den = lcm(*(d for _, d in rows))
-    return tuple(
-        (mu, USeries._make([nums[i] * (den // d) for nums, d in rows], den))
-        for i, mu in enumerate(partitions_of(n))
-    )
+    scaled = ((k, tuple(x * (den // d) for x in nums)) for k, (nums, d) in enumerate(rows))
+    return tuple((k, row) for k, row in scaled if any(row)), den
 
 
 def ell2_via_bundles(m: Manifold, uorder: int | None = None) -> USeries:
     """Ell_2 as sum_k ind(D x B_k) u^k: the bundle route."""
     uorder = default_uorder(uorder)
-    return linear_combination(
-        ((power_sum_number(mu, m), col) for mu, col in _index_class(m.n, uorder)), uorder
-    )
+    return _pair_rows(_index_class(m.n, uorder), m, uorder)

@@ -9,10 +9,10 @@ weight-m part obeys Hirzebruch's recursion m G_m = sum_{k=1}^m k a_k s_k G_(m-k)
 with s_k from Newton's identities.  The a_k of an arbitrary f come from a
 recursion (`_log_coefficients`), those of the genus columns in closed form
 from `theta.genus_log`, with no theta product.  `genus_class` builds the class
-up to weight n, and `pair`, the one pairing kernel, contracts its weight-n part
-(the part a 4n-manifold sees) with [M]: a genus is the linear map
-M -> sum_lambda P_lambda(M) col_lambda, one integer matrix-vector product on a
-row view that the class keeps per n.
+up to weight n.  A 4n-manifold sees only its weight-n part: a genus is the
+linear map M -> sum_lambda P_lambda(M) col_lambda, and `_pair_rows`, the one
+pairing kernel of both genus routes, runs it as one integer matrix-vector
+product on a row view of the columns.  `pair` builds that view per call.
 `RootSeries` (keys: x-degrees) and `PontPoly` (keys: partitions) share one
 ring core, `_Graded`: a dict key -> USeries with the arithmetic written once.
 """
@@ -405,7 +405,7 @@ class PontPoly(_Graded):
     4n-manifold, so nmax = n loses nothing.
     """
 
-    __slots__ = ("_views",)  # n -> the row view that `pair` builds on first use
+    __slots__ = ()
 
     _unit = ()
     _bound_name = "nmax"
@@ -535,12 +535,6 @@ def genus_class(f: RootSeries, n: int) -> PontPoly:
     return _p_class(*_log_coefficients(f, n), n)
 
 
-def power_sum_number(mu: Partition, m: Manifold) -> Fraction:
-    """<s_mu, [M]> from the Pontryagin numbers of `m`."""
-    num = m._num
-    return Fraction(sum(c * num.get(lam, 0) for lam, c in _power_sum_terms(mu)), m._den)
-
-
 def ch_tangent(n: int, nmax: int, uorder: int | None = None) -> PontPoly:
     """Chern character of the complexified tangent bundle of a 4n-manifold.
 
@@ -556,24 +550,22 @@ def ch_tangent(n: int, nmax: int, uorder: int | None = None) -> PontPoly:
 
 
 def pair(c: PontPoly, m: Manifold) -> USeries:
-    """Contract the weight-n part of `c` with the Pontryagin numbers of `m`.
+    """Contract the weight-n part of `c` with [M], through a row view built per call."""
+    if c.nmax < m.n:
+        raise DimMismatch(f"class truncated at weight {c.nmax}, manifold needs {m.n}")
+    return _pair_rows(weight_view(c, m.n), m, c.uorder)
 
-    sum_lambda P_lambda(M) c_lambda as one integer matrix-vector product.  On
-    first use for a given n, `c` keeps a row view of its weight-n columns
-    over `partitions_of(n)` (`row_view`: its nonzero u-powers only, integer
-    numerators over one denominator); `m` keeps its numerators lined up with
-    `partitions_of(n)` as `_vec`, built on its first pairing.
-    """
-    n = m.n
-    if c.nmax < n:
-        raise DimMismatch(f"class truncated at weight {c.nmax}, manifold needs {n}")
-    views = getattr(c, "_views", None)
-    if views is None:
-        views = c._views = {}
-    if n not in views:
-        zero = USeries.zero(c.uorder)
-        views[n] = row_view([c._c.get(lam, zero) for lam in partitions_of(n)])
-    rows, den = views[n]
+
+def weight_view(c: PontPoly, n: int):
+    """The `row_view` of the weight-n columns of `c` over `partitions_of(n)`."""
+    zero = USeries.zero(c.uorder)
+    return row_view([c._c.get(lam, zero) for lam in partitions_of(n)])
+
+
+def _pair_rows(view, m: Manifold, order: int) -> USeries:
+    """sum_lambda P_lambda(M) col_lambda for a row view (rows, den) on `partitions_of(m.n)`: one
+    integer matrix-vector product with `m`'s numerators in that order (`_vec`, kept on `m`)."""
+    rows, den = view
     if (vec := m.__dict__.get("_vec")) is None:  # a plain memo: Manifold fields are frozen
-        vec = m.__dict__["_vec"] = tuple(map(m._num.get, partitions_of(n), repeat(0)))
-    return row_product(rows, vec, m._den * den, c.uorder)
+        vec = m.__dict__["_vec"] = tuple(map(m._num.get, partitions_of(m.n), repeat(0)))
+    return row_product(rows, vec, m._den * den, order)

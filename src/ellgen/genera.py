@@ -4,10 +4,10 @@ Two independent routes to the same numbers coexist here:
 
 * the Pontryagin route (`genus`): the log coefficients of the per-root
   factor in closed form (`theta.genus_log`; no theta product is built)
-  -> Hirzebruch's recursion for the class in p_1..p_n up to weight n,
-  memoized per (kind, n, uorder) (`genus_columns`) and paired with the
-  Pontryagin numbers of M (`pair`), in the hyperbolic normalization
-  x = 2*pi*sqrt(-1)*z;
+  -> Hirzebruch's recursion for the class in p_1..p_n -> the row view of its
+  weight-n columns, memoized per (kind, n, uorder) (`genus_columns`), times
+  the Pontryagin numbers of M (`chern._pair_rows`, which ends the bundle
+  route too), in the hyperbolic normalization x = 2*pi*sqrt(-1)*z;
 * the residue route (`hypersurface_genus`) for hypersurfaces X(N; d) in
   CP^N, which extracts one coefficient of f(x)^(N+1) (d x)/f(d x).
 
@@ -29,9 +29,11 @@ from .chern import (
     PontPoly,
     RootSeries,
     _p_class,
+    _pair_rows,
     ch_tangent,
     pair,
     partitions_of,
+    weight_view,
 )
 from .errors import DimNotMultipleOf4, NonUnitConstant, Record
 from .series import USeries, as_int, default_uorder
@@ -47,24 +49,24 @@ from .theta import (
 def genus(m: Manifold, kind: GenusKind | str, uorder: int | None = None) -> USeries:
     """Exact q-expansion of a genus of `m` (constant series for ahat/lhat)."""
     kind = kind if isinstance(kind, GenusKind) else GenusKind(kind)  # no Enum lookup for a member
-    return pair(genus_columns(kind, m.n, default_uorder(uorder)), m)
+    uorder = default_uorder(uorder)
+    return _pair_rows(genus_columns(kind, m.n, uorder), m, uorder)
 
 
 @lru_cache(maxsize=128)
-def genus_columns(kind: GenusKind, n: int, uorder: int) -> PontPoly:
-    """The class of a genus up to weight n: one u-column per partition of weight <= n.
+def genus_columns(kind: GenusKind, n: int, uorder: int):
+    """The weight-n columns of a genus class, one u-column per partition of n, as a row view.
 
     A genus of a 4n-manifold is linear in its Pontryagin numbers, with
     coefficients (f(0)^(2n) folded in) that depend on (kind, n, uorder)
-    only; `genus` pairs the weight-n columns of this one class with every
-    manifold.
+    only; `genus` multiplies this one view by every manifold's numbers.
     """
-    return _p_class(*genus_log(kind, n, uorder), n)
+    return weight_view(_p_class(*genus_log(kind, n, uorder), n), n)
 
 
 @lru_cache(maxsize=128)
 def ahat_class(n: int, uorder: int) -> PontPoly:
-    return genus_columns(GenusKind.AHAT, n, uorder)
+    return _p_class(*genus_log(GenusKind.AHAT, n, uorder), n)
 
 
 def twisted_ahat_series(m: Manifold, c: PontPoly) -> USeries:
@@ -84,7 +86,7 @@ def twisted_ahat(m: Manifold, c: PontPoly) -> Fraction:
 
 def cancellation_class() -> PontPoly:
     """Weight-2 part of L-hat - (24 A-hat - A-hat ch(T_C)); identically zero."""
-    lhat = genus_columns(GenusKind.LHAT, 2, 1)
+    lhat = _p_class(*genus_log(GenusKind.LHAT, 2, 1), 2)
     ahat = ahat_class(2, 1)
     twisted = ahat * ch_tangent(2, 2, 1)
     return (lhat - (ahat * 24 - twisted)).weight_part(2)

@@ -153,10 +153,8 @@ class USeries(_RingOps):
     @classmethod
     def _make(cls, numerators, den: int) -> "USeries":
         """The series numerators[k] / den (den > 0), reduced to the canonical pair."""
-        g = gcd(den, *numerators)
         out = cls.__new__(cls)
-        out._n = tuple(numerators) if g == 1 else tuple(v // g for v in numerators)
-        out._d = den // g
+        out._n, out._d = reduce_ratio(numerators, den)
         return out
 
     # -- constructors ------------------------------------------------------
@@ -392,20 +390,31 @@ def _qtail(order: int) -> str:
     return f" + O({_qpower(order)})" if order > 0 else " + O(1)"
 
 
-def linear_combination(terms: Iterable[Tuple[Scalar, USeries]], order: int) -> USeries:
-    """sum_i a_i s_i truncated at `order`, for scalars a_i and series s_i.
+def reduce_ratio(numerators, den: int) -> tuple[tuple[int, ...], int]:
+    """The vector numerators / den (den > 0) as its canonical pair: gcd(den, *numerators) == 1."""
+    g = gcd(den, *numerators)
+    if g == 1:
+        return tuple(numerators), den
+    return tuple(v // g for v in numerators), den // g
 
-    Every product is accumulated as an integer numerator over one common
-    denominator, the lcm of the a_i and s_i denominators.
-    """
-    rows = [(a, s) for a, s in terms if a]
-    den = lcm(*(a.denominator * s._d for a, s in rows))
-    acc = [0] * order
-    for a, s in rows:
-        scale = a.numerator * (den // (a.denominator * s._d))
-        for k, v in enumerate(s._n[:order]):
-            acc[k] += scale * v
-    return USeries._make(acc, den)
+
+def combine(terms, size: int) -> tuple[list[int], int]:
+    """sum_i a_i v_i over one lcm denominator, not reduced, for (a_i, v_i) pairs of an int or
+    Fraction a_i and a vector v_i = (numerators, den); entries past `size` are dropped."""
+    rows = [(a, v) for a, v in terms if a]
+    den = lcm(*(a.denominator * d for a, (_, d) in rows))
+    out = [0] * size
+    for a, (nums, d) in rows:
+        scale = a.numerator * (den // (a.denominator * d))
+        for i, x in enumerate(nums[:size]):
+            if x:
+                out[i] += scale * x
+    return out, den
+
+
+def linear_combination(terms: Iterable[Tuple[Scalar, USeries]], order: int) -> USeries:
+    """sum_i a_i s_i truncated at `order`, for scalars a_i and series s_i, over one denominator."""
+    return USeries._make(*combine(((a, (s._n, s._d)) for a, s in terms), order))
 
 
 def row_view(cols: list[USeries]) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], int]:

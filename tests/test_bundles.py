@@ -24,7 +24,6 @@ from ellgen.chern import (
     newton_power_sum,
     pair,
     partitions_of,
-    power_sum_number,
 )
 from ellgen.errors import DimMismatch
 from ellgen.genera import Hypersurface, ahat_class, genus, hypersurface_pont
@@ -187,6 +186,14 @@ def test_route_equivalence_random():
             pont = {p: F(rng.randint(-50, 50), rng.randint(1, 6)) for p in partitions_of(n)}
             m = Manifold("rand", 4 * n, pont)
             assert ell2_via_bundles(m, 6) == genus(m, "ell2", 6)
+
+
+def test_both_routes_reject_an_empty_order():
+    for m in (K3, QUADRIC, Manifold("z", 8, {})):
+        with pytest.raises(ValueError, match="uorder must be >= 1"):
+            genus(m, "ell2", 0)
+        with pytest.raises(ValueError, match="uorder must be >= 1"):
+            ell2_via_bundles(m, 0)
 
 
 def test_expand_witten_rejects_nonpositive_rank():
@@ -438,6 +445,11 @@ def _frac_ahat(n):
     return tuple((mu, c) for mu, c in coeffs.items() if c)
 
 
+def power_sum_number(mu, m):
+    """<s_mu, [M]> = sum_lambda t_(mu lambda) P_lambda(M), s_mu = sum_lambda t_(mu lambda) p_lambda."""
+    return sum((t * m.pont.get(lam, 0) for lam, t in _power_sum_terms(mu)), F(0))
+
+
 def _frac_index(m, v):
     n = v.n
     ahat = _frac_ahat(n)
@@ -471,3 +483,27 @@ def test_bundle_route_matches_theta_route_and_oracle(n, uorder):
         for k in range(uorder):
             oracle = pair(ahat_class(n, 1) * _oracle_ch_virtual(b.coeff(k), n, 1), m).coeff(0)
             assert index_bundle(m, b.coeff(k)) == oracle
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bundle_route_pairs_the_index_vectors_in_the_s_basis(n):
+    # Ell_2 = sum_mu <s_mu, [M]> col_mu with [u^k] col_mu the s-basis index vector of B_k, an
+    # integer combination of the per-monomial vectors: the pairing in the basis the vectors are
+    # built in, with no s -> p rewrite and no row kernel.
+    from ellgen.bundles import _index_mono
+
+    rng = random.Random(300 + n)
+    manifolds = [_random_manifold(n, rng) for _ in range(3)] + [Manifold("last", 4 * n, {partitions_of(n)[-1]: F(5, 7)})]
+    for uorder in (1, 2, 5, 12):
+        b = expand_witten("theta2", n, uorder)
+        cols = [USeries.zero(uorder) for _ in partitions_of(n)]
+        for k in range(uorder):
+            for mono, coef in b.coeff(k).items():
+                nums, den = _index_mono(mono, n)
+                for i, x in enumerate(nums):
+                    cols[i] = cols[i] + USeries.monomial(k, coef * F(x, den), uorder)
+        for m in manifolds:
+            want = USeries.zero(uorder)
+            for mu, col in zip(partitions_of(n), cols):
+                want = want + col * power_sum_number(mu, m)
+            assert ell2_via_bundles(m, uorder) == want, (uorder, m.name)

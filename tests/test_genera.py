@@ -269,11 +269,11 @@ def genus_number_oracle(m, kind, uorder):
 
     c_mu = prod_k a_k^(m_k) / m_k!, m_k the multiplicity of k in mu, is the
     closed form of exp(sum_k a_k s_k) (Macdonald, ch. I.2), with f(0) and
-    the a_k read from the theta product.  It shares `power_sum_number` (and
-    through it Newton's identities) with the package, but neither
-    Hirzebruch's recursion, the p-basis columns nor `pair`.
+    the a_k read from the theta product.  It shares Newton's identities
+    (`_power_sum_terms`) with the package, but neither Hirzebruch's
+    recursion, the p-basis columns nor the row kernel.
     """
-    from ellgen.chern import _log_coefficients, power_sum_number
+    from ellgen.chern import _log_coefficients
 
     n = m.n
     f0, a = _log_coefficients(genus_root_series(GenusKind(kind), 2 * n + 2, uorder), n)
@@ -286,6 +286,13 @@ def genus_number_oracle(m, kind, uorder):
     for mu in partitions_of(n):
         acc = acc + coeffs[mu] * power_sum_number(mu, m)
     return acc * f0 ** (2 * n)
+
+
+def power_sum_number(mu, m):
+    """<s_mu, [M]> = sum_lambda t_(mu lambda) P_lambda(M), s_mu = sum_lambda t_(mu lambda) p_lambda."""
+    from ellgen.chern import _power_sum_terms
+
+    return sum((t * m.pont.get(lam, 0) for lam, t in _power_sum_terms(mu)), F(0))
 
 
 def oracle_manifolds(n, rng):

@@ -92,3 +92,25 @@ def test_every_module_level_definition_is_used_or_exported():
         if name not in used and name not in exported and not (name.startswith("__") and name.endswith("__"))
     ]
     assert dead == []
+
+
+def test_every_module_level_import_is_used():
+    # An import that nothing in its module names is dead.  `__init__.py`
+    # re-exports by design, `from __future__` imports are directives, and a
+    # line marked `# noqa` keeps a binding on purpose.
+    unused = []
+    for path in sorted(Path(ellgen.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)) or getattr(stmt, "module", None) == "__future__":
+                continue
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in named and "# noqa" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.stem}: {bound}")
+    assert unused == []

@@ -1,6 +1,6 @@
 """The integer row kernels of the modular sweep against term-major references.
 
-`pair`, `expand_in_basis` and `reconstruct_ell1` run as integer row
+`genus`, `pair`, `expand_in_basis` and `reconstruct_ell1` run as integer row
 products over one denominator.  The references below are their earlier
 term-major forms, one `linear_combination` of `USeries` per step, kept here
 as oracles: every output must be the same canonical series, the same
@@ -12,25 +12,34 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import cycle
 from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
-from ellgen.chern import Manifold, PontPoly, ch_tangent, pair, partition_from_str, partition_to_str, partitions_of
+from ellgen.chern import (
+    Manifold, PontPoly, ch_tangent, genus_class, pair, partition_from_str, partition_to_str, partitions_of,
+)
 from ellgen.errors import ResidualNonzero
-from ellgen.genera import ahat_class, genus_columns, twisted_ahat_series
+from ellgen.genera import ahat_class, genus, genus_columns, twisted_ahat_series
 from ellgen.modular import (
     ModBasisDecomp, _basis1, delta1, delta2, eps1, eps2, expand_in_basis, reconstruct_ell1,
 )
 from ellgen.series import USeries, linear_combination
-from ellgen.theta import GenusKind
+from ellgen.theta import GenusKind, genus_root_series
 
 UORDERS = (1, 2, 3, 5, 12, 24, 48)
 
 
 # -- references ----------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def ref_class(kind, n, uorder):
+    """The genus class from the theta product, through the log recursion: no genus column memo."""
+    return genus_class(genus_root_series(kind, 2 * n + 2, uorder), n)
 
 
 def ref_pair(c, m):
@@ -112,9 +121,9 @@ def manifolds(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sweep_kernels_match_term_major_references(kind, n):
     for uorder in UORDERS:
-        cols = genus_columns(kind, n, uorder)
+        cols = ref_class(kind, n, uorder)
         for m in manifolds(n):
-            series = pair(cols, m)
+            series = genus(m, kind, uorder)
             assert same_series(series, ref_pair(cols, m)), (kind, n, uorder, m.name)
             got, want = outcome(expand_in_basis, series, n), outcome(ref_expand, series, n)
             assert got == want, (kind, n, uorder, m.name)
@@ -123,8 +132,8 @@ def test_sweep_kernels_match_term_major_references(kind, n):
         if kind is GenusKind.ELL2 and uorder > n // 2:
             # Ell_2 always lies in the span, and its coordinates carry Ell_1.
             m = manifolds(n)[0]
-            d = expand_in_basis(pair(cols, m), n)
-            assert reconstruct_ell1(d, uorder) == pair(genus_columns(GenusKind.ELL1, n, uorder), m)
+            d = expand_in_basis(genus(m, kind, uorder), n)
+            assert reconstruct_ell1(d, uorder) == genus(m, GenusKind.ELL1, uorder)
 
 
 def test_grid_reaches_the_solve_and_both_errors():
@@ -132,7 +141,7 @@ def test_grid_reaches_the_solve_and_both_errors():
     for kind in GenusKind:
         for n in range(1, 9):
             for uorder in UORDERS:
-                got = outcome(expand_in_basis, pair(genus_columns(kind, n, uorder), manifolds(n)[0]), n)
+                got = outcome(expand_in_basis, genus(manifolds(n)[0], kind, uorder), n)
                 seen.add(type(got) if isinstance(got, ModBasisDecomp) else got[0])
     assert seen == {ModBasisDecomp, ResidualNonzero, ValueError}
 
@@ -141,7 +150,7 @@ def test_grid_reaches_the_solve_and_both_errors():
 def test_residual_is_reported_at_every_coefficient_past_the_solve(n):
     uorder = 24
     m = manifolds(n)[2]
-    e2 = pair(genus_columns(GenusKind.ELL2, n, uorder), m)
+    e2 = genus(m, GenusKind.ELL2, uorder)
     for k in range(n // 2 + 1, uorder):
         bumped = e2 + USeries.monomial(k, F(-5, 7), uorder)
         want = outcome(ref_expand, bumped, n)
@@ -158,14 +167,13 @@ def test_reconstruct_accepts_hand_made_coordinates(n):
         assert same_series(reconstruct_ell1(d, uorder), ref_reconstruct(d, uorder))
 
 
-def test_pair_on_a_class_above_the_manifold_weight_keeps_one_view_per_n():
+def test_pair_on_a_class_above_the_manifold_weight_pairs_at_every_n():
     top = 5
     c = ahat_class(top, 12) * ch_tangent(top, top, 12)
     assert c.nmax == top
-    for n in (3, 1, top, 2, 3):  # out of order, and n repeated once a view exists
+    for n in (3, 1, top, 2, 3):  # out of order, and n repeated after a pairing at another n
         for m in manifolds(n):
             assert same_series(pair(c, m), ref_pair(c, m))
-    assert sorted(c._views) == [1, 2, 3, 5]
 
 
 def test_twisted_pairing_matches_the_reference():
@@ -181,10 +189,8 @@ def test_row_views_keep_exactly_the_nonzero_rows_at_their_exponents(n, uorder):
     # Ell_1 and the _basis1 images are series in q = u^2: only even rows survive.
     # Ell_2 is a series in u: odd rows are kept, at their own exponents.
     for kind, parity in ((GenusKind.ELL1, {0}), (GenusKind.ELL2, {0, 1})):
-        cols = genus_columns(kind, n, uorder)
-        pair(cols, manifolds(n)[0])
-        rows, den = cols._views[n]
-        series = [cols.coeff(p) for p in partitions_of(n)]
+        rows, den = genus_columns(kind, n, uorder)
+        series = [ref_class(kind, n, uorder).coeff(p) for p in partitions_of(n)]
         kept = [k for k in range(uorder) if any(s.coeff(k) for s in series)]
         assert [k for k, _ in rows] == kept and {k % 2 for k in kept} == parity & set(range(uorder))
         assert all(row == tuple(s.coeff(k) * den for s in series) for k, row in rows)
@@ -198,7 +204,7 @@ def test_row_views_keep_exactly_the_nonzero_rows_at_their_exponents(n, uorder):
 def test_manifold_vector_follows_the_partitions_and_pont_is_its_view():
     for n in range(1, 7):
         for m in manifolds(n):
-            pair(genus_columns(GenusKind.AHAT, n, 1), m)
+            genus(m, GenusKind.AHAT, 1)
             assert m._vec == tuple(m.pont.get(p, 0) * m._den for p in partitions_of(n))
             assert m._den == lcm(*(v.denominator for v in m.pont.values()))
             assert gcd(m._den, *m._num.values()) == 1 and 0 not in m._num.values()
@@ -248,7 +254,7 @@ def test_manifold_constructor_reads_an_integral_float_dimension():
     assert type(m.dim) is int and m.dim == 8 and m.n == 2
     assert m.pont == {(2,): 1, (1, 1): F(1, 2)}
     assert all(type(p) is int for key in m.pont for p in key)
-    assert pair(genus_columns(GenusKind.ELL2, 2, 6), m) == pair(genus_columns(GenusKind.ELL2, 2, 6), Manifold("y", 8, m.pont))
+    assert genus(m, GenusKind.ELL2, 6) == genus(Manifold("y", 8, m.pont), GenusKind.ELL2, 6)
 
 
 def test_a_manifold_of_huge_dimension_builds_without_its_partitions():

@@ -5,10 +5,10 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from ellgen.chern import RootSeries, _log_coefficients, genus_class
+from ellgen.chern import RootSeries, _log_coefficients, genus_class, partitions_of
 from ellgen.errors import OddTermPresent, WeightViolation
 from ellgen.genera import ahat_class, genus_columns
-from ellgen.series import USeries, weighted_product
+from ellgen.series import USeries, row_view, weighted_product
 from ellgen.theta import (
     GenusKind,
     _theta_product,
@@ -308,7 +308,7 @@ def test_genus_columns_match_the_theta_product(kind):
             f = genus_root_series(kind, 2 * n + 2, uorder)
             assert genus_log(kind, n, uorder) == _log_coefficients(f, n), (n, uorder)
             full = genus_class(f, n)
-            assert genus_columns(kind, n, uorder) == full, (n, uorder)
+            assert genus_columns(kind, n, uorder) == row_view([full.coeff(p) for p in partitions_of(n)]), (n, uorder)
             if kind is GenusKind.AHAT:
                 assert ahat_class(n, uorder) == full, (n, uorder)
 
