@@ -3,12 +3,17 @@
 
 delta_2(-1/tau) = tau^2 delta_1(tau) and eps_2(-1/tau) = tau^4 eps_1(tau),
 evaluated at q = e^(2 pi i tau) from the truncated exact expansions, with
-the crude geometric tail bounds printed alongside the residuals.
+the proven tolerance of `ellgen.modular.law_tolerance` at that order (the
+larger of the two laws') printed alongside the residuals.
+
+    python scripts/transformation_laws.py [--uorder N]
 """
 
 import argparse
+import math
 
 from ellgen import delta1, delta2, eps1, eps2, numeric_eval
+from ellgen.modular import law_tolerance
 
 
 def main():
@@ -21,16 +26,16 @@ def main():
     e1, e2 = eps1(order), eps2(order)
 
     print(f"truncation order u^{order}")
-    print(f"{'tau':>8} {'|d2(-1/t) - t^2 d1(t)|':>24} {'|e2(-1/t) - t^4 e1(t)|':>24} {'tail':>10}")
+    print(f"{'tau':>8} {'|d2(-1/t) - t^2 d1(t)|':>24} {'|e2(-1/t) - t^4 e1(t)|':>24} {'tolerance':>10}")
     for tau in (1j, 2j, 0.5j, 3j, 0.25 + 1j):
-        d2v, d2t = numeric_eval(d2, -1 / tau)
-        d1v, d1t = numeric_eval(d1, tau)
-        e2v, e2t = numeric_eval(e2, -1 / tau)
-        e1v, e1t = numeric_eval(e1, tau)
+        _, dtol, etol = law_tolerance(tau, order, target=math.inf)
+        d2v, _ = numeric_eval(d2, -1 / tau)
+        d1v, _ = numeric_eval(d1, tau)
+        e2v, _ = numeric_eval(e2, -1 / tau)
+        e1v, _ = numeric_eval(e1, tau)
         rd = abs(d2v - tau**2 * d1v)
         re = abs(e2v - tau**4 * e1v)
-        tail = max(d2t, d1t, e2t, e1t)
-        print(f"{str(tau):>8} {rd:>24.3e} {re:>24.3e} {tail:>10.1e}")
+        print(f"{str(tau):>8} {rd:>24.3e} {re:>24.3e} {max(dtol, etol):>10.1e}")
 
 
 if __name__ == "__main__":

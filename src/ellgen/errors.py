@@ -69,7 +69,8 @@ class NotInUpperHalfPlane(ValueError):
 
 
 class ToleranceNotReached(RuntimeError):
-    """Root finding hit its iteration cap before meeting the tolerance."""
+    """A tolerance cannot be met: root finding hit its iteration cap first, or no
+    truncation order up to its cap brings a proven bound under its target."""
 
 
 class ExponentRangeViolation(ValueError):

@@ -5,7 +5,9 @@ same weights over Gamma^0(2)) are generated from their divisor-sum
 q-expansions.  Ell_2 of a 4n-manifold lies in the span of
 (8 delta_2)^(n-2r) eps_2^r, and the coordinates h_r transport it to Ell_1
 through the tau -> -1/tau transformation laws, which are also checkable
-numerically at chosen points of the upper half-plane.  Both bases are
+numerically at chosen points of the upper half-plane, under the proven
+tolerance of `law_tolerance`.  The four forms are `series.divisor_sums`
+sieves, not trial divisions per coefficient.  Both bases are
 memoized in row form (per u-power, integer numerators over one denominator;
 the Ell_2 basis is integral and unitriangular up to the sign (-1)^n), so the
 solve is integer forward substitution and the transport one row product.
@@ -16,59 +18,38 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, expm1, lcm, log, ulp
 from operator import mul
 
-from .errors import FloatRangeExceeded, NotInUpperHalfPlane, Record, ResidualNonzero
-from .series import USeries, default_uorder, row_product, row_view
+from .errors import FloatRangeExceeded, NotInUpperHalfPlane, Record, ResidualNonzero, ToleranceNotReached
+from .series import USeries, default_uorder, divisor_sums, row_product, row_view
 
 
-def _odd_divisor_sum(k: int) -> int:
-    return sum(d for d in range(1, k + 1) if k % d == 0 and d % 2 == 1)
-
-
-def _signed_cube_sum(k: int) -> int:
-    return sum((-1) ** d * d**3 for d in range(1, k + 1) if k % d == 0)
-
-
-def _odd_cofactor_cube_sum(k: int) -> int:
-    return sum(d**3 for d in range(1, k + 1) if k % d == 0 and (k // d) % 2 == 1)
+def _divisor_form(uorder: int | None, const: Fraction, scale: int, first: int, step: int, term) -> USeries:
+    """const + scale sum_N t_N u^N, t = `divisor_sums(uorder, first, step, term)`."""
+    uorder = default_uorder(uorder)
+    t = divisor_sums(uorder, first, step, term)
+    return USeries({**{N: scale * v for N, v in enumerate(t)}, 0: const}, uorder)
 
 
 def delta1(uorder: int | None = None) -> USeries:
     """1/4 + 6 sum_n (sum_{d|n, d odd} d) q^n."""
-    uorder = default_uorder(uorder)
-    c = {0: Fraction(1, 4)}
-    for n in range(1, (uorder - 1) // 2 + 1):
-        c[2 * n] = Fraction(6 * _odd_divisor_sum(n))
-    return USeries(c, uorder)
+    return _divisor_form(uorder, Fraction(1, 4), 6, 2, 2, lambda d: d % 2 * d)
 
 
 def eps1(uorder: int | None = None) -> USeries:
     """1/16 + sum_n (sum_{d|n} (-1)^d d^3) q^n."""
-    uorder = default_uorder(uorder)
-    c = {0: Fraction(1, 16)}
-    for n in range(1, (uorder - 1) // 2 + 1):
-        c[2 * n] = Fraction(_signed_cube_sum(n))
-    return USeries(c, uorder)
+    return _divisor_form(uorder, Fraction(1, 16), 1, 2, 2, lambda d: (-1) ** d * d**3)
 
 
 def delta2(uorder: int | None = None) -> USeries:
     """-1/8 - 3 sum_n (sum_{d|n, d odd} d) q^(n/2)."""
-    uorder = default_uorder(uorder)
-    c = {0: Fraction(-1, 8)}
-    for n in range(1, uorder):
-        c[n] = Fraction(-3 * _odd_divisor_sum(n))
-    return USeries(c, uorder)
+    return _divisor_form(uorder, Fraction(-1, 8), -3, 1, 1, lambda d: d % 2 * d)
 
 
 def eps2(uorder: int | None = None) -> USeries:
     """sum_n (sum_{d|n, n/d odd} d^3) q^(n/2)."""
-    uorder = default_uorder(uorder)
-    c = {}
-    for n in range(1, uorder):
-        c[n] = Fraction(_odd_cofactor_cube_sum(n))
-    return USeries(c, uorder)
+    return _divisor_form(uorder, Fraction(0), 1, 1, 2, lambda d: d**3)
 
 
 class ModBasisDecomp(Record):
@@ -150,20 +131,26 @@ def reconstruct_ell1(d: ModBasisDecomp, uorder: int | None = None) -> USeries:
     return row_product(rows, scales, big * den, uorder)
 
 
+def _u_point(tau: complex) -> complex:
+    """u = e^(pi i tau); NotInUpperHalfPlane for Im tau <= 0, FloatRangeExceeded when |u| rounds to 1."""
+    if tau.imag <= 0:
+        raise NotInUpperHalfPlane(f"tau = {tau} has nonpositive imaginary part")
+    w = cmath.exp(1j * cmath.pi * tau)
+    if abs(w) >= 1.0:
+        raise FloatRangeExceeded(f"|e^(pi i tau)| rounds to 1 at the evaluation point tau = {tau}")
+    return w
+
+
 def numeric_eval(s: USeries, tau: complex) -> tuple[complex, float]:
     """Evaluate at q = e^(2 pi i tau), i.e. u = e^(pi i tau).
 
     Returns (value, tail_bound); the bound is the crude geometric estimate
-    |c_last| |u|^order / (1 - |u|) from the last retained coefficient.
+    |c_last| |u|^order / (1 - |u|) from the last retained coefficient, not a
+    proven one (`law_tolerance` gives that for the four forms).
     Raises FloatRangeExceeded when |u| rounds to 1 (Im tau below ~1e-16).
     """
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise NotInUpperHalfPlane(f"tau = {tau} has nonpositive imaginary part")
-    w = cmath.exp(1j * cmath.pi * tau)
+    w = _u_point(complex(tau))
     r = abs(w)
-    if r >= 1.0:
-        raise FloatRangeExceeded(f"|e^(pi i tau)| rounds to 1 at the evaluation point tau = {tau}")
     value = 0j
     for k, v in s.items():
         value += float(v) * w**k
@@ -173,3 +160,98 @@ def numeric_eval(s: USeries, tau: complex) -> tuple[complex, float]:
     c_last = abs(float(s.coeff(support[-1])))
     tail = c_last * r**s.order / (1.0 - r)
     return value, tail
+
+
+LAW_TARGET = 1e-9  # the proven tolerance both laws must reach, or the check is inconclusive
+LAW_CAP = 4096  # the largest order `law_tolerance` tries
+_EPS = 2.0**-53  # the unit roundoff of a double
+_ZETA3 = 1.2020569031595945  # zeta(3), rounded up to a double
+
+
+def _power_tail(j: int, n: int, y: float) -> float:
+    """sum_{m >= n} m^j y^m (j <= 3, 0 <= y < 1) = y^n sum_i C(j, i) n^(j-i) A_i(y) / (1-y)^(i+1),
+    with the Eulerian polynomials A_0 = 1, A_1 = y, A_2 = y(1+y), A_3 = y(1+4y+y^2)."""
+    eulerian = (1.0, y, y * (1 + y), y * (1 + 4 * y + y * y))
+    return y**n * sum(comb(j, i) * n ** (j - i) * eulerian[i] / (1 - y) ** (i + 1) for i in range(j + 1))
+
+
+def _sigma1_tail(n: int, y: float) -> float:
+    """An upper bound on sum_{m >= n} m (1 + ln m) y^m: 1 + ln m <= ln n + m/n for m >= n >= 1."""
+    return log(n) * _power_tail(1, n, y) + _power_tail(2, n, y) / n
+
+
+# form -> (u-exponents per step of n, |constant term|, b(n) >= |[q^n] form| for n >= 1 (in
+# q = u^2 for delta1, eps1; in u for delta2, eps2), t(n0, y) >= sum_{n >= n0} b(n) y^n), from
+# sigma1(n) <= n (1 + ln n) and sigma3(n) <= zeta(3) n^3 (Hardy-Wright, ch. 18).
+_FORM_BOUNDS = {
+    "delta1": (2, 1 / 4, lambda n: 6 * n * (1 + log(n)), lambda n, y: 6 * _sigma1_tail(n, y)),
+    "eps1": (2, 1 / 16, lambda n: _ZETA3 * n**3, lambda n, y: _ZETA3 * _power_tail(3, n, y)),
+    "delta2": (1, 1 / 8, lambda n: 3 * n * (1 + log(n)), lambda n, y: 3 * _sigma1_tail(n, y)),
+    "eps2": (1, 0.0, lambda n: _ZETA3 * n**3, lambda n, y: _ZETA3 * _power_tail(3, n, y)),
+}
+
+
+def law_tolerance(
+    tau: complex, uorder: int, cap: int = LAW_CAP, target: float = LAW_TARGET
+) -> tuple[int, float, float]:
+    """(order, delta_tol, eps_tol): the smallest order in [uorder, max(uorder, cap)] at which the
+    proven bounds on |delta2_N(-1/tau) - tau^2 delta1_N(tau)| and |eps2_N(-1/tau) - tau^4 eps1_N(tau)|,
+    as `numeric_eval` computes them at truncation order N, are both <= target (an infinite
+    target gives the bounds at uorder itself).
+
+    The laws hold exactly for the infinite series, so each computed residual is at most
+    sum over the two forms s (scale 1 at -1/tau, |tau|^2 or |tau|^4 at tau) of scale times
+
+    * the truncation tail sum_{k >= N} |c_k| rhat^k, rhat = |e^(pi i t)| at the exact point t,
+      with |c_k| <= b(n) and the tail in closed form (`_FORM_BOUNDS`);
+    * the rounding of `numeric_eval`, sum_{k < N} |c_k| rhat^k (e_k + (1.5 N + 12) eps (1 + e_k)).
+
+    Rounding, in units of eps = 2^-53: t = -1/tau is off by <= 5 eps relative, pi by 1.1 eps
+    and the product pi t by 1 eps, so z = pi i t is off by <= 7.1 pi |t| eps; exp, cos and sin
+    of z and the product are within 5 eps.  So u = e^z is off by eta <= expm1((23 |t| + 6) eps),
+    and rhat <= |u| (1 + 2 eta + 2 eps) =: x while eta <= 1/2.  u**k is binary powering for
+    k <= 100 and polar (hypot, pow, atan2, cos, sin) above, off by <= (12 k + 32) eps beyond
+    (1 + eta)^k; float(c_k) and the product add 2 eps, so the term is off by
+    e_k = expm1(k (eta + 12 eps) + 36 eps).  Recursive summation of <= N complex terms adds
+    1.01 sqrt(2) N eps <= 1.5 N eps of their absolute sum; tau**2 or tau**4 (<= 7 eps), its
+    product (2.3 eps), the subtraction (1.5 eps) and abs add at most 12 eps of it.  These
+    steps hold while N eps <= 0.01.  The bound is itself a sum of positive floats, each within
+    64 eps, so it is widened by 1e-3 for its own rounding and the second-order terms.
+
+    ToleranceNotReached when no order up to the cap reaches the target: the check is then
+    inconclusive, never passed.
+    """
+    tau = complex(tau)
+    near = abs(_u_point(tau))  # |u| at tau, checked first: -1/tau needs tau != 0
+    far = abs(_u_point(-1 / tau))
+    parts = []  # per form: (law, scale, step, c0, b, tail, x, per-k exponent of e_k)
+    for form, t, r, scale in (("delta2", -1 / tau, far, 1.0), ("delta1", tau, near, abs(tau) ** 2),
+                              ("eps2", -1 / tau, far, 1.0), ("eps1", tau, near, abs(tau) ** 4)):
+        # |u| = 0 means rhat < 2^-1074: every computed term past u^0 is 0, off by all of itself
+        eta = expm1((23 * abs(t) + 6) * _EPS) if r else 1.0
+        x = r * (1 + 2 * eta + 2 * _EPS) if r else ulp(0.0)
+        if (r and eta > 0.5) or x >= 1.0:
+            raise ToleranceNotReached(
+                f"e^(pi i t) at t = {t} is too near |u| = 1, or too inexact, to bound: inconclusive"
+            )
+        parts.append((form[0] == "e", scale, *_FORM_BOUNDS[form], x, eta + 12 * _EPS))
+    sums = [[0.0, 0.0] for _ in parts]  # per form: sum_{k < N} c_k x^k e_k, and with 1 + e_k
+    top = max(uorder, cap)
+    for N in range(top + 1):
+        if N >= uorder:
+            tol = [0.0, 0.0]
+            for (law, scale, step, _, _, tail, x, _), (err, size) in zip(parts, sums):
+                tol[law] += scale * (err + (1.5 * N + 12) * _EPS * size + tail(-(-N // step), x**step))
+            tol = [1.001 * v for v in tol]
+            if max(tol) <= target:
+                return N, tol[0], tol[1]
+        for (_, _, step, c0, b, _, x, a), acc in zip(parts, sums):
+            if N % step == 0:
+                term = (b(N // step) if N else c0) * x**N
+                e = expm1(min(N * a + 36 * _EPS, 700.0))
+                acc[0] += term * e
+                acc[1] += term * (1 + e)
+    raise ToleranceNotReached(
+        f"no order up to u^{top} brings the proven tolerance at tau = {tau} under {target} "
+        f"(delta {tol[0]:.3g}, eps {tol[1]:.3g}): the check is inconclusive"
+    )

@@ -398,6 +398,17 @@ def reduce_ratio(numerators, den: int) -> tuple[tuple[int, ...], int]:
     return tuple(v // g for v in numerators), den // g
 
 
+def divisor_sums(uorder: int, first: int, step: int, term) -> list[int]:
+    """t with t[N] = sum of term(r) over r >= 1 with N/r in {first, first + step, ...}, N < uorder:
+    one sieve over r, O(uorder log uorder) additions, not a trial division per N."""
+    t = [0] * uorder
+    for r in range(1, (uorder - 1) // first + 1):
+        v = term(r)
+        for N in range(first * r, uorder, step * r):
+            t[N] += v
+    return t
+
+
 def combine(terms, size: int) -> tuple[list[int], int]:
     """sum_i a_i v_i over one lcm denominator, not reduced, for (a_i, v_i) pairs of an int or
     Fraction a_i and a vector v_i = (numerators, den); entries past `size` are dropped."""

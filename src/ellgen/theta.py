@@ -14,7 +14,8 @@ coefficients are Bernoulli closed forms (Hirzebruch, Topological Methods in
 Algebraic Geometry, 1.5).  These products serve the residue route and the
 public API: the Pontryagin route builds none, since `genus_log` gives the
 a_k = [x^(2k)] log(f/f(0)) of each genus factor in closed form, Bernoulli
-numbers plus integer divisor sums.
+numbers plus `series.divisor_sums`.  The products and the logs read each
+theta family once, from `_FAMILIES`, and each genus once, from `_LOGS`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import comb, factorial
 from operator import add, mul, sub
 
 from .chern import RootSeries
-from .series import USeries
+from .series import USeries, divisor_sums
 
 XPoly = dict[int, Fraction]
 
@@ -86,15 +87,13 @@ def rotate_poly(a: XPoly) -> XPoly:
 # y -> 1/y, so c_(k,-j) = c_(k,j) and only the half j >= 0 is kept.
 Half = list[list[int]]
 
-# kind -> (weight of the m = 1 factor, sign c in the factors 1 + c u^w y^(+-1)
-# and 1 + c u^w).  The weights step by 2.
-_FAMILIES = {"theta": (2, -1), "theta1": (2, 1), "theta2": (1, -1)}
-
-# kind -> its u-constant prefactor in x, as a function of xdeg.
-_PREFACTORS = {
-    "theta": half_x_over_sinh_half_poly,
-    "theta1": cosh_half_poly,
-    "theta2": lambda xdeg: {0: Fraction(1)},
+# kind -> (weight w of the m = 1 factor, stepping by 2; sign c of the pair
+# (1 + c u^w y)(1 + c u^w/y) over the squared scalar (1 + c u^w)^2; whether that
+# ratio divides rather than multiplies; the u-constant prefactor in x of xdeg).
+_FAMILIES = {
+    "theta": (2, -1, True, half_x_over_sinh_half_poly),
+    "theta1": (2, 1, False, cosh_half_poly),
+    "theta2": (1, -1, False, lambda xdeg: {0: Fraction(1)}),
 }
 
 
@@ -121,19 +120,16 @@ def _apply(prod: Half, w: int, c: int, pair: bool, divide: bool) -> None:
 
 
 def _apply_family(prod: Half, kind: str) -> None:
-    """Multiply prod by every factor m >= 1 of one theta product.
-
-    theta:  (1-u^w)^2 / ((1-u^w y)(1-u^w/y)),   w = 2m
-    theta1: (1+u^w y)(1+u^w/y) / (1+u^w)^2,     w = 2m
-    theta2: (1-u^w y)(1-u^w/y) / (1-u^w)^2,     w = 2m-1
+    """Multiply prod by every factor (1 + c u^w y)(1 + c u^w/y) / (1 + c u^w)^2 of one
+    `_FAMILIES` product, or by its inverse when the pair divides.
 
     A factor of weight w only touches u^k with k >= w, so factors of weight
     >= the order are never applied.
     """
-    first, c = _FAMILIES[kind]
+    first, c, divides, _ = _FAMILIES[kind]
     for w in range(first, len(prod), 2):
-        _apply(prod, w, c, True, kind == "theta")
-        _apply(prod, w, c, False, kind != "theta")
+        _apply(prod, w, c, True, divides)
+        _apply(prod, w, c, False, not divides)
 
 
 def _theta_product(kinds: tuple[str, ...], prefactor: XPoly, xdeg: int, uorder: int) -> RootSeries:
@@ -170,7 +166,7 @@ def theta_factor(kind: str, xdeg: int, uorder: int) -> RootSeries:
     """
     if kind not in _FAMILIES:
         raise ValueError(f"unknown theta factor kind {kind!r}")
-    return _theta_product((kind,), _PREFACTORS[kind](xdeg), xdeg, uorder)
+    return _theta_product((kind,), _FAMILIES[kind][3](xdeg), xdeg, uorder)
 
 
 class GenusKind(str, Enum):
@@ -181,41 +177,33 @@ class GenusKind(str, Enum):
     WITTEN = "witten"
 
 
-@lru_cache(maxsize=128)
-def genus_root_series(kind: GenusKind, xdeg: int, uorder: int) -> RootSeries:
-    """The per-root factor of a genus, ready for `genus_class`.
-
-    Ell1 carries a per-root 2 (accumulating to the global 2^(2n)), so its
-    value at x = 0 is the constant 2; all q-dependence of A-hat and L-hat is
-    trivial by definition.
-    """
-    kind = GenusKind(kind)
-    if kind is GenusKind.AHAT:
-        return RootSeries.from_xpoly(half_x_over_sinh_half_poly(xdeg), xdeg, uorder)
-    if kind is GenusKind.LHAT:
-        return RootSeries.from_xpoly(x_over_tanh_half_poly(xdeg), xdeg, uorder)
-    if kind is GenusKind.WITTEN:
-        return theta_factor("theta", xdeg, uorder)
-    if kind is GenusKind.ELL1:
-        # 2 (x/2)/sinh(x/2) cosh(x/2) = x/tanh(x/2)
-        return _theta_product(("theta", "theta1"), x_over_tanh_half_poly(xdeg), xdeg, uorder)
-    return _theta_product(("theta", "theta2"), half_x_over_sinh_half_poly(xdeg), xdeg, uorder)
-
-
-# family -> (first multiple of r, step in multiples of r, sign of r^(2k-1)) at the u^N it reaches
-_LOG_TERMS = {"theta": (2, 2, lambda r: 1), "theta1": (2, 2, lambda r: (-1) ** (r + 1)),
-              "theta2": (1, 2, lambda r: -1)}
-# kind -> (prefactor x/tanh(x/2) (f(0) = 2) rather than (x/2)/sinh(x/2), theta families)
+# kind -> (prefactor x/tanh(x/2), so f(0) = 2, rather than (x/2)/sinh(x/2); theta families)
 _LOGS = {"ahat": (False, ()), "lhat": (True, ()), "witten": (False, ("theta",)),
          "ell1": (True, ("theta", "theta1")), "ell2": (False, ("theta", "theta2"))}
+
+
+@lru_cache(maxsize=128)
+def genus_root_series(kind: GenusKind, xdeg: int, uorder: int) -> RootSeries:
+    """The per-root factor of a genus, ready for `genus_class`: the prefactor and theta
+    families of `_LOGS`.
+
+    Ell1 carries a per-root 2 (accumulating to the global 2^(2n)): its prefactor is
+    2 (x/2)/sinh(x/2) cosh(x/2) = x/tanh(x/2), so its value at x = 0 is the constant 2.
+    A-hat and L-hat have no family, so no q-dependence.
+    """
+    tanh, families = _LOGS[GenusKind(kind).value]
+    prefactor = x_over_tanh_half_poly if tanh else half_x_over_sinh_half_poly
+    return _theta_product(families, prefactor(xdeg), xdeg, uorder)
 
 
 def genus_log(kind: GenusKind, n: int, uorder: int) -> tuple[USeries, list[USeries]]:
     """f(0) and [a_1..a_n], a_k = [x^(2k)] log(f/f(0)), f = `genus_root_series(kind)`, in closed form.
 
-    a_k = beta_k B_2k / (2k (2k)!) + 2/(2k)! sum_N (sum_r +-r^(2k-1)) u^N: beta_k = -1 for
-    (x/2)/sinh(x/2), 4^k - 2 for x/tanh(x/2); `_LOG_TERMS` sums over r | M at N = 2M (theta,
-    theta1) or r | N with N/r odd (theta2) (Zagier, LNM 1326; Hirzebruch-Berger-Jung, ch. 6).
+    a_k = beta_k B_2k / (2k (2k)!) + 2/(2k)! sum_N t_N u^N: beta_k = -1 for (x/2)/sinh(x/2),
+    4^k - 2 for x/tanh(x/2).  For a family of `_FAMILIES`, log(1 + c z) = -sum_r (-c)^r z^r / r
+    and y^r + 1/y^r - 2 = 2 sum_k (r x)^(2k) / (2k)! turn the pair over the squared scalar
+    at z = u^w into -(-c)^r r^(2k-1) at N = w r, negated when the pair divides: t is the
+    `divisor_sums` over N/r = w (Zagier, LNM 1326; Hirzebruch-Berger-Jung, ch. 6).
     """
     if uorder < 1:
         raise ValueError("uorder must be >= 1")
@@ -224,10 +212,9 @@ def genus_log(kind: GenusKind, n: int, uorder: int) -> tuple[USeries, list[USeri
     a = []
     for k in range(1, n + 1):
         t = [0] * uorder
-        for first, step, sign in map(_LOG_TERMS.get, families):
-            for r in range(1, (uorder - 1) // first + 1):
-                for N in range(first * r, uorder, step * r):
-                    t[N] += sign(r) * r ** (2 * k - 1)
+        for first, c, divides, _ in map(_FAMILIES.get, families):
+            sign = 1 if divides else -1
+            t = list(map(add, t, divisor_sums(uorder, first, 2, lambda r: sign * (-c) ** r * r ** (2 * k - 1))))
         # over the denominator 2k (2k)! q, B_2k = p/q: the theta term's 2/(2k)! is 4kq
         p, q = b[2 * k].numerator, b[2 * k].denominator
         nums = [((4**k - 2) if tanh else -1) * p] + [4 * k * q * v for v in t[1:]]

@@ -429,6 +429,25 @@ def test_transformation_laws_tau_with_unit_modulus_u_is_domain_error(capsys, tau
     assert "rounds to 1" in err
 
 
+@pytest.mark.parametrize("tau, longer", [("0.01i", True), ("0.1i", True), ("i", False), ("1+i", False)])
+def test_transformation_laws_pass_only_under_a_proven_tolerance(capsys, tau, longer):
+    # at u^40, 0.01i and 0.1i once passed under heuristic tolerances of 6.4e5 and 0.90
+    code, out, _ = run(capsys, "verify", "--check", "transformation-laws", f"--tau={tau}")
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    assert (report["uorder"] > 40) is longer
+    for law in ("delta", "eps"):
+        assert report[f"{law}_residual"] <= report[f"{law}_tolerance"] <= 1e-9
+    assert report["tolerance_source"].startswith("proven")
+
+
+def test_transformation_laws_with_an_unreachable_tolerance_are_inconclusive(capsys):
+    # a tolerance of 2.2e13 against a delta residual of 0.125 once passed here
+    code, out, err = run(capsys, "verify", "--check", "transformation-laws", "--tau=1e-9+1e-9i")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "inconclusive" in err and len(err.strip().splitlines()) == 1
+
+
 def test_cli_import_path_skips_dataclasses_and_loads_every_module():
     # -S keeps a site .pth from preloading modules
     code = (

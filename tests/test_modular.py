@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
+from ellgen import modular, series, theta
 from ellgen.chern import Manifold, partitions_of
-from ellgen.errors import NotInUpperHalfPlane, ResidualNonzero
+from ellgen.errors import NotInUpperHalfPlane, ResidualNonzero, ToleranceNotReached
 from ellgen.genera import Hypersurface, genus, hypersurface_pont
 from ellgen.modular import (
     ModBasisDecomp,
@@ -13,6 +15,7 @@ from ellgen.modular import (
     eps1,
     eps2,
     expand_in_basis,
+    law_tolerance,
     numeric_eval,
     reconstruct_ell1,
 )
@@ -234,3 +237,104 @@ def test_tail_bound_is_honest_for_geometric_series():
     w = cmath.exp(1j * cmath.pi * tau)
     true_tail = abs(w**order / (1 - w))
     assert tail >= true_tail * 0.99
+
+
+# -- the one divisor-sum sieve -------------------------------------------------
+
+@pytest.mark.parametrize("uorder", [1, 2, 3, 24, 200])
+def test_divisor_sums_match_brute_force_divisors_at_every_call(monkeypatch, uorder):
+    # every (first, step, term) that the four forms and the genus logs pass to the sieve,
+    # against t[N] = sum of term(r) over the divisors r of N with N/r in {first, first + step, ...}
+    calls = []
+
+    def spy(order, first, step, term):
+        # checked here: genus_log's term closes over its loop variable k
+        out = series.divisor_sums(order, first, step, term)
+        expected = [
+            sum(term(r) for r in range(1, N + 1) if N % r == 0 and N // r >= first and (N // r - first) % step == 0)
+            for N in range(order)
+        ]
+        assert out == expected, (order, first, step)
+        calls.append((first, step))
+        return out
+
+    monkeypatch.setattr(modular, "divisor_sums", spy)
+    monkeypatch.setattr(theta, "divisor_sums", spy)
+    for form in (delta1, eps1, delta2, eps2):
+        form(uorder)
+    for kind in theta.GenusKind:
+        theta.genus_log(kind, 3, uorder)
+    assert set(calls) == {(1, 1), (1, 2), (2, 2)}
+    assert len(calls) == 4 + 3 * 5  # witten one family, ell1 and ell2 two, for k = 1..3
+
+
+# -- the proven tolerance of the transformation laws ---------------------------
+
+def _mp_value(coeff, t, terms):
+    """sum_{k < terms} coeff(k) u^k at u = e^(pi i t), in mpmath at the working precision."""
+    u = mpmath.exp(mpmath.mpc(0, 1) * mpmath.pi * t)
+    return mpmath.fsum(coeff(k) * u**k for k in range(terms))
+
+
+def _mp_forms(tau, terms=700):
+    """(delta2, eps2) at -1/tau and (delta1, eps1) at tau, exact tau, from the divisor-sum oracle."""
+    odd = lambda d, q: d % 2 == 1  # noqa: E731
+    coeffs = {
+        "delta1": lambda k: F(1, 4) if k == 0 else 6 * divisor_sum_oracle(k // 2, odd) if k % 2 == 0 else 0,
+        "eps1": lambda k: F(1, 16) if k == 0 else (
+            divisor_sum_oracle(k // 2, lambda d, q: d % 2 == 0, 3) - divisor_sum_oracle(k // 2, odd, 3)
+            if k % 2 == 0 else 0),
+        "delta2": lambda k: F(-1, 8) if k == 0 else -3 * divisor_sum_oracle(k, odd),
+        "eps2": lambda k: divisor_sum_oracle(k, lambda d, q: q % 2 == 1, 3),
+    }
+    t = mpmath.mpc(tau.real, tau.imag)
+    points = {"delta1": t, "eps1": t, "delta2": -1 / t, "eps2": -1 / t}
+    mp = lambda v: mpmath.mpf(v.numerator) / v.denominator if isinstance(v, F) else mpmath.mpf(v)  # noqa: E731
+    return {name: _mp_value(lambda k: mp(c(k)), points[name], terms) for name, c in coeffs.items()}
+
+
+@pytest.mark.parametrize("tau", [1j, 1 + 1j, 0.1j, 0.5 + 2j, 2j, 0.25 + 1j])
+def test_law_tolerance_bounds_the_float_error_against_mpmath(tau):
+    with mpmath.workdps(50):
+        exact = _mp_forms(tau)
+        t = mpmath.mpc(tau.real, tau.imag)
+        # the oracle itself: the laws hold to 50 digits
+        assert abs(exact["delta2"] - t**2 * exact["delta1"]) < mpmath.mpf(10) ** -40
+        assert abs(exact["eps2"] - t**4 * exact["eps1"]) < mpmath.mpf(10) ** -40
+        order, dtol, etol = law_tolerance(tau, 40)
+        assert dtol <= modular.LAW_TARGET and etol <= modular.LAW_TARGET
+        got = {
+            "delta2": numeric_eval(delta2(order), -1 / tau)[0], "delta1": numeric_eval(delta1(order), tau)[0],
+            "eps2": numeric_eval(eps2(order), -1 / tau)[0], "eps1": numeric_eval(eps1(order), tau)[0],
+        }
+        err = {k: abs(mpmath.mpc(v.real, v.imag) - exact[k]) for k, v in got.items()}
+        assert err["delta2"] + abs(t) ** 2 * err["delta1"] <= dtol, (order, err, dtol)
+        assert err["eps2"] + abs(t) ** 4 * err["eps1"] <= etol, (order, err, etol)
+    assert abs(got["delta2"] - tau**2 * got["delta1"]) <= dtol
+    assert abs(got["eps2"] - tau**4 * got["eps1"]) <= etol
+
+
+@pytest.mark.parametrize("tau", [0.01j, 0.1j])
+def test_law_tolerance_raises_the_order_where_u40_is_too_short(tau):
+    # at u^40 these points once passed under heuristic tolerances of 6.4e5 and 0.90
+    with pytest.raises(ToleranceNotReached):
+        law_tolerance(tau, 40, cap=40)
+    order, dtol, etol = law_tolerance(tau, 40)
+    assert order > 40 and max(dtol, etol) <= modular.LAW_TARGET
+    with pytest.raises(ToleranceNotReached):
+        law_tolerance(tau, 40, cap=order - 1)
+
+
+def test_law_tolerance_is_inconclusive_near_the_real_axis():
+    with pytest.raises(ToleranceNotReached, match="inconclusive"):
+        law_tolerance(1e-9 + 1e-9j, 40)
+
+
+def test_power_tail_closed_form_matches_the_sum():
+    with mpmath.workdps(30):
+        assert modular._ZETA3 >= mpmath.zeta(3)
+    for j in range(4):
+        for n in (1, 2, 7, 40):
+            for y in (0.0, 0.05, 0.5, 0.9):
+                direct = mpmath.nsum(lambda m: m**j * mpmath.mpf(y) ** m, [n, mpmath.inf]) if y else 0
+                assert modular._power_tail(j, n, y) == pytest.approx(float(direct), rel=1e-12, abs=0)
