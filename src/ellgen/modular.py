@@ -191,10 +191,8 @@ _FORM_BOUNDS = {
 }
 
 
-def law_tolerance(
-    tau: complex, uorder: int, cap: int = LAW_CAP, target: float = LAW_TARGET
-) -> tuple[int, float, float]:
-    """(order, delta_tol, eps_tol): the smallest order in [uorder, max(uorder, cap)] at which the
+def law_tolerance(tau: complex, uorder: int, target: float = LAW_TARGET) -> tuple[int, float, float]:
+    """(order, delta_tol, eps_tol): the smallest order in [uorder, max(uorder, LAW_CAP)] at which the
     proven bounds on |delta2_N(-1/tau) - tau^2 delta1_N(tau)| and |eps2_N(-1/tau) - tau^4 eps1_N(tau)|,
     as `numeric_eval` computes them at truncation order N, are both <= target (an infinite
     target gives the bounds at uorder itself).
@@ -218,7 +216,7 @@ def law_tolerance(
     steps hold while N eps <= 0.01.  The bound is itself a sum of positive floats, each within
     64 eps, so it is widened by 1e-3 for its own rounding and the second-order terms.
 
-    ToleranceNotReached when no order up to the cap reaches the target: the check is then
+    ToleranceNotReached when no order up to LAW_CAP reaches the target: the check is then
     inconclusive, never passed.
     """
     tau = complex(tau)
@@ -236,7 +234,7 @@ def law_tolerance(
             )
         parts.append((form[0] == "e", scale, *_FORM_BOUNDS[form], x, eta + 12 * _EPS))
     sums = [[0.0, 0.0] for _ in parts]  # per form: sum_{k < N} c_k x^k e_k, and with 1 + e_k
-    top = max(uorder, cap)
+    top = max(uorder, LAW_CAP)
     for N in range(top + 1):
         if N >= uorder:
             tol = [0.0, 0.0]

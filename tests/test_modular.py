@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -317,12 +318,11 @@ def test_law_tolerance_bounds_the_float_error_against_mpmath(tau):
 @pytest.mark.parametrize("tau", [0.01j, 0.1j])
 def test_law_tolerance_raises_the_order_where_u40_is_too_short(tau):
     # at u^40 these points once passed under heuristic tolerances of 6.4e5 and 0.90
-    with pytest.raises(ToleranceNotReached):
-        law_tolerance(tau, 40, cap=40)
+    assert max(law_tolerance(tau, 40, target=math.inf)[1:]) > modular.LAW_TARGET
     order, dtol, etol = law_tolerance(tau, 40)
     assert order > 40 and max(dtol, etol) <= modular.LAW_TARGET
-    with pytest.raises(ToleranceNotReached):
-        law_tolerance(tau, 40, cap=order - 1)
+    # the order is the smallest one that meets the target
+    assert max(law_tolerance(tau, order - 1, target=math.inf)[1:]) > modular.LAW_TARGET
 
 
 def test_law_tolerance_is_inconclusive_near_the_real_axis():

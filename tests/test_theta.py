@@ -112,6 +112,13 @@ def test_evenness_and_value_at_zero():
         assert rs.constant_term() == USeries.const(value, 6)
 
 
+@pytest.mark.parametrize("kind", list(GenusKind))
+def test_genus_root_series_rejects_uorder_zero_for_every_kind(kind):
+    # A-hat and L-hat carry no theta family, but share the product's xdeg/uorder >= 1 check
+    with pytest.raises(ValueError, match="uorder"):
+        genus_root_series(kind, 4, 0)
+
+
 def test_ell1_u0_slice_is_lhat_factor():
     rs = genus_root_series(GenusKind.ELL1, 8, 3)
     expected = x_over_tanh_half_poly(8)
