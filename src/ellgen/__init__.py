@@ -22,16 +22,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bundles": "BundleMonomial BundleQSeries VirtualBundlePoly ch_monomial ch_virtual "
     "ell2_via_bundles expand_witten index_bundle",
-    "chern": "Manifold Partition PontPoly RootSeries ch_tangent disjoint_union genus_class "
-    "newton_power_sum pair partitions_of",
+    "chern": "PontPoly RootSeries ch_tangent disjoint_union genus_class newton_power_sum pair",
     "errors": "",
-    "genera": "Hypersurface ahat_class ahat_factor cancellation_class cancellation_residual genus "
-    "hypersurface_genus hypersurface_pont signature_factor twisted_ahat twisted_ahat_series",
+    "genera": "ahat_class ahat_factor cancellation_class cancellation_residual hypersurface_genus "
+    "signature_factor twisted_ahat twisted_ahat_series",
     "modular": "ModBasisDecomp delta1 delta2 eps1 eps2 expand_in_basis numeric_eval reconstruct_ell1",
+    "pontryagin": "GenusKind Hypersurface Manifold Partition genus hypersurface_pont partitions_of",
     "series": "USeries default_uorder weighted_product",
     "sobolev": "MoserExponents moser_constant moser_exponents poincare_s radius_r sobolev_c "
     "sphere_volume wallis",
-    "theta": "GenusKind genus_root_series theta_factor",
+    "theta": "genus_root_series theta_factor",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_HOME)

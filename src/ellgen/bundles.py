@@ -20,7 +20,7 @@ monomial's index vector, the weight-n part of A-hat(T) ch(monomial), is
 memoized on (monomial, n), and the index vector of a virtual bundle, an
 integer combination of those, is rewritten once in p_1..p_n.  Ell_2 is the
 row view of those rows for B_0, B_1, ..., memoized per (n, uorder), and
-`chern._pair_rows`, the pairing kernel of the Pontryagin route too, multiplies
+`pontryagin._pair_rows`, the pairing kernel of the Pontryagin route too, multiplies
 it by the Pontryagin numbers of M.  The public `ch_*` functions convert to
 the p-basis once, on return.
 """
@@ -34,17 +34,13 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .chern import (
-    Manifold,
-    Partition,
     PontPoly,
-    _pair_rows,
     _power_sum_terms,
     pair,  # noqa: F401  (kept as a module binding: the benchmark tracer patches bundles.pair)
-    partitions_of,
 )
 from .errors import DimMismatch
+from .pontryagin import GenusKind, Manifold, Partition, _check_n, _pair_rows, genus_log, partitions_of
 from .series import USeries, as_int, combine, default_uorder, reduce_ratio
-from .theta import GenusKind, genus_log
 
 
 class BundleMonomial(NamedTuple):
@@ -243,6 +239,7 @@ def expand_witten(which: str, n: int, uorder: int) -> BundleQSeries:
         raise ValueError(f"which must be 'theta1' or 'theta2', got {which!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)  # its coefficients grow like n^(uorder/2)
     if uorder < 1:
         raise ValueError("uorder must be >= 1")
     rank = 4 * n

@@ -1,160 +1,32 @@
-"""Chern-root calculus: from per-root factors to Pontryagin-class polynomials.
+"""Chern-root calculus: the ring of the cross-check routes, from per-root factors to classes.
 
-A 4n-manifold enters as its Pontryagin numbers, indexed by partitions of n.
-A multiplicative genus enters as one even power series f(x) per formal root;
-with log(f/f(0)) = sum_k a_k x^(2k), prod_{j=1}^{2n} f(x_j) equals
-G = f(0)^(2n) exp(sum_k a_k s_k), s_k = sum_j x_j^(2k) the power sums.  Its
-weight-m part obeys Hirzebruch's recursion m G_m = sum_{k=1}^m k a_k s_k G_(m-k)
-(Hirzebruch, Topological Methods, sec. 1; Macdonald, ch. I.2), run in p_1..p_n
-with s_k from Newton's identities.  The a_k of an arbitrary f come from a
-recursion (`_log_coefficients`), those of the genus columns in closed form
-from `theta.genus_log`, with no theta product.  `genus_class` builds the class
-up to weight n.  A 4n-manifold sees only its weight-n part: a genus is the
-linear map M -> sum_lambda P_lambda(M) col_lambda, and `_pair_rows`, the one
-pairing kernel of both genus routes, runs it as one integer matrix-vector
-product on a row view of the columns.  `pair` builds that view per call.
-`RootSeries` (keys: x-degrees) and `PontPoly` (keys: partitions) share one
-ring core, `_Graded`: a dict key -> USeries with the arithmetic written once.
+The Pontryagin route of a genus (closed-form log coefficients, Hirzebruch's
+recursion `_p_class`, the pairing kernel `_pair_rows`, `Manifold` and the
+partitions) lives in `pontryagin`, which is all a cold `genus` command runs;
+its names are bound here too.  This module holds what the other routes add.
+A multiplicative genus enters as one even power series f(x) per formal root
+(a `RootSeries`); with log(f/f(0)) = sum_k a_k x^(2k), prod_{j=1}^{2n} f(x_j)
+equals G = f(0)^(2n) exp(sum_k a_k s_k), s_k = sum_j x_j^(2k) the power sums,
+which `_p_class` runs in p_1..p_n (Hirzebruch, Topological Methods, sec. 1;
+Macdonald, ch. I.2).  The a_k of an arbitrary f come from a recursion
+(`_log_coefficients`), and `genus_class` wraps the class up to weight n in a
+`PontPoly`.  `pair` contracts any class with a manifold through a row view
+of its weight-n columns, built per call.  `RootSeries` (keys: x-degrees)
+and `PontPoly` (keys: partitions) share one ring core, `_Graded`: a dict
+key -> USeries with the arithmetic written once.
 """
 
 from __future__ import annotations
 
-import json
 import operator
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import repeat
-from math import lcm
-from types import MappingProxyType
+from functools import lru_cache
 from typing import Mapping, Union
 
-from .errors import DimMismatch, NonUnitConstant, OddTermPresent, Record
-from .series import (
-    Scalar, USeries, _RingOps, as_int, as_ratio, default_uorder, linear_combination, row_product, row_view,
-)
-
-Partition = tuple[int, ...]
-
-
-def partition_key(parts) -> Partition:
-    """Canonical partition: weakly decreasing tuple of positive integers."""
-    t = tuple(sorted((as_int(p, "partition part") for p in parts), reverse=True))
-    if any(p <= 0 for p in t):
-        raise ValueError(f"partition parts must be positive: {parts}")
-    return t
-
-
-def weight(p: Partition) -> int:
-    return sum(p)
-
-
-@lru_cache(maxsize=None)
-def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, parts weakly decreasing."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return ((),)
-    out: list[Partition] = []
-
-    def gen(rest: int, maxpart: int, prefix: tuple[int, ...]):
-        if rest == 0:
-            out.append(prefix)
-            return
-        for p in range(min(rest, maxpart), 0, -1):
-            gen(rest - p, p, prefix + (p,))
-
-    gen(n, n, ())
-    return tuple(out)
-
-
-def partition_to_str(p: Partition) -> str:
-    return "[" + ",".join(str(i) for i in p) + "]"
-
-
-@lru_cache(maxsize=1024)  # keyed on the JSON text: a tuple key would equate (True,) with (1,)
-def partition_from_str(s: str) -> Partition:
-    parts = json.loads(s)
-    if not isinstance(parts, list) or not set(map(type, parts)) <= {int}:
-        raise ValueError(f"partition key must be a JSON array of integers: {s!r}")
-    return partition_key(parts)
-
-
-# ---------------------------------------------------------------------------
-# Manifolds
-# ---------------------------------------------------------------------------
-
-
-class Manifold(Record):
-    """A 4n-dimensional pairing target: name, dimension, Pontryagin numbers.
-
-    The numbers are canonical: nonzero integer numerators `_num` by partition
-    of n = dim/4, over `_den`, the lcm of their reduced denominators; `==`
-    and `hash` go by that form.  `pont` is a read-only partition -> Fraction
-    view of it, built on first read (absent keys read as 0).
-    """
-
-    _fields = ("name", "dim", "_num", "_den")
-
-    def __init__(self, name: str, dim: int, pont: Mapping[Partition, Fraction] | None = None):
-        self._fill(name, dim, pont or {}, partition_key)
-
-    def _fill(self, name: str, dim, pont: Mapping, read_key) -> None:
-        """Check and set the fields, reading each key with `read_key` and each entry once."""
-        dim = as_int(dim, "manifold dimension")
-        if dim <= 0 or dim % 4:
-            raise DimMismatch(f"dimension {dim} is not a positive multiple of 4")
-        n = dim // 4
-        ratios: dict[Partition, tuple[int, int]] = {}
-        for k, v in pont.items():
-            key = read_key(k)
-            if sum(key) != n:
-                raise ValueError(f"partition {key} has weight {sum(key)}, expected {n} for dim {dim}")
-            p, q = as_ratio(v, "Pontryagin number")
-            if p:
-                ratios[key] = p, q
-        den = lcm(*(q for _, q in ratios.values()))
-        self._set(name, dim, {k: p * (den // q) for k, (p, q) in ratios.items()}, den)
-
-    def _values(self) -> tuple:
-        return self.name, self.dim, frozenset(self._num.items()), self._den
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(name={self.name!r}, dim={self.dim!r}, pont={dict(self.pont)!r})"
-
-    @cached_property
-    def pont(self) -> Mapping[Partition, Fraction]:
-        return MappingProxyType({k: Fraction(v, self._den) for k, v in self._num.items()})
-
-    @property
-    def n(self) -> int:
-        return self.dim // 4
-
-    def pont_number(self, parts) -> Fraction:
-        return self.pont.get(partition_key(parts), Fraction(0))
-
-    def missing_partitions(self) -> list[Partition]:
-        return [p for p in partitions_of(self.n) if p not in self._num]
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "pontryagin_numbers": {
-                partition_to_str(p): str(v) for p, v in sorted(self.pont.items())
-            },
-        }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "Manifold":
-        if not isinstance(obj, dict) and not isinstance(obj, Mapping):  # dict first: no ABC check
-            raise ValueError(f"manifold JSON must be an object, not {type(obj).__name__}")
-        m = cls.__new__(cls)
-        try:
-            m._fill(str(obj.get("name", "")), obj["dim"], obj.get("pontryagin_numbers", {}), partition_from_str)
-        except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError) as exc:
-            raise ValueError(f"malformed manifold JSON: {type(exc).__name__}: {exc}") from exc
-        return m
+from .errors import DimMismatch, NonUnitConstant, OddTermPresent
+from .pontryagin import Manifold, Partition, _join, _newton_terms, _p_class, _pair_rows, partition_key, weight, weight_view
+from .pontryagin import partition_from_str, partition_to_str, partitions_of  # noqa: F401  (bound here as before)
+from .series import Scalar, USeries, _RingOps, default_uorder
 
 
 def disjoint_union(a: Manifold, b: Manifold) -> Manifold:
@@ -418,10 +290,7 @@ class PontPoly(_Graded):
         return partition_key(k) if k else ()
 
     _grade = staticmethod(weight)
-
-    @staticmethod
-    def _join(a: Partition, b: Partition) -> Partition:
-        return tuple(sorted(a + b, reverse=True))
+    _join = staticmethod(_join)
 
     # Bound here, not only inherited: the benchmark tracer patches a method
     # only where the owner's own class dict binds it.
@@ -458,20 +327,6 @@ class PontPoly(_Graded):
         return result
 
 @lru_cache(maxsize=None)
-def _newton_terms(k: int) -> tuple[tuple[Partition, int], ...]:
-    """Power sum s_k = sum_j (x_j^2)^k in the p_i, as integer partition terms."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    # s_k = p_1 s_{k-1} - p_2 s_{k-2} + ... + (-1)^{k-1} k p_k
-    acc: dict[Partition, int] = {(k,): (-1) ** (k - 1) * k}
-    for i in range(1, k):
-        for part, coef in _newton_terms(k - i):
-            key = PontPoly._join(part, (i,))
-            acc[key] = acc.get(key, 0) + (-1) ** (i - 1) * coef
-    return tuple(sorted((p, c) for p, c in acc.items() if c))
-
-
-@lru_cache(maxsize=None)
 def _power_sum_terms(mu: Partition) -> tuple[tuple[Partition, int], ...]:
     """s_mu = prod_i s_{mu_i} in the p_i, as integer partition terms of weight |mu|."""
     if not mu:
@@ -479,7 +334,7 @@ def _power_sum_terms(mu: Partition) -> tuple[tuple[Partition, int], ...]:
     acc: dict[Partition, int] = {}
     for lam, c in _power_sum_terms(mu[:-1]):
         for nu, d in _newton_terms(mu[-1]):
-            key = PontPoly._join(lam, nu)
+            key = _join(lam, nu)
             acc[key] = acc.get(key, 0) + c * d
     return tuple(sorted((p, c) for p, c in acc.items() if c))
 
@@ -509,30 +364,14 @@ def _log_coefficients(f: RootSeries, n: int) -> tuple[USeries, list[USeries]]:
     return c0, a[1:]
 
 
-def _p_class(f0: USeries, a: list[USeries], n: int) -> PontPoly:
-    # Hirzebruch's recursion from G_0 = f(0)^(2n): each column of G_m is one
-    # integer combination of the products (k/m) a_k G_(m-k)[lambda].
-    order = f0.order
-    g = [{(): f0 ** (2 * n)}]
-    for m in range(1, n + 1):
-        rows: dict[Partition, list[tuple[int, USeries]]] = {}
-        for k in range(1, m + 1):
-            ka = a[k - 1] * Fraction(k, m)
-            for lam, c in g[m - k].items():
-                b = ka * c
-                for nu, t in _newton_terms(k):
-                    rows.setdefault(PontPoly._join(lam, nu), []).append((t, b))
-        g.append({lam: linear_combination(row, order) for lam, row in rows.items()})
-    return PontPoly._raw({lam: c for gm in g for lam, c in gm.items()}, n, order)
-
-
 def genus_class(f: RootSeries, n: int) -> PontPoly:
     """Reduce prod_{j=1}^{2n} f(x_j) to a polynomial in p_1..p_n.
 
     Runs Hirzebruch's recursion on f(0) and the log coefficients of f; the
     cost is independent of the number of roots.
     """
-    return _p_class(*_log_coefficients(f, n), n)
+    f0, a = _log_coefficients(f, n)
+    return PontPoly._raw(_p_class(f0, a, n), n, f0.order)
 
 
 def ch_tangent(n: int, nmax: int, uorder: int | None = None) -> PontPoly:
@@ -553,19 +392,4 @@ def pair(c: PontPoly, m: Manifold) -> USeries:
     """Contract the weight-n part of `c` with [M], through a row view built per call."""
     if c.nmax < m.n:
         raise DimMismatch(f"class truncated at weight {c.nmax}, manifold needs {m.n}")
-    return _pair_rows(weight_view(c, m.n), m, c.uorder)
-
-
-def weight_view(c: PontPoly, n: int):
-    """The `row_view` of the weight-n columns of `c` over `partitions_of(n)`."""
-    zero = USeries.zero(c.uorder)
-    return row_view([c._c.get(lam, zero) for lam in partitions_of(n)])
-
-
-def _pair_rows(view, m: Manifold, order: int) -> USeries:
-    """sum_lambda P_lambda(M) col_lambda for a row view (rows, den) on `partitions_of(m.n)`: one
-    integer matrix-vector product with `m`'s numerators in that order (`_vec`, kept on `m`)."""
-    rows, den = view
-    if (vec := m.__dict__.get("_vec")) is None:  # a plain memo: Manifold fields are frozen
-        vec = m.__dict__["_vec"] = tuple(map(m._num.get, partitions_of(m.n), repeat(0)))
-    return row_product(rows, vec, m._den * den, order)
+    return _pair_rows(weight_view(c._c, m.n, c.uorder), m, c.uorder)

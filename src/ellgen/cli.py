@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification check failed, 2 malformed input
 (also used by argparse for usage errors), 3 dimension/domain errors,
-including a Sobolev root whose residual tolerance cannot be reached or
+including an n = dim/4 above `pontryagin.MAX_N` (a manifold's `dim`, a
+hypersurface's `--ambient`, `verify --n`), refused before any partition of
+n is enumerated, a Sobolev root whose residual tolerance cannot be reached or
 whose evaluation overflows double precision, and an inconclusive
 transformation-laws check, whose proven tolerance no order up to
 `modular.LAW_CAP` brings under `modular.LAW_TARGET`.
@@ -16,7 +18,7 @@ import json
 import math
 import sys
 
-from . import __version__, bundles, chern, genera, modular, series, sobolev, theta
+from . import __version__, bundles, genera, modular, pontryagin, series, sobolev
 from .errors import (
     DimMismatch,
     FloatRangeExceeded,
@@ -31,10 +33,10 @@ EXIT_BAD_INPUT = 2
 EXIT_DOMAIN = 3
 
 
-def _load_manifold(path: str) -> chern.Manifold:
+def _load_manifold(path: str) -> pontryagin.Manifold:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    m = chern.Manifold.from_json(obj)
+    m = pontryagin.Manifold.from_json(obj)
     missing = m.missing_partitions()
     if missing:
         names = ", ".join("p" + "p".join(map(str, p)) for p in missing)
@@ -54,17 +56,17 @@ def _emit_series(s: series.USeries, fmt: str) -> None:
 
 def cmd_genus(args) -> int:
     m = _load_manifold(args.manifold)
-    result = genera.genus(m, theta.GenusKind(args.genus), args.uorder)
+    result = pontryagin.genus(m, pontryagin.GenusKind(args.genus), args.uorder)
     _emit_series(result, args.format)
     return EXIT_OK
 
 
 def cmd_hypersurface(args) -> int:
-    h = genera.Hypersurface(ambient=args.ambient, degree=args.degree)
-    m = genera.hypersurface_pont(h)
-    sigma = genera.genus(m, theta.GenusKind.LHAT, 1).coeff(0)
-    ahat = genera.genus(m, theta.GenusKind.AHAT, 1).coeff(0)
-    ell2 = genera.genus(m, theta.GenusKind.ELL2, args.uorder)
+    h = pontryagin.Hypersurface(ambient=args.ambient, degree=args.degree)
+    m = pontryagin.hypersurface_pont(h)
+    sigma = pontryagin.genus(m, pontryagin.GenusKind.LHAT, 1).coeff(0)
+    ahat = pontryagin.genus(m, pontryagin.GenusKind.AHAT, 1).coeff(0)
+    ell2 = pontryagin.genus(m, pontryagin.GenusKind.ELL2, args.uorder)
     if args.format == "json":
         print(
             json.dumps(
@@ -99,13 +101,13 @@ def cmd_bundles(args) -> int:
     return EXIT_OK
 
 
-def _random_manifold(n: int, rng) -> chern.Manifold:
+def _random_manifold(n: int, rng) -> pontryagin.Manifold:
     from fractions import Fraction
 
     pont = {
-        p: Fraction(rng.randint(-60, 60), rng.randint(1, 6)) for p in chern.partitions_of(n)
+        p: Fraction(rng.randint(-60, 60), rng.randint(1, 6)) for p in pontryagin.partitions_of(n)
     }
-    return chern.Manifold(name=f"random-n{n}", dim=4 * n, pont=pont)
+    return pontryagin.Manifold(name=f"random-n{n}", dim=4 * n, pont=pont)
 
 
 def _parse_tau(text: str) -> complex:
@@ -157,14 +159,14 @@ def cmd_verify(args) -> int:
         resid = "0"
         for _ in range(args.samples):
             m = _random_manifold(n, rng)
-            e2 = genera.genus(m, theta.GenusKind.ELL2, uorder)
+            e2 = pontryagin.genus(m, pontryagin.GenusKind.ELL2, uorder)
             try:
                 dec = modular.expand_in_basis(e2, n)
             except ResidualNonzero as exc:
                 failures.append(f"{m.name}: {exc}")
                 resid = "nonzero"
                 continue
-            if modular.reconstruct_ell1(dec, uorder) != genera.genus(m, theta.GenusKind.ELL1, uorder):
+            if modular.reconstruct_ell1(dec, uorder) != pontryagin.genus(m, pontryagin.GenusKind.ELL1, uorder):
                 failures.append(f"{m.name}: reconstructed Ell1 mismatch")
                 resid = "nonzero"
         report["residual"] = resid
@@ -176,7 +178,7 @@ def cmd_verify(args) -> int:
         report["uorder"] = uorder
         for _ in range(args.samples):
             m = _random_manifold(n, rng)
-            if bundles.ell2_via_bundles(m, uorder) != genera.genus(m, theta.GenusKind.ELL2, uorder):
+            if bundles.ell2_via_bundles(m, uorder) != pontryagin.genus(m, pontryagin.GenusKind.ELL2, uorder):
                 failures.append(f"{m.name}: bundle route disagrees with theta route")
         report["residual"] = "0" if not failures else "nonzero"
 
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--genus",
         required=True,
-        choices=("ahat", "lhat", "ell1", "ell2", "witten"),  # theta.GenusKind values, not loaded here
+        choices=("ahat", "lhat", "ell1", "ell2", "witten"),  # pontryagin.GenusKind values, not loaded here
         help="which genus to compute",
     )
     p.add_argument("--uorder", type=_positive_int, default=None, help="truncation order in u = q^(1/2)")

@@ -60,6 +60,10 @@ class DimNotMultipleOf4(DimMismatch):
     """Hypersurface whose real dimension is not a multiple of 4."""
 
 
+class DimTooLarge(DimMismatch):
+    """n = dim/4 above `pontryagin.MAX_N`: its partitions are too many to enumerate."""
+
+
 class ResidualNonzero(ValueError):
     """A series that should lie in the modular basis span does not."""
 

@@ -1,4 +1,4 @@
-"""Per-root characteristic factors of the genera: theta products and their logs.
+"""Per-root characteristic factors of the genera: the theta products, a cross-check route.
 
 The normalized ratios x theta'(0)/theta(x), theta1(x)/theta1(0) and
 theta2(x)/theta2(0) are built as even RootSeries with rational coefficients:
@@ -12,22 +12,24 @@ once, [u^k x^(2i)] = sum_j c_(k,j) j^(2i) / (2i)! with the j > 0 terms
 doubled, times the prefactor (x/2)/sinh(x/2) or cosh(x/2), whose x^(2k)
 coefficients are Bernoulli closed forms (Hirzebruch, Topological Methods in
 Algebraic Geometry, 1.5).  These products serve the residue route and the
-public API: the Pontryagin route builds none, since `genus_log` gives the
-a_k = [x^(2k)] log(f/f(0)) of each genus factor in closed form, Bernoulli
-numbers plus `series.divisor_sums`.  The products and the logs read each
-theta family once, from `_FAMILIES`, and each genus once, from `_LOGS`.
+public API.  The Pontryagin route builds none: `pontryagin.genus_log` gives
+the a_k = [x^(2k)] log(f/f(0)) of each genus factor in closed form.  The
+theta families (`_FAMILIES`), the genera (`GenusKind`, `_LOGS`) and the
+prefactors they name live in `pontryagin` with it, and both routes read
+those tables; their names are bound here too.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from operator import add, mul, sub
 
 from .chern import RootSeries
-from .series import USeries, divisor_sums
+from .pontryagin import _FAMILIES, _LOGS, GenusKind, _even_poly, half_x_over_sinh_half_poly
+from .pontryagin import _bernoulli, cosh_half_poly, genus_log  # noqa: F401  (bound here as before)
+from .series import USeries
 
 XPoly = dict[int, Fraction]
 
@@ -35,30 +37,6 @@ XPoly = dict[int, Fraction]
 # ---------------------------------------------------------------------------
 # The u-constant prefactors in x, in closed form
 # ---------------------------------------------------------------------------
-
-
-def _bernoulli(m: int) -> list[Fraction]:
-    """B_0..B_(m-1), from B_0 = 1 and sum_{j<=i} C(i+1, j) B_j = 0 (i >= 1)."""
-    b = [Fraction(1)]
-    for i in range(1, m):
-        b.append(-sum(comb(i + 1, j) * b[j] for j in range(i)) / (i + 1))
-    return b
-
-
-def _even_poly(xdeg: int, coeff) -> XPoly:
-    """sum_{2k < xdeg} coeff(k, B_2k) x^(2k) / (2k)! with the Bernoulli numbers B_2k."""
-    b = _bernoulli(xdeg)
-    return {2 * k: coeff(k, b[2 * k]) / factorial(2 * k) for k in range((xdeg + 1) // 2)}
-
-
-def cosh_half_poly(xdeg: int) -> XPoly:
-    """cosh(x/2): coefficients 1/4^k."""
-    return _even_poly(xdeg, lambda k, b: Fraction(1, 4**k))
-
-
-def half_x_over_sinh_half_poly(xdeg: int) -> XPoly:
-    """(x/2) / sinh(x/2), coefficients (2/4^k - 1) B_2k: the u^0 slice of the theta factor (A-hat factor)."""
-    return _even_poly(xdeg, lambda k, b: (Fraction(2, 4**k) - 1) * b)
 
 
 def x_over_tanh_half_poly(xdeg: int) -> XPoly:
@@ -86,15 +64,6 @@ def rotate_poly(a: XPoly) -> XPoly:
 # polynomial sum_j c_(k,j) y^j, y = e^x.  Every factor is symmetric under
 # y -> 1/y, so c_(k,-j) = c_(k,j) and only the half j >= 0 is kept.
 Half = list[list[int]]
-
-# kind -> (weight w of the m = 1 factor, stepping by 2; sign c of the pair
-# (1 + c u^w y)(1 + c u^w/y) over the squared scalar (1 + c u^w)^2; whether that
-# ratio divides rather than multiplies; the u-constant prefactor in x of xdeg).
-_FAMILIES = {
-    "theta": (2, -1, True, half_x_over_sinh_half_poly),
-    "theta1": (2, 1, False, cosh_half_poly),
-    "theta2": (1, -1, False, lambda xdeg: {0: Fraction(1)}),
-}
 
 
 def _apply(prod: Half, w: int, c: int, pair: bool, divide: bool) -> None:
@@ -169,19 +138,6 @@ def theta_factor(kind: str, xdeg: int, uorder: int) -> RootSeries:
     return _theta_product((kind,), _FAMILIES[kind][3](xdeg), xdeg, uorder)
 
 
-class GenusKind(str, Enum):
-    AHAT = "ahat"
-    LHAT = "lhat"
-    ELL1 = "ell1"
-    ELL2 = "ell2"
-    WITTEN = "witten"
-
-
-# kind -> (prefactor x/tanh(x/2), so f(0) = 2, rather than (x/2)/sinh(x/2); theta families)
-_LOGS = {"ahat": (False, ()), "lhat": (True, ()), "witten": (False, ("theta",)),
-         "ell1": (True, ("theta", "theta1")), "ell2": (False, ("theta", "theta2"))}
-
-
 @lru_cache(maxsize=128)
 def genus_root_series(kind: GenusKind, xdeg: int, uorder: int) -> RootSeries:
     """The per-root factor of a genus, ready for `genus_class`: the prefactor and theta
@@ -194,29 +150,3 @@ def genus_root_series(kind: GenusKind, xdeg: int, uorder: int) -> RootSeries:
     tanh, families = _LOGS[GenusKind(kind).value]
     prefactor = x_over_tanh_half_poly if tanh else half_x_over_sinh_half_poly
     return _theta_product(families, prefactor(xdeg), xdeg, uorder)
-
-
-def genus_log(kind: GenusKind, n: int, uorder: int) -> tuple[USeries, list[USeries]]:
-    """f(0) and [a_1..a_n], a_k = [x^(2k)] log(f/f(0)), f = `genus_root_series(kind)`, in closed form.
-
-    a_k = beta_k B_2k / (2k (2k)!) + 2/(2k)! sum_N t_N u^N: beta_k = -1 for (x/2)/sinh(x/2),
-    4^k - 2 for x/tanh(x/2).  For a family of `_FAMILIES`, log(1 + c z) = -sum_r (-c)^r z^r / r
-    and y^r + 1/y^r - 2 = 2 sum_k (r x)^(2k) / (2k)! turn the pair over the squared scalar
-    at z = u^w into -(-c)^r r^(2k-1) at N = w r, negated when the pair divides: t is the
-    `divisor_sums` over N/r = w (Zagier, LNM 1326; Hirzebruch-Berger-Jung, ch. 6).
-    """
-    if uorder < 1:
-        raise ValueError("uorder must be >= 1")
-    tanh, families = _LOGS[GenusKind(kind).value]
-    b = _bernoulli(2 * n + 1)
-    a = []
-    for k in range(1, n + 1):
-        t = [0] * uorder
-        for first, c, divides, _ in map(_FAMILIES.get, families):
-            sign = 1 if divides else -1
-            t = list(map(add, t, divisor_sums(uorder, first, 2, lambda r: sign * (-c) ** r * r ** (2 * k - 1))))
-        # over the denominator 2k (2k)! q, B_2k = p/q: the theta term's 2/(2k)! is 4kq
-        p, q = b[2 * k].numerator, b[2 * k].denominator
-        nums = [((4**k - 2) if tanh else -1) * p] + [4 * k * q * v for v in t[1:]]
-        a.append(USeries._make(nums, 2 * k * factorial(2 * k) * q))
-    return USeries.const(2 if tanh else 1, uorder), a

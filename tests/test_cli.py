@@ -13,6 +13,7 @@ from scipy.special import beta
 from ellgen.chern import Manifold
 from ellgen.cli import build_parser, main
 from ellgen.genera import Hypersurface
+from ellgen.pontryagin import MAX_N
 from ellgen.series import USeries
 from ellgen.theta import GenusKind
 
@@ -326,6 +327,39 @@ def test_genus_manifold_with_a_huge_exponent_is_bad_input(tmp_path):
     assert proc.stderr.startswith("error: ") and "exponent" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hypersurface", "--ambient", "401", "--degree", "2", "--uorder", "1"],
+        ["hypersurface", "--ambient", str(2 * MAX_N + 3), "--degree", "2", "--uorder", "1"],
+        ["hypersurface", "--ambient", str(10**18 + 1), "--degree", "3"],
+        ["verify", "--check", "modular-relation", "--n", "200", "--uorder", "1", "--samples", "1"],
+        ["verify", "--check", "route-equivalence", "--n", "30", "--uorder", "1", "--samples", "1"],
+        ["verify", "--check", "route-equivalence", "--n", str(MAX_N + 1), "--uorder", "1", "--samples", "1"],
+        ["bundles", "--n", str(MAX_N + 1)],
+        ["bundles", "--n", str(10**300), "--uorder", "40"],
+    ],
+    ids=["hypersurface-401", "hypersurface-cap", "hypersurface-huge", "modular-relation-200",
+         "route-equivalence-30", "route-equivalence-cap", "bundles-cap", "bundles-huge"],
+)
+def test_an_n_above_the_cap_is_a_domain_error_at_once(argv):
+    # each of these once enumerated the partitions of n and ran past any timeout, or (bundles)
+    # built integers too long to print and exited 2 after some 40 s
+    proc = run_subprocess(*argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and f"n = {MAX_N}" in proc.stderr
+
+
+@pytest.mark.parametrize("dim", ["4e300", str(4 * 10**300), str(4 * (MAX_N + 1))], ids=["float", "integer", "cap"])
+def test_genus_manifold_of_a_dimension_above_the_cap_is_a_domain_error_at_once(tmp_path, dim):
+    path = tmp_path / "big.json"
+    path.write_text('{"name": "x", "dim": %s, "pontryagin_numbers": {}}' % dim)
+    proc = run_subprocess("genus", "--manifold", str(path), "--genus", "ell2")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("error: ") and "n = " in proc.stderr
+
+
 def test_sobolev_unreachable_tolerance_is_domain_error(capsys):
     # a residual of 1e-300 is below the rounding of x F(x) near W = 1
     code, out, err = run(capsys, "sobolev", "--m", "12", "--b", "1", "--tol", "1e-300")
@@ -459,7 +493,7 @@ def test_cli_import_path_skips_dataclasses_and_loads_every_module():
     loaded = set(proc.stdout.split())
     assert not loaded & {"dataclasses", "inspect", "ast"}
     # registered in sys.modules by `import ellgen`, executed on first use (see below)
-    for name in ("series", "chern", "theta", "genera", "bundles", "modular", "sobolev"):
+    for name in ("series", "pontryagin", "chern", "theta", "genera", "bundles", "modular", "sobolev"):
         assert f"ellgen.{name}" in loaded
 
 
@@ -481,8 +515,15 @@ def executed_modules(*argv):
     return set(names)
 
 
-GENUS_ROUTE = {"ellgen.series", "ellgen.chern", "ellgen.theta", "ellgen.genera"}
-NOT_FOR_GENERA = {"ellgen.bundles", "ellgen.modular", "ellgen.sobolev"}
+FRONT_END = {"ellgen", "ellgen.cli", "ellgen.errors"}
+# exactly what a cold genus or hypersurface command executes of the package
+GENUS_ROUTE = FRONT_END | {"ellgen.series", "ellgen.pontryagin"}
+# the cross-check routes (theta products, the RootSeries/PontPoly ring, residues) and the rest
+NOT_FOR_GENERA = {"ellgen.chern", "ellgen.theta", "ellgen.genera", "ellgen.bundles", "ellgen.modular", "ellgen.sobolev"}
+
+
+def package_modules(executed):
+    return {name for name in executed if name == "ellgen" or name.startswith("ellgen.")}
 
 
 def test_cli_import_executes_only_the_front_end():
@@ -497,20 +538,37 @@ def test_cli_import_executes_only_the_front_end():
 
 def test_sobolev_command_executes_only_sobolev():
     executed = executed_modules("sobolev", "--m", "8", "--b", "1")
-    assert "ellgen.sobolev" in executed
-    assert not executed & (GENUS_ROUTE | {"ellgen.bundles", "ellgen.modular", "fractions", "random"})
+    assert package_modules(executed) == FRONT_END | {"ellgen.sobolev"}
+    assert not executed & {"fractions", "random"}
 
 
 def test_genus_command_skips_bundles_modular_sobolev(k3_file):
     executed = executed_modules("genus", "--manifold", k3_file, "--genus", "ell2", "--uorder", "4")
-    assert GENUS_ROUTE <= executed
+    assert package_modules(executed) == GENUS_ROUTE
     assert not executed & NOT_FOR_GENERA
 
 
 def test_hypersurface_command_skips_bundles_modular_sobolev():
     executed = executed_modules("hypersurface", "--ambient", "5", "--degree", "2", "--uorder", "4")
-    assert GENUS_ROUTE <= executed
+    assert package_modules(executed) == GENUS_ROUTE
     assert not executed & NOT_FOR_GENERA
+
+
+def test_cancellation_check_executes_the_genus_route_and_the_class_ring():
+    # the benchmark's warm-up child: the PontPoly ring, the residue factors' theta module and genera
+    executed = executed_modules("verify", "--check", "cancellation", "--samples", "1")
+    assert package_modules(executed) == GENUS_ROUTE | {"ellgen.chern", "ellgen.theta", "ellgen.genera"}
+
+
+def test_package_names_of_the_pontryagin_route_execute_neither_chern_nor_theta():
+    code = (
+        f"import sys, types; sys.path.insert(0, {str(ROOT / 'src')!r}); import ellgen; "
+        "ellgen.Manifold, ellgen.GenusKind, ellgen.genus; "
+        "print(*sorted(n for n, m in sys.modules.items() if n.startswith('ellgen') and type(m) is types.ModuleType))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ellgen", "ellgen.errors", "ellgen.pontryagin", "ellgen.series"]
 
 
 def theta_products_built(*argv):
@@ -537,7 +595,7 @@ def test_hypersurface_command_builds_no_theta_product():
 
 def test_route_equivalence_skips_modular_sobolev():
     executed = executed_modules("verify", "--check", "route-equivalence", "--samples", "1", "--uorder", "4")
-    assert GENUS_ROUTE | {"ellgen.bundles"} <= executed
+    assert package_modules(executed) == GENUS_ROUTE | {"ellgen.chern", "ellgen.bundles"}
     assert not executed & {"ellgen.modular", "ellgen.sobolev"}
 
 

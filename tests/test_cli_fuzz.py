@@ -1,7 +1,9 @@
 """Contract fuzz of the command line, in process: every run of `main(argv)` returns an exit
 code in {0, 1, 2, 3} (argparse's own exits included), no exception escapes, and exit 1,
 "a verification check failed", comes only from `verify`.  Sizes stay small (n <= 4,
-uorder <= 12, samples <= 2, m <= 64) so that the whole fuzz costs a few seconds."""
+uorder <= 12, samples <= 2, m <= 64) so that the whole fuzz costs a few seconds, or
+go above `MAX_N` (a manifold `dim`, `hypersurface --ambient`, `bundles --n`, `verify --n`),
+where the command must refuse at once."""
 
 import json
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellgen.cli import main
+from ellgen.pontryagin import MAX_N
 
 BAD_NUMBERS = ["0", "-1", "-0", "nan", "inf", "-inf", "1e3", "1.5", "abc", "", "0x10", "--"]
 
@@ -17,6 +20,10 @@ def numbers(lo, hi):
     """Mostly in-range integers, so that most runs get past the parser."""
     good = st.integers(max(lo, 1), hi).map(str)
     return st.one_of(good, good, good, st.integers(lo, hi).map(str), st.sampled_from(BAD_NUMBERS))
+
+
+# n above the cap, up to 10^300: every command that takes n must refuse it at once
+huge_ns = st.integers(MAX_N + 1, 10**300)
 
 
 floats = st.one_of(
@@ -44,7 +51,8 @@ values = st.one_of(
 manifolds = st.one_of(
     st.fixed_dictionaries({
         "name": st.text(max_size=4),
-        "dim": st.one_of(st.sampled_from([4, 8, 12, 16]), st.sampled_from([0, -4, 3, 6, "8", 8.0, 8.5, True, None, "x", [8]])),
+        "dim": st.one_of(st.sampled_from([4, 8, 12, 16]), st.sampled_from([0, -4, 3, 6, "8", 8.0, 8.5, True, None, "x", [8]]),
+                         huge_ns.map(lambda n: 4 * n), st.sampled_from([4e300, 1e308, 4.0 * 10**20])),
         "pontryagin_numbers": st.one_of(st.dictionaries(parts, values, max_size=4), st.sampled_from([[], "x", None])),
     }),
     st.sampled_from([[], 3, "x", None, {}, {"dim": 4}]),
@@ -64,14 +72,16 @@ uorders = numbers(-1, 12)
 commands = st.one_of(
     st.tuples(manifold_texts, command("genus", {"genus": genera},
                                       {"uorder": uorders, "format": st.sampled_from(["text", "json", "xml"])})),
-    st.tuples(st.none(), command("hypersurface", {"ambient": numbers(-1, 9), "degree": numbers(-1, 5)},
+    st.tuples(st.none(), command("hypersurface", {"ambient": st.one_of(numbers(-1, 9), huge_ns.map(lambda n: str(2 * n + 1))),
+                                                  "degree": numbers(-1, 5)},
                                  {"uorder": uorders, "format": st.sampled_from(["text", "json"])})),
-    st.tuples(st.none(), command("bundles", {"n": numbers(-1, 4)},
+    st.tuples(st.none(), command("bundles", {"n": st.one_of(numbers(-1, 4), huge_ns.map(str))},
                                  {"uorder": uorders, "which": st.sampled_from(["theta1", "theta2", "theta3"])})),
     st.tuples(st.none(), command(
         "verify",
         {"check": st.sampled_from(["cancellation", "modular-relation", "route-equivalence", "transformation-laws", "other"])},
-        {"n": numbers(-1, 4), "uorder": uorders, "samples": numbers(-1, 2), "seed": numbers(-5, 5), "tau": taus},
+        {"n": st.one_of(numbers(-1, 4), huge_ns.map(str)), "uorder": uorders, "samples": numbers(-1, 2),
+         "seed": numbers(-5, 5), "tau": taus},
     )),
     st.tuples(st.none(), command("sobolev", {"m": numbers(-2, 64), "b": floats}, {"tol": floats, "diam": floats})),
     st.tuples(st.none(), st.sampled_from([[], ["--version"], ["nope"], ["genus"], ["verify", "--check"]])),

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from ellgen import modular, series, theta
+from ellgen import modular, pontryagin, series, theta
 from ellgen.chern import Manifold, partitions_of
 from ellgen.errors import NotInUpperHalfPlane, ResidualNonzero, ToleranceNotReached
 from ellgen.genera import Hypersurface, genus, hypersurface_pont
@@ -260,7 +260,7 @@ def test_divisor_sums_match_brute_force_divisors_at_every_call(monkeypatch, uord
         return out
 
     monkeypatch.setattr(modular, "divisor_sums", spy)
-    monkeypatch.setattr(theta, "divisor_sums", spy)
+    monkeypatch.setattr(pontryagin, "divisor_sums", spy)  # genus_log's home
     for form in (delta1, eps1, delta2, eps2):
         form(uorder)
     for kind in theta.GenusKind:

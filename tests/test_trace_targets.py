@@ -21,10 +21,10 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 CACHES = [
     "ellgen.bundles._ahat_s", "ellgen.bundles._ch_monomial_s", "ellgen.bundles._index_class",
     "ellgen.bundles._index_mono", "ellgen.bundles._power_ch", "ellgen.bundles._s_basis",
-    "ellgen.bundles._scaled_tangent_ch", "ellgen.bundles.expand_witten", "ellgen.chern._newton_terms",
-    "ellgen.chern._power_sum_terms", "ellgen.chern.partition_from_str", "ellgen.chern.partitions_of", "ellgen.genera.ahat_class",
-    "ellgen.genera.genus_columns", "ellgen.modular._basis1", "ellgen.modular._basis2",
-    "ellgen.theta.genus_root_series", "ellgen.theta.theta_factor",
+    "ellgen.bundles._scaled_tangent_ch", "ellgen.bundles.expand_witten", "ellgen.chern._power_sum_terms",
+    "ellgen.genera.ahat_class", "ellgen.modular._basis1", "ellgen.modular._basis2",
+    "ellgen.pontryagin._newton_terms", "ellgen.pontryagin.genus_columns", "ellgen.pontryagin.partition_from_str",
+    "ellgen.pontryagin.partitions_of", "ellgen.theta.genus_root_series", "ellgen.theta.theta_factor",
 ]
 
 
