@@ -15,14 +15,13 @@ one integer convolution through a per-nmax table of partition unions.  The
 k-scaled tangent character is linear in the s_k, ch(S^a T) and
 ch(Lambda^b T) follow from a t-adic exp, and a monomial's character is that
 of the monomial without its last factor times that of the last factor,
-memoized on (monomial, n, nmax).  The index is linear in the bundle: each
-monomial's index vector, the weight-n part of A-hat(T) ch(monomial), is
-memoized on (monomial, n), and the index vector of a virtual bundle, an
-integer combination of those, is rewritten once in p_1..p_n.  Ell_2 is the
-row view of those rows for B_0, B_1, ..., memoized per (n, uorder), and
-`pontryagin._pair_rows`, the pairing kernel of the Pontryagin route too, multiplies
-it by the Pontryagin numbers of M.  The public `ch_*` functions convert to
-the p-basis once, on return.
+memoized on (monomial, n, nmax).  The index is linear in the bundle, so the
+index vector of a virtual bundle v, the weight-n part of A-hat(T) ch(v), is
+one product per bundle, rewritten once in p_1..p_n (`_power_sum_terms`).
+Ell_2 is the row view of those rows for B_0, B_1, ..., memoized per
+(n, uorder), and `pontryagin._pair_rows`, the pairing kernel of the
+Pontryagin route too, multiplies it by the Pontryagin numbers of M.  Only
+the public `ch_*` functions load `chern`, for the `PontPoly` they return.
 """
 
 from __future__ import annotations
@@ -33,14 +32,19 @@ from math import comb, factorial, lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .chern import (
-    PontPoly,
-    _power_sum_terms,
-    pair,  # noqa: F401  (kept as a module binding: the benchmark tracer patches bundles.pair)
-)
 from .errors import DimMismatch
-from .pontryagin import GenusKind, Manifold, Partition, _check_n, _pair_rows, genus_log, partitions_of
+from .pontryagin import GenusKind, Manifold, Partition, _check_n, _join, _newton_terms, _pair_rows, genus_log, partitions_of
 from .series import USeries, as_int, combine, default_uorder, reduce_ratio
+
+
+def __getattr__(name: str):
+    # `bundles.pair` is `chern.pair`, looked up on use so that the route never loads `chern`.
+    # Only the benchmark's tracer test reads it here, a pin that ROADMAP item 1 releases.
+    if name == "pair":
+        from .chern import pair
+
+        return pair
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class BundleMonomial(NamedTuple):
@@ -380,6 +384,19 @@ def _ch_virtual_s(v: VirtualBundlePoly, nmax: int) -> SClass:
     ))
 
 
+@lru_cache(maxsize=None)
+def _power_sum_terms(mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """s_mu = prod_i s_{mu_i} in the p_i, as integer partition terms of weight |mu|."""
+    if not mu:
+        return (((), 1),)
+    acc: dict[Partition, int] = {}
+    for lam, c in _power_sum_terms(mu[:-1]):
+        for nu, d in _newton_terms(mu[-1]):
+            key = _join(lam, nu)
+            acc[key] = acc.get(key, 0) + c * d
+    return tuple(sorted((p, c) for p, c in acc.items() if c))
+
+
 def _s_to_p(nums, parts) -> dict[Partition, int]:
     """The numerators of sum_mu nums[mu] s_mu over `parts` rewritten in the p_lambda."""
     terms: dict[Partition, int] = {}
@@ -390,8 +407,10 @@ def _s_to_p(nums, parts) -> dict[Partition, int]:
     return terms
 
 
-def _to_pont(c: SClass, nmax: int, uorder: int | None) -> PontPoly:
-    """Rewrite an s-basis class in p_1..p_nmax with constant u-series coefficients."""
+def _to_pont(c: SClass, nmax: int, uorder: int | None):
+    """Rewrite an s-basis class as a `chern.PontPoly` in p_1..p_nmax with constant u-series coefficients."""
+    from .chern import PontPoly
+
     uorder = default_uorder(uorder)
     nums, den = c
     terms = _s_to_p(nums, _s_basis(nmax)[0])
@@ -400,12 +419,13 @@ def _to_pont(c: SClass, nmax: int, uorder: int | None) -> PontPoly:
     )
 
 
-def ch_monomial(mono: BundleMonomial, n: int, nmax: int, uorder: int | None = None) -> PontPoly:
-    """Chern character of a bundle monomial (ch is multiplicative)."""
+def ch_monomial(mono: BundleMonomial, n: int, nmax: int, uorder: int | None = None):
+    """Chern character of a bundle monomial as a `chern.PontPoly` (ch is multiplicative)."""
     return _to_pont(_ch_monomial_s(mono, n, nmax), nmax, uorder)
 
 
-def ch_virtual(v: VirtualBundlePoly, nmax: int, uorder: int | None = None) -> PontPoly:
+def ch_virtual(v: VirtualBundlePoly, nmax: int, uorder: int | None = None):
+    """Chern character of a virtual bundle as a `chern.PontPoly`."""
     return _to_pont(_ch_virtual_s(v, nmax), nmax, uorder)
 
 
@@ -428,19 +448,12 @@ def _ahat_s(n: int) -> SClass:
     return _s_class(coeffs, n)
 
 
-@lru_cache(maxsize=None)
-def _index_mono(mono: BundleMonomial, n: int) -> SClass:
-    """Weight-n part of A-hat(T) ch(mono) on the partitions of n: its pairing with [M] is ind(D x mono)."""
-    nums, den = _s_mul(_ahat_s(n), _ch_monomial_s(mono, n, n), n)
-    # The partitions of n come last in the weight order.
-    return reduce_ratio(nums[-len(partitions_of(n)):], den)
-
-
 def _index_row(v: VirtualBundlePoly) -> SClass:
     """Weight-n part of A-hat(T) ch(v), rewritten from the s_mu to the p_lambda, lambda |- n."""
     parts = partitions_of(v.n)
-    nums, den = combine(((coef, _index_mono(mono, v.n)) for mono, coef in v._t.items()), len(parts))
-    terms = _s_to_p(nums, parts)
+    nums, den = _s_mul(_ahat_s(v.n), _ch_virtual_s(v, v.n), v.n)
+    # The partitions of n come last in the weight order.
+    terms = _s_to_p(nums[-len(parts):], parts)
     return reduce_ratio([terms.get(lam, 0) for lam in parts], den)
 
 

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Union
 
 from .errors import DimMismatch, NonUnitConstant, OddTermPresent
 from .pontryagin import Manifold, Partition, _join, _newton_terms, _p_class, _pair_rows, partition_key, weight, weight_view
-from .pontryagin import partition_from_str, partition_to_str, partitions_of  # noqa: F401  (bound here as before)
+from .pontryagin import partitions_of  # noqa: F401  (bound here as before)
 from .series import Scalar, USeries, _RingOps, default_uorder
 
 
@@ -325,18 +324,6 @@ class PontPoly(_Graded):
                 break
             result = result + term
         return result
-
-@lru_cache(maxsize=None)
-def _power_sum_terms(mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """s_mu = prod_i s_{mu_i} in the p_i, as integer partition terms of weight |mu|."""
-    if not mu:
-        return (((), 1),)
-    acc: dict[Partition, int] = {}
-    for lam, c in _power_sum_terms(mu[:-1]):
-        for nu, d in _newton_terms(mu[-1]):
-            key = _join(lam, nu)
-            acc[key] = acc.get(key, 0) + c * d
-    return tuple(sorted((p, c) for p, c in acc.items() if c))
 
 
 def newton_power_sum(k: int, nmax: int, uorder: int | None = None) -> PontPoly:

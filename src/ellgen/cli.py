@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 verification check failed, 2 malformed input
 including an n = dim/4 above `pontryagin.MAX_N` (a manifold's `dim`, a
 hypersurface's `--ambient`, `verify --n`), refused before any partition of
 n is enumerated, a Sobolev root whose residual tolerance cannot be reached or
-whose evaluation overflows double precision, and an inconclusive
+whose evaluation overflows double precision, an inconclusive
 transformation-laws check, whose proven tolerance no order up to
-`modular.LAW_CAP` brings under `modular.LAW_TARGET`.
+`modular.LAW_CAP` brings under `modular.LAW_TARGET`, and an exact result with
+an integer longer than `sys.get_int_max_str_digits()` digits, which is not
+printed; 4 an internal error (a bug), with its traceback on stderr.
 All series output is exact rational except the `sobolev` command.
 """
 
@@ -18,7 +20,7 @@ import json
 import math
 import sys
 
-from . import __version__, bundles, genera, modular, pontryagin, series, sobolev
+from . import __version__, bundles, genera, modular, pontryagin, sobolev
 from .errors import (
     DimMismatch,
     FloatRangeExceeded,
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_DOMAIN = 3
+EXIT_INTERNAL = 4
 
 
 def _load_manifold(path: str) -> pontryagin.Manifold:
@@ -47,18 +50,23 @@ def _load_manifold(path: str) -> pontryagin.Manifold:
     return m
 
 
-def _emit_series(s: series.USeries, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(s.to_json()))
-    else:
-        print(s.qstring())
+def _print(build) -> int:
+    """Print the text `build()` makes.  An int longer than `sys.get_int_max_str_digits()` digits,
+    which str() refuses (the limit stays: past it printing is quadratic), is a domain error: exit 3."""
+    try:
+        text = build()
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        print(f"error: the result holds an integer longer than the {limit}-digit limit of str()", file=sys.stderr)
+        return EXIT_DOMAIN
+    print(text)
+    return EXIT_OK
 
 
 def cmd_genus(args) -> int:
     m = _load_manifold(args.manifold)
     result = pontryagin.genus(m, pontryagin.GenusKind(args.genus), args.uorder)
-    _emit_series(result, args.format)
-    return EXIT_OK
+    return _print(lambda: json.dumps(result.to_json()) if args.format == "json" else result.qstring())
 
 
 def cmd_hypersurface(args) -> int:
@@ -68,22 +76,15 @@ def cmd_hypersurface(args) -> int:
     ahat = pontryagin.genus(m, pontryagin.GenusKind.AHAT, 1).coeff(0)
     ell2 = pontryagin.genus(m, pontryagin.GenusKind.ELL2, args.uorder)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "manifold": m.to_json(),
-                    "signature": str(sigma),
-                    "ahat": str(ahat),
-                    "ell2": ell2.to_json(),
-                }
-            )
-        )
-    else:
-        print(json.dumps(m.to_json()))
-        print(f"signature = {sigma}")
-        print(f"ahat      = {ahat}")
-        print(f"ell2      = {ell2.qstring()}")
-    return EXIT_OK
+        return _print(lambda: json.dumps(
+            {"manifold": m.to_json(), "signature": str(sigma), "ahat": str(ahat), "ell2": ell2.to_json()}
+        ))
+    return _print(lambda: "\n".join([
+        json.dumps(m.to_json()),
+        f"signature = {sigma}",
+        f"ahat      = {ahat}",
+        f"ell2      = {ell2.qstring()}",
+    ]))
 
 
 def cmd_bundles(args) -> int:
@@ -91,14 +92,8 @@ def cmd_bundles(args) -> int:
     label = "A" if which == "theta1" else "B"
     bqs = bundles.expand_witten(which, args.n, args.uorder)
     if args.format == "json":
-        out = {
-            f"{label}{k}": bqs.coeff(k).pretty() for k in range(args.uorder)
-        }
-        print(json.dumps(out))
-    else:
-        for k in range(args.uorder):
-            print(f"{label}{k} = {bqs.coeff(k).pretty()}")
-    return EXIT_OK
+        return _print(lambda: json.dumps({f"{label}{k}": bqs.coeff(k).pretty() for k in range(args.uorder)}))
+    return _print(lambda: "\n".join(f"{label}{k} = {bqs.coeff(k).pretty()}" for k in range(args.uorder)))
 
 
 def _random_manifold(n: int, rng) -> pontryagin.Manifold:
@@ -313,6 +308,11 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception:  # a bug, not an input: never the exit code of a failed check
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def __getattr__(name: str):

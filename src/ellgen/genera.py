@@ -4,12 +4,12 @@ Two independent routes to the same numbers:
 
 * the Pontryagin route (`genus`, with `genus_columns`, `Hypersurface` and
   `hypersurface_pont`) lives in `pontryagin`, all that a cold `genus` or
-  `hypersurface` command runs, and its names are bound here too: the log
-  coefficients of the per-root factor in closed form (no theta product is
-  built) -> Hirzebruch's recursion for the class in p_1..p_n -> the row view
-  of its weight-n columns, memoized per (kind, n, uorder), times the
-  Pontryagin numbers of M (`_pair_rows`, which ends the bundle route too),
-  in the hyperbolic normalization x = 2*pi*sqrt(-1)*z;
+  `hypersurface` command runs, and its public names are bound here too:
+  the log coefficients of the per-root factor in closed form (no theta
+  product is built) -> Hirzebruch's recursion for the class in p_1..p_n ->
+  the row view of its weight-n columns, memoized per (kind, n, uorder),
+  times the Pontryagin numbers of M (`_pair_rows`, which ends the bundle
+  route too), in the hyperbolic normalization x = 2*pi*sqrt(-1)*z;
 * the residue route (`hypersurface_genus`) for hypersurfaces X(N; d) in
   CP^N, which extracts one coefficient of f(x)^(N+1) (d x)/f(d x), lives
   here, with the twisted A-hat pairings and the dimension-8 identity.
@@ -29,7 +29,7 @@ from functools import lru_cache
 from .chern import Manifold, PontPoly, RootSeries, ch_tangent, pair
 from .errors import NonUnitConstant
 from .pontryagin import GenusKind, Hypersurface, _p_class, genus, genus_log, half_x_over_sinh_half_poly
-from .pontryagin import _pair_rows, genus_columns, hypersurface_pont, partitions_of, weight_view  # noqa: F401
+from .pontryagin import hypersurface_pont  # noqa: F401  (bound here as before)
 from .series import USeries
 from .theta import rotate_poly, x_over_tanh_poly
 

@@ -28,7 +28,6 @@ from operator import add, mul, sub
 
 from .chern import RootSeries
 from .pontryagin import _FAMILIES, _LOGS, GenusKind, _even_poly, half_x_over_sinh_half_poly
-from .pontryagin import _bernoulli, cosh_half_poly, genus_log  # noqa: F401  (bound here as before)
 from .series import USeries
 
 XPoly = dict[int, Fraction]

@@ -9,6 +9,7 @@ from ellgen.bundles import (
     BundleMonomial,
     BundleQSeries,
     VirtualBundlePoly,
+    _power_sum_terms,
     ch_monomial,
     ch_virtual,
     ell2_via_bundles,
@@ -19,7 +20,6 @@ from ellgen.chern import (
     Manifold,
     PontPoly,
     _log_coefficients,
-    _power_sum_terms,
     ch_tangent,
     newton_power_sum,
     pair,
@@ -485,22 +485,36 @@ def test_bundle_route_matches_theta_route_and_oracle(n, uorder):
             assert index_bundle(m, b.coeff(k)) == oracle
 
 
+def test_ch_converters_return_pont_polys_and_pair_is_chern_pair():
+    # the route itself never loads `chern`; the public converters and `bundles.pair` still reach it
+    from ellgen import bundles, chern
+
+    v = expand_witten("theta2", 2, 4).coeff(2)
+    assert type(ch_virtual(v, 2, 3)) is chern.PontPoly
+    assert type(ch_monomial(BundleMonomial(sym=(1,)), 2, 2)) is chern.PontPoly
+    assert bundles.pair is chern.pair
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bundles.no_such_name
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bundle_route_pairs_the_index_vectors_in_the_s_basis(n):
     # Ell_2 = sum_mu <s_mu, [M]> col_mu with [u^k] col_mu the s-basis index vector of B_k, an
-    # integer combination of the per-monomial vectors: the pairing in the basis the vectors are
-    # built in, with no s -> p rewrite and no row kernel.
-    from ellgen.bundles import _index_mono
+    # integer combination of the per-monomial vectors, each the weight-n part of its own A-hat
+    # product: the pairing in the basis the vectors are built in, with no s -> p rewrite, no row
+    # kernel and no product taken per bundle.
+    from ellgen.bundles import _ahat_s, _ch_monomial_s, _s_mul
 
     rng = random.Random(300 + n)
     manifolds = [_random_manifold(n, rng) for _ in range(3)] + [Manifold("last", 4 * n, {partitions_of(n)[-1]: F(5, 7)})]
+    top = len(partitions_of(n))  # the partitions of n come last in the weight order
     for uorder in (1, 2, 5, 12):
         b = expand_witten("theta2", n, uorder)
         cols = [USeries.zero(uorder) for _ in partitions_of(n)]
         for k in range(uorder):
             for mono, coef in b.coeff(k).items():
-                nums, den = _index_mono(mono, n)
-                for i, x in enumerate(nums):
+                nums, den = _s_mul(_ahat_s(n), _ch_monomial_s(mono, n, n), n)
+                for i, x in enumerate(nums[-top:]):
                     cols[i] = cols[i] + USeries.monomial(k, coef * F(x, den), uorder)
         for m in manifolds:
             want = USeries.zero(uorder)

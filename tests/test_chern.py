@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ellgen.chern import (
     Manifold,
-    _power_sum_terms,
     PontPoly,
     RootSeries,
     ch_tangent,
@@ -19,6 +18,7 @@ from ellgen.chern import (
     pair,
     partitions_of,
 )
+from ellgen.bundles import _power_sum_terms
 from ellgen.errors import DimMismatch, NonUnitConstant, OddTermPresent
 from ellgen.genera import genus
 from ellgen.series import USeries

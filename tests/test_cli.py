@@ -318,6 +318,37 @@ def test_sobolev_non_finite_input_is_bad_input(argv):
     assert "finite" in proc.stderr
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_result_past_the_str_digit_limit_is_a_domain_error(capsys, fmt):
+    # well-formed input whose exact output holds an integer that str() refuses to write
+    degree = "1" + "0" * 1000
+    code, out, err = run(capsys, "hypersurface", "--ambient", "5", "--degree", degree, "--format", fmt)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in err
+
+
+def test_manifold_with_an_integer_past_the_str_digit_limit_is_bad_input(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"name": "z", "dim": 4, "pontryagin_numbers": {"[1]": "1" + "0" * 5000}}))
+    code, out, err = run(capsys, "genus", "--manifold", str(path), "--genus", "ahat")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_an_uncaught_exception_exits_internal_with_its_traceback(capsys, monkeypatch):
+    import ellgen.cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ellgen.cli, "cmd_sobolev", broken)
+    code, out, err = run(capsys, "sobolev", "--m", "8", "--b", "1")
+    assert code == ellgen.cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err.startswith("Traceback") and err.strip().endswith("RuntimeError: boom")
+
+
 def test_genus_manifold_with_a_huge_exponent_is_bad_input(tmp_path):
     # Fraction("1e-999999999999") would build 10**999999999999: the parse must refuse it first
     path = tmp_path / "huge.json"
@@ -593,10 +624,30 @@ def test_hypersurface_command_builds_no_theta_product():
     assert theta_products_built("hypersurface", "--ambient", "5", "--degree", "2", "--uorder", "24") == (0, 0)
 
 
+# the bundle route: the index sum runs in the s-basis of `bundles`, with no PontPoly ring
+BUNDLE_ROUTE = GENUS_ROUTE | {"ellgen.bundles"}
+
+
 def test_route_equivalence_skips_modular_sobolev():
     executed = executed_modules("verify", "--check", "route-equivalence", "--samples", "1", "--uorder", "4")
-    assert package_modules(executed) == GENUS_ROUTE | {"ellgen.chern", "ellgen.bundles"}
-    assert not executed & {"ellgen.modular", "ellgen.sobolev"}
+    assert package_modules(executed) == BUNDLE_ROUTE
+    assert not executed & {"ellgen.chern", "ellgen.modular", "ellgen.sobolev"}
+
+
+def test_bundles_command_executes_the_bundle_route_alone():
+    executed = executed_modules("bundles", "--n", "2", "--uorder", "4")
+    assert package_modules(executed) == BUNDLE_ROUTE
+    assert "ellgen.chern" not in executed
+
+
+def test_modular_relation_executes_the_genus_route_and_modular():
+    executed = executed_modules("verify", "--check", "modular-relation", "--samples", "1", "--uorder", "4")
+    assert package_modules(executed) == GENUS_ROUTE | {"ellgen.modular"}
+
+
+def test_transformation_laws_executes_series_and_modular():
+    executed = executed_modules("verify", "--check", "transformation-laws")
+    assert package_modules(executed) == FRONT_END | {"ellgen.series", "ellgen.modular"}
 
 
 def test_genus_choices_follow_genus_kind():

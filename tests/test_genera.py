@@ -290,7 +290,7 @@ def genus_number_oracle(m, kind, uorder):
 
 def power_sum_number(mu, m):
     """<s_mu, [M]> = sum_lambda t_(mu lambda) P_lambda(M), s_mu = sum_lambda t_(mu lambda) p_lambda."""
-    from ellgen.chern import _power_sum_terms
+    from ellgen.bundles import _power_sum_terms
 
     return sum((t * m.pont.get(lam, 0) for lam, t in _power_sum_terms(mu)), F(0))
 
@@ -316,7 +316,7 @@ def test_genus_matches_s_basis_pairing(n):
 
 
 def test_genus_columns_memo_serves_each_manifold():
-    from ellgen.genera import genus_columns
+    from ellgen.pontryagin import genus_columns
 
     genus_columns.cache_clear()
     rng = random.Random(7)
@@ -334,7 +334,7 @@ def test_genus_columns_memo_serves_each_manifold():
 
 
 def test_genus_columns_memo_is_bounded():
-    from ellgen.genera import genus_columns
+    from ellgen.pontryagin import genus_columns
 
     assert genus_columns.cache_info().maxsize == 128
 

@@ -19,14 +19,13 @@ from pathlib import Path
 
 import pytest
 
-from ellgen.chern import (
-    Manifold, PontPoly, ch_tangent, genus_class, pair, partition_from_str, partition_to_str, partitions_of,
-)
+from ellgen.chern import Manifold, PontPoly, ch_tangent, genus_class, pair, partitions_of
 from ellgen.errors import ResidualNonzero
-from ellgen.genera import ahat_class, genus, genus_columns, twisted_ahat_series
+from ellgen.genera import ahat_class, genus, twisted_ahat_series
 from ellgen.modular import (
     ModBasisDecomp, _basis1, delta1, delta2, eps1, eps2, expand_in_basis, reconstruct_ell1,
 )
+from ellgen.pontryagin import genus_columns, partition_from_str, partition_to_str
 from ellgen.series import USeries, linear_combination
 from ellgen.theta import GenusKind, genus_root_series
 

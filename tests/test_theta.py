@@ -7,13 +7,12 @@ import sympy
 
 from ellgen.chern import RootSeries, _log_coefficients, genus_class, partitions_of
 from ellgen.errors import OddTermPresent, WeightViolation
-from ellgen.genera import ahat_class, genus_columns
+from ellgen.genera import ahat_class
+from ellgen.pontryagin import cosh_half_poly, genus_columns, genus_log
 from ellgen.series import USeries, row_view, weighted_product
 from ellgen.theta import (
     GenusKind,
     _theta_product,
-    cosh_half_poly,
-    genus_log,
     genus_root_series,
     half_x_over_sinh_half_poly,
     rotate_poly,
