@@ -12,8 +12,7 @@ larger of the two laws') printed alongside the residuals.
 import argparse
 import math
 
-from ellgen import delta1, delta2, eps1, eps2, numeric_eval
-from ellgen.modular import law_tolerance
+from ellgen.modular import law_residuals, law_tolerance
 
 
 def main():
@@ -22,19 +21,11 @@ def main():
     args = parser.parse_args()
 
     order = args.uorder
-    d1, d2 = delta1(order), delta2(order)
-    e1, e2 = eps1(order), eps2(order)
-
     print(f"truncation order u^{order}")
     print(f"{'tau':>8} {'|d2(-1/t) - t^2 d1(t)|':>24} {'|e2(-1/t) - t^4 e1(t)|':>24} {'tolerance':>10}")
     for tau in (1j, 2j, 0.5j, 3j, 0.25 + 1j):
         _, dtol, etol = law_tolerance(tau, order, target=math.inf)
-        d2v, _ = numeric_eval(d2, -1 / tau)
-        d1v, _ = numeric_eval(d1, tau)
-        e2v, _ = numeric_eval(e2, -1 / tau)
-        e1v, _ = numeric_eval(e1, tau)
-        rd = abs(d2v - tau**2 * d1v)
-        re = abs(e2v - tau**4 * e1v)
+        rd, re = law_residuals(tau, order)
         print(f"{str(tau):>8} {rd:>24.3e} {re:>24.3e} {max(dtol, etol):>10.1e}")
 
 

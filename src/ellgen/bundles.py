@@ -34,7 +34,7 @@ from typing import Mapping, NamedTuple
 
 from .errors import DimMismatch
 from .pontryagin import GenusKind, Manifold, Partition, _check_n, _join, _newton_terms, _pair_rows, genus_log, partitions_of
-from .series import USeries, as_int, combine, default_uorder, reduce_ratio
+from .series import DEFAULT_UORDER, USeries, _RingOps, as_int, combine, reduce_ratio, signed_sum
 
 
 def __getattr__(name: str):
@@ -85,8 +85,8 @@ class BundleMonomial(NamedTuple):
 _ONE = BundleMonomial()
 
 
-class VirtualBundlePoly:
-    """Integer combination of bundle monomials, for a fixed rank parameter n."""
+class VirtualBundlePoly(_RingOps):
+    """Integer combination of bundle monomials, for a fixed rank parameter n; an int is a multiple of 1."""
 
     __slots__ = ("n", "_t")
 
@@ -132,13 +132,19 @@ class VirtualBundlePoly:
             return NotImplemented
         return self.n == other.n and self._t == other._t
 
-    def __add__(self, other) -> "VirtualBundlePoly":
+    def _coerce(self, other) -> "VirtualBundlePoly | None":
+        if isinstance(other, VirtualBundlePoly):
+            return other
         if isinstance(other, int):
-            other = VirtualBundlePoly.const(other, self.n)
-        if not isinstance(other, VirtualBundlePoly):
+            return VirtualBundlePoly.const(other, self.n)
+        return None
+
+    def __add__(self, other) -> "VirtualBundlePoly":
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
         t = dict(self._t)
-        for m, c in other._t.items():
+        for m, c in o._t.items():
             t[m] = t.get(m, 0) + c
         return VirtualBundlePoly(t, self.n)
 
@@ -147,21 +153,13 @@ class VirtualBundlePoly:
     def __neg__(self) -> "VirtualBundlePoly":
         return VirtualBundlePoly({m: -c for m, c in self._t.items()}, self.n)
 
-    def __sub__(self, other) -> "VirtualBundlePoly":
-        if isinstance(other, int):
-            other = VirtualBundlePoly.const(other, self.n)
-        if not isinstance(other, VirtualBundlePoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> "VirtualBundlePoly":
-        if isinstance(other, int):
-            return VirtualBundlePoly({m: c * other for m, c in self._t.items()}, self.n)
-        if not isinstance(other, VirtualBundlePoly):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
         t: dict[BundleMonomial, int] = {}
         for m1, c1 in self._t.items():
-            for m2, c2 in other._t.items():
+            for m2, c2 in o._t.items():
                 # Both factors are valid monomials: merge their sorted powers.
                 m = BundleMonomial(tuple(sorted(m1.sym + m2.sym)), tuple(sorted(m1.ext + m2.ext)))
                 t[m] = t.get(m, 0) + c1 * c2
@@ -172,27 +170,18 @@ class VirtualBundlePoly:
     def pretty(self) -> str:
         if not self._t:
             return "0"
-        ordered = sorted(
-            self._t.items(), key=lambda kv: (-kv[0].total_power, kv[0].sym, kv[0].ext)
-        )
-        parts = []
-        for mono, coef in ordered:
+        terms = []
+        for mono, coef in sorted(self._t.items(), key=lambda kv: (-kv[0].total_power, kv[0].sym, kv[0].ext)):
             name = mono.pretty()
             if name == "1":
-                term = f"{coef}·1"
+                terms.append(f"{coef}·1")
             elif coef == 1:
-                term = name
+                terms.append(name)
             elif coef == -1:
-                term = f"-{name}"
+                terms.append(f"-{name}")
             else:
-                term = f"{coef}·{name}"
-            if parts and not term.startswith("-"):
-                parts.append(f"+ {term}")
-            elif parts:
-                parts.append(f"- {term[1:]}")
-            else:
-                parts.append(term)
-        return " ".join(parts)
+                terms.append(f"{coef}·{name}")
+        return signed_sum(terms)
 
     def __repr__(self) -> str:
         return f"VirtualBundlePoly({self.pretty()!r}, n={self.n})"
@@ -407,11 +396,10 @@ def _s_to_p(nums, parts) -> dict[Partition, int]:
     return terms
 
 
-def _to_pont(c: SClass, nmax: int, uorder: int | None):
+def _to_pont(c: SClass, nmax: int, uorder: int):
     """Rewrite an s-basis class as a `chern.PontPoly` in p_1..p_nmax with constant u-series coefficients."""
     from .chern import PontPoly
 
-    uorder = default_uorder(uorder)
     nums, den = c
     terms = _s_to_p(nums, _s_basis(nmax)[0])
     return PontPoly(
@@ -419,12 +407,12 @@ def _to_pont(c: SClass, nmax: int, uorder: int | None):
     )
 
 
-def ch_monomial(mono: BundleMonomial, n: int, nmax: int, uorder: int | None = None):
+def ch_monomial(mono: BundleMonomial, n: int, nmax: int, uorder: int = DEFAULT_UORDER):
     """Chern character of a bundle monomial as a `chern.PontPoly` (ch is multiplicative)."""
     return _to_pont(_ch_monomial_s(mono, n, nmax), nmax, uorder)
 
 
-def ch_virtual(v: VirtualBundlePoly, nmax: int, uorder: int | None = None):
+def ch_virtual(v: VirtualBundlePoly, nmax: int, uorder: int = DEFAULT_UORDER):
     """Chern character of a virtual bundle as a `chern.PontPoly`."""
     return _to_pont(_ch_virtual_s(v, nmax), nmax, uorder)
 
@@ -475,7 +463,6 @@ def _index_class(n: int, uorder: int):
     return tuple((k, row) for k, row in scaled if any(row)), den
 
 
-def ell2_via_bundles(m: Manifold, uorder: int | None = None) -> USeries:
+def ell2_via_bundles(m: Manifold, uorder: int = DEFAULT_UORDER) -> USeries:
     """Ell_2 as sum_k ind(D x B_k) u^k: the bundle route."""
-    uorder = default_uorder(uorder)
     return _pair_rows(_index_class(m.n, uorder), m, uorder)

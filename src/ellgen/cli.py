@@ -181,12 +181,7 @@ def cmd_verify(args) -> int:
         tau = _parse_tau(args.tau)
         start = max(args.uorder, 40)
         uorder, dtol, etol = modular.law_tolerance(tau, start)
-        d2v, _ = modular.numeric_eval(modular.delta2(uorder), -1 / tau)
-        d1v, _ = modular.numeric_eval(modular.delta1(uorder), tau)
-        e2v, _ = modular.numeric_eval(modular.eps2(uorder), -1 / tau)
-        e1v, _ = modular.numeric_eval(modular.eps1(uorder), tau)
-        rd = abs(d2v - tau**2 * d1v)
-        re = abs(e2v - tau**4 * e1v)
+        rd, re = modular.law_residuals(tau, uorder)
         report["tau"] = str(tau)
         report["uorder"] = uorder
         report["delta_residual"] = rd
@@ -253,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("ahat", "lhat", "ell1", "ell2", "witten"),  # pontryagin.GenusKind values, not loaded here
         help="which genus to compute",
     )
-    p.add_argument("--uorder", type=_positive_int, default=None, help="truncation order in u = q^(1/2)")
+    # series.DEFAULT_UORDER, not loaded here
+    p.add_argument("--uorder", type=_positive_int, default=24, help="truncation order in u = q^(1/2)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_genus)
 

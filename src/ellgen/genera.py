@@ -12,11 +12,11 @@ Two independent routes to the same numbers:
   route too), in the hyperbolic normalization x = 2*pi*sqrt(-1)*z;
 * the residue route (`hypersurface_genus`) for hypersurfaces X(N; d) in
   CP^N, which extracts one coefficient of f(x)^(N+1) (d x)/f(d x), lives
-  here, with the twisted A-hat pairings and the dimension-8 identity.
+  here with its factors, the twisted A-hat pairings and the dim-8 identity.
 
 The residue route accepts either normalization of a factor.  The rotated
 (tan) convention, the one used for classical residue formulas, agrees with
-the genus for N = 1 mod 4 (the substitution x -> ix scales the extracted
+the genus for N = 1 mod 4 (x -> ix, `chern.rotate_x`, scales the extracted
 coefficient by i^(N-1)); the hyperbolic (tanh) convention agrees for every
 admissible N and is the default.
 """
@@ -26,12 +26,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .chern import Manifold, PontPoly, RootSeries, ch_tangent, pair
+from .chern import Manifold, PontPoly, RootSeries, ch_tangent, pair, rotate_x
 from .errors import NonUnitConstant
-from .pontryagin import GenusKind, Hypersurface, _p_class, genus, genus_log, half_x_over_sinh_half_poly
+from .pontryagin import GenusKind, Hypersurface, _even_poly, _p_class, genus, genus_log, half_x_over_sinh_half_poly
 from .pontryagin import hypersurface_pont  # noqa: F401  (bound here as before)
 from .series import USeries
-from .theta import rotate_poly, x_over_tanh_poly
 
 
 @lru_cache(maxsize=128)
@@ -96,10 +95,15 @@ def hypersurface_genus(h: Hypersurface, f: RootSeries) -> USeries:
 
 def _residue_factor(poly, xdeg: int, uorder: int, convention: str) -> RootSeries:
     if convention == "tan":
-        poly = rotate_poly(poly)
+        poly = rotate_x(poly)
     elif convention != "tanh":
         raise ValueError(f"unknown convention {convention!r}")
     return RootSeries.from_xpoly(poly, xdeg, uorder)
+
+
+def x_over_tanh_poly(xdeg: int) -> dict[int, Fraction]:
+    """x / tanh(x), coefficients 4^k B_2k: the signature factor in complex Chern-root normalization."""
+    return _even_poly(xdeg, lambda k, b: 4**k * b)
 
 
 def signature_factor(xdeg: int, uorder: int = 1, convention: str = "tanh") -> RootSeries:

@@ -22,32 +22,31 @@ from math import comb, expm1, lcm, log, ulp
 from operator import mul
 
 from .errors import FloatRangeExceeded, NotInUpperHalfPlane, Record, ResidualNonzero, ToleranceNotReached
-from .series import USeries, default_uorder, divisor_sums, row_product, row_view
+from .series import DEFAULT_UORDER, USeries, divisor_sums, row_product, row_view
 
 
-def _divisor_form(uorder: int | None, const: Fraction, scale: int, first: int, step: int, term) -> USeries:
+def _divisor_form(uorder: int, const: Fraction, scale: int, first: int, step: int, term) -> USeries:
     """const + scale sum_N t_N u^N, t = `divisor_sums(uorder, first, step, term)`."""
-    uorder = default_uorder(uorder)
     t = divisor_sums(uorder, first, step, term)
     return USeries({**{N: scale * v for N, v in enumerate(t)}, 0: const}, uorder)
 
 
-def delta1(uorder: int | None = None) -> USeries:
+def delta1(uorder: int = DEFAULT_UORDER) -> USeries:
     """1/4 + 6 sum_n (sum_{d|n, d odd} d) q^n."""
     return _divisor_form(uorder, Fraction(1, 4), 6, 2, 2, lambda d: d % 2 * d)
 
 
-def eps1(uorder: int | None = None) -> USeries:
+def eps1(uorder: int = DEFAULT_UORDER) -> USeries:
     """1/16 + sum_n (sum_{d|n} (-1)^d d^3) q^n."""
     return _divisor_form(uorder, Fraction(1, 16), 1, 2, 2, lambda d: (-1) ** d * d**3)
 
 
-def delta2(uorder: int | None = None) -> USeries:
+def delta2(uorder: int = DEFAULT_UORDER) -> USeries:
     """-1/8 - 3 sum_n (sum_{d|n, d odd} d) q^(n/2)."""
     return _divisor_form(uorder, Fraction(-1, 8), -3, 1, 1, lambda d: d % 2 * d)
 
 
-def eps2(uorder: int | None = None) -> USeries:
+def eps2(uorder: int = DEFAULT_UORDER) -> USeries:
     """sum_n (sum_{d|n, n/d odd} d^3) q^(n/2)."""
     return _divisor_form(uorder, Fraction(0), 1, 1, 2, lambda d: d**3)
 
@@ -115,7 +114,7 @@ def expand_in_basis(e2: USeries, n: int) -> ModBasisDecomp:
     return ModBasisDecomp(n=n, h=tuple(Fraction(v, den) for v in h))
 
 
-def reconstruct_ell1(d: ModBasisDecomp, uorder: int | None = None) -> USeries:
+def reconstruct_ell1(d: ModBasisDecomp, uorder: int = DEFAULT_UORDER) -> USeries:
     """Ell_1 = 2^(2n) sum_r h_r (8 delta_1)^(n-2r) eps_1^r.
 
     This is the coefficient-level content of Ell_1(-1/tau) =
@@ -123,7 +122,6 @@ def reconstruct_ell1(d: ModBasisDecomp, uorder: int | None = None) -> USeries:
     and eps_2(-1/tau) = tau^4 eps_1.  It is one integer row product on
     `_basis1`, with the h_r over their lcm.
     """
-    uorder = default_uorder(uorder)
     n = d.n
     rows, den = _basis1(n, uorder)
     big = lcm(*(hr.denominator for hr in d.h))
@@ -160,6 +158,16 @@ def numeric_eval(s: USeries, tau: complex) -> tuple[complex, float]:
     c_last = abs(float(s.coeff(support[-1])))
     tail = c_last * r**s.order / (1.0 - r)
     return value, tail
+
+
+def law_residuals(tau: complex, uorder: int) -> tuple[float, float]:
+    """|delta2(-1/tau) - tau^2 delta1(tau)| and |eps2(-1/tau) - tau^4 eps1(tau)| through `numeric_eval`
+    of the order-`uorder` expansions: the float computation whose error `law_tolerance` bounds."""
+    d2v, _ = numeric_eval(delta2(uorder), -1 / tau)
+    d1v, _ = numeric_eval(delta1(uorder), tau)
+    e2v, _ = numeric_eval(eps2(uorder), -1 / tau)
+    e1v, _ = numeric_eval(eps1(uorder), tau)
+    return abs(d2v - tau**2 * d1v), abs(e2v - tau**4 * e1v)
 
 
 LAW_TARGET = 1e-9  # the proven tolerance both laws must reach, or the check is inconclusive

@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import DimMismatch, DimNotMultipleOf4, DimTooLarge, Record
-from .series import USeries, as_int, as_ratio, default_uorder, divisor_sums, linear_combination, row_product, row_view
+from .series import DEFAULT_UORDER, USeries, as_int, as_ratio, divisor_sums, linear_combination, row_product, row_view
 
 Partition = tuple[int, ...]
 
@@ -286,10 +286,9 @@ def genus_log(kind: GenusKind, n: int, uorder: int) -> tuple[USeries, list[USeri
     return USeries.const(2 if tanh else 1, uorder), a
 
 
-def genus(m: Manifold, kind: GenusKind | str, uorder: int | None = None) -> USeries:
+def genus(m: Manifold, kind: GenusKind | str, uorder: int = DEFAULT_UORDER) -> USeries:
     """Exact q-expansion of a genus of `m` (constant series for ahat/lhat)."""
     kind = kind if isinstance(kind, GenusKind) else GenusKind(kind)  # no Enum lookup for a member
-    uorder = default_uorder(uorder)
     return _pair_rows(genus_columns(kind, m.n, uorder), m, uorder)
 
 

@@ -10,13 +10,12 @@ built only when a coefficient is read.
 The truncation order is an exclusive bound on the u-exponent.  Binary
 operations truncate to the minimum of the two orders, and two series are
 equal iff their orders and all coefficients agree.
-`_RingOps` gives this class and the graded containers of `chern` their one
-`-` and `**`; `weighted_product` is the one weight-checked infinite product.
+`_RingOps` gives the ring classes of `series`, `chern` and `bundles` one `-`,
+`**` and `exp`; `weighted_product` is the one weight-checked infinite product.
 """
 
 from __future__ import annotations
 
-import os
 import re
 import sys
 from fractions import Fraction
@@ -28,21 +27,8 @@ from .errors import BadConstantTerm, WeightViolation, ZeroConstantTerm
 
 Scalar = Union[int, Fraction]
 
-_ENV_ORDER = "GENUS_DEFAULT_UORDER"
+DEFAULT_UORDER = 24  # the default truncation order in u (q-order 12)
 _EXPONENT = r"[eE]([-+]?[\d_]+)\s*\Z"  # the exponent of a Fraction text, compiled on first use
-
-
-def default_uorder(uorder: int | None = None) -> int:
-    """`uorder`, or if None the default truncation order in u (q-order 12), overridable via env."""
-    if uorder is not None:
-        return uorder
-    raw = os.environ.get(_ENV_ORDER)
-    if raw is None:
-        return 24
-    order = int(raw)
-    if order < 1:
-        raise ValueError(f"{_ENV_ORDER} must be >= 1, got {raw}")
-    return order
 
 
 def as_int(value, what: str) -> int:
@@ -83,11 +69,12 @@ def as_ratio(value, what: str) -> tuple[int, int]:
 
 
 class _RingOps:
-    """`-` and `**` for a ring class, from its `_coerce`, `+`, unary `-`, `*` and `inverse`.
+    """`-`, `**` and `exp` for a ring class, from its `_coerce`, `+`, unary `-`, `*` and `inverse`.
 
     `_coerce(other)` lifts a scalar into the class (None when it cannot);
-    `_coerce(1)` is the unit that `**` starts from.  A negative power needs
-    `inverse`; a class without one has none.
+    `_coerce(1)` is the unit that `**` and `exp` start from.  A negative power
+    needs `inverse`; a class without one has none.  `exp` needs the hook
+    `_has_constant` and terms that vanish once their power is high enough.
     """
 
     __slots__ = ()
@@ -118,6 +105,17 @@ class _RingOps:
             e >>= 1
         return result
 
+    def exp(self):
+        """exp of an element with zero constant part: its Taylor sum, which ends at the first zero term."""
+        if self._has_constant():
+            raise BadConstantTerm("exp requires zero constant term")
+        result = term = self._coerce(1)
+        k = 1
+        while not (term := term * self * Fraction(1, k)).is_zero():
+            result = result + term
+            k += 1
+        return result
+
 
 class USeries(_RingOps):
     """Immutable truncated series sum_k (_n[k] / _d) u^k, 0 <= k < order = len(_n).
@@ -130,8 +128,7 @@ class USeries(_RingOps):
 
     __slots__ = ("_n", "_d")
 
-    def __init__(self, coeffs: Mapping[int, Scalar] = (), order: int | None = None):
-        order = default_uorder(order)
+    def __init__(self, coeffs: Mapping[int, Scalar] = (), order: int = DEFAULT_UORDER):
         if order < 0:
             raise ValueError("order must be nonnegative")
         c: dict[int, Fraction] = {}
@@ -160,19 +157,19 @@ class USeries(_RingOps):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def const(cls, value: Scalar, order: int | None = None) -> "USeries":
+    def const(cls, value: Scalar, order: int = DEFAULT_UORDER) -> "USeries":
         return cls({0: value}, order)
 
     @classmethod
-    def zero(cls, order: int | None = None) -> "USeries":
+    def zero(cls, order: int = DEFAULT_UORDER) -> "USeries":
         return cls({}, order)
 
     @classmethod
-    def one(cls, order: int | None = None) -> "USeries":
+    def one(cls, order: int = DEFAULT_UORDER) -> "USeries":
         return cls({0: 1}, order)
 
     @classmethod
-    def monomial(cls, k: int, value: Scalar = 1, order: int | None = None) -> "USeries":
+    def monomial(cls, k: int, value: Scalar = 1, order: int = DEFAULT_UORDER) -> "USeries":
         return cls({k: value}, order)
 
     # -- inspection --------------------------------------------------------
@@ -207,6 +204,9 @@ class USeries(_RingOps):
 
     def constant(self) -> Fraction:
         return Fraction(self._n[0], self._d) if self._n else Fraction(0)
+
+    def _has_constant(self) -> bool:
+        return bool(self.constant())
 
     # -- ring structure ----------------------------------------------------
 
@@ -288,22 +288,8 @@ class USeries(_RingOps):
             c[k] = -acc
         return USeries._make([d * ck * n0 ** (order - 1 - k) for k, ck in enumerate(c)], n0**order)
 
-    # Bound here, not only inherited: the benchmark tracer patches a method
-    # only where the owner's own class dict binds it.
+    # Bound here, not only inherited: the benchmark tracer patches only the owner's class dict.
     __pow__ = _RingOps.__pow__
-
-    def exp(self) -> "USeries":
-        """exp of a series with zero constant term."""
-        if self.constant():
-            raise BadConstantTerm("exp requires zero constant term")
-        order = self.order
-        result = USeries.one(order)
-        term = USeries.one(order)
-        k = 1
-        while not (term := term * self / k).is_zero():
-            result = result + term
-            k += 1
-        return result
 
     def log(self) -> "USeries":
         """log of a series with constant term 1."""
@@ -353,27 +339,27 @@ class USeries(_RingOps):
         """Human-readable expansion in powers of q (u^2 = q)."""
         if self.is_zero():
             return "0" + _qtail(self.order)
-        parts = []
+        terms = []
         for k, v in self.items():
             mono = _qpower(k)
             if mono == "1":
-                term = str(v)
+                terms.append(str(v))
             elif v == 1:
-                term = mono
+                terms.append(mono)
             elif v == -1:
-                term = f"-{mono}"
+                terms.append(f"-{mono}")
             else:
-                term = f"{v} {mono}"
-            if parts and not term.startswith("-"):
-                parts.append(f"+ {term}")
-            elif parts:
-                parts.append(f"- {term[1:]}")
-            else:
-                parts.append(term)
-        return " ".join(parts) + _qtail(self.order)
+                terms.append(f"{v} {mono}")
+        return signed_sum(terms) + _qtail(self.order)
 
     def __repr__(self) -> str:
         return f"USeries({dict(self.items())}, order={self.order})"
+
+
+def signed_sum(terms: Iterable[str]) -> str:
+    """The terms joined as "a + b - c": a term's leading "-" becomes the sign before it."""
+    terms = iter(terms)
+    return next(terms, "") + "".join(f" - {t[1:]}" if t[:1] == "-" else f" + {t}" for t in terms)
 
 
 def _qpower(k: int) -> str:

@@ -33,26 +33,9 @@ from .series import USeries
 XPoly = dict[int, Fraction]
 
 
-# ---------------------------------------------------------------------------
-# The u-constant prefactors in x, in closed form
-# ---------------------------------------------------------------------------
-
-
 def x_over_tanh_half_poly(xdeg: int) -> XPoly:
     """x / tanh(x/2), coefficients 2 B_2k: the u^0 slice of the Ell1 factor (L-hat factor)."""
     return _even_poly(xdeg, lambda k, b: 2 * b)
-
-
-def x_over_tanh_poly(xdeg: int) -> XPoly:
-    """x / tanh(x), coefficients 4^k B_2k: the signature factor in complex Chern-root normalization."""
-    return _even_poly(xdeg, lambda k, b: 4**k * b)
-
-
-def rotate_poly(a: XPoly) -> XPoly:
-    """x -> ix on an even polynomial (tanh-to-tan convention switch)."""
-    if any(k % 2 for k in a):
-        raise ValueError("rotation only applies to even polynomials")
-    return {k: (v if k % 4 == 0 else -v) for k, v in a.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,26 @@ def test_pretty_printer():
     assert b1.pretty() == "-Λ^1(T) + 8·1"
 
 
+def test_ring_operations_against_polys_built_by_hand():
+    s1s1 = BundleMonomial.make(sym=(1, 1))
+    s1l1 = BundleMonomial.make(sym=(1,), ext=(1,))
+    l1l1 = BundleMonomial.make(ext=(1, 1))
+    a = vbp(2, S1=1, one=2)
+    b = vbp(2, L1=-1, one=5)
+    assert -a == vbp(2, S1=-1, one=-2)
+    assert a - b == vbp(2, S1=1, L1=1, one=-3)
+    assert a - 2 == vbp(2, S1=1) and 2 - a == vbp(2, S1=-1)
+    assert a * 3 == 3 * a == vbp(2, S1=3, one=6)
+    assert a * 0 == 0 * a == VirtualBundlePoly({}, 2)
+    assert a**2 == a * a == VirtualBundlePoly({s1s1: 1, BundleMonomial.make(sym=(1,)): 4, BundleMonomial(): 4}, 2)
+    assert a * b == VirtualBundlePoly(
+        {s1l1: -1, BundleMonomial.make(sym=(1,)): 5, BundleMonomial.make(ext=(1,)): -2, BundleMonomial(): 10}, 2
+    )
+    assert b**2 == VirtualBundlePoly({l1l1: 1, BundleMonomial.make(ext=(1,)): -10, BundleMonomial(): 25}, 2)
+    assert a**0 == VirtualBundlePoly.const(1, 2)
+    assert (a - b).pretty() == "Λ^1(T) + S^1(T) - 3·1"
+
+
 # -- Chern characters --------------------------------------------------------
 
 def test_ch_of_lambda1_matches_tangent():

@@ -11,6 +11,7 @@ from ellgen.chern import (
     Manifold,
     PontPoly,
     RootSeries,
+    _log_coefficients,
     ch_tangent,
     disjoint_union,
     genus_class,
@@ -19,7 +20,7 @@ from ellgen.chern import (
     partitions_of,
 )
 from ellgen.bundles import _power_sum_terms
-from ellgen.errors import DimMismatch, NonUnitConstant, OddTermPresent
+from ellgen.errors import BadConstantTerm, DimMismatch, NonUnitConstant, OddTermPresent
 from ellgen.genera import genus
 from ellgen.series import USeries
 from ellgen.theta import GenusKind, genus_root_series, half_x_over_sinh_half_poly
@@ -338,6 +339,24 @@ def test_genus_pairs_like_genus_class(kind):
         m = Manifold("r", 4 * n, {p: F(rng.randint(-50, 50), rng.randint(1, 6)) for p in partitions_of(n)})
         f = genus_root_series(kind, 2 * n + 2, 12)
         assert genus(m, kind, 12) == pair(genus_class(f, n), m), n
+
+
+@pytest.mark.parametrize("kind", list(GenusKind))
+def test_pont_poly_exp_matches_the_theta_route(kind):
+    # prod_j f(x_j) = f(0)^(2n) exp(sum_k a_k s_k), with exp the ring's own Taylor sum
+    for n in range(1, 5):
+        for uorder in (1, 6):
+            f = genus_root_series(kind, 2 * n + 1, uorder)
+            f0, a = _log_coefficients(f, n)
+            exponent = sum((a[k - 1] * newton_power_sum(k, n, uorder) for k in range(1, n + 1)), PontPoly({}, n, uorder))
+            assert genus_class(f, n) == exponent.exp() * f0 ** (2 * n), (n, uorder)
+
+
+def test_pont_poly_exp_requires_zero_constant_part():
+    assert PontPoly({}, 2, 3).exp() == PontPoly.const(1, 2, 3)
+    for constant in (PontPoly.const(1, 2, 3), PontPoly.generator(1, 2, 3) + USeries({2: 1}, 3)):
+        with pytest.raises(BadConstantTerm):
+            constant.exp()
 
 
 def test_power_sum_table_numeric_check():

@@ -12,9 +12,10 @@ from scipy.special import beta
 
 from ellgen.chern import Manifold
 from ellgen.cli import build_parser, main
+from ellgen.errors import ResidualNonzero
 from ellgen.genera import Hypersurface
 from ellgen.pontryagin import MAX_N
-from ellgen.series import USeries
+from ellgen.series import DEFAULT_UORDER, USeries
 from ellgen.theta import GenusKind
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -179,12 +180,19 @@ def test_sobolev_command(capsys):
     assert report["R"] > 0
 
 
-def test_uorder_env_override(capsys, k3_file, monkeypatch):
+def test_genus_order_ignores_the_environment(capsys, k3_file, monkeypatch):
+    # GENUS_DEFAULT_UORDER once changed the default order; no setting is read from the environment
     monkeypatch.setenv("GENUS_DEFAULT_UORDER", "6")
     code, out, _ = run(capsys, "genus", "--manifold", k3_file, "--genus", "ell2",
                        "--format", "json")
     assert code == 0
-    assert json.loads(out)["order"] == 6
+    assert json.loads(out)["order"] == 24
+
+
+def test_genus_uorder_default_is_the_series_default():
+    parser = build_parser()
+    genus_parser = next(a for a in parser._actions if a.dest == "command").choices["genus"]
+    assert next(a for a in genus_parser._actions if a.dest == "uorder").default == DEFAULT_UORDER
 
 
 def test_manifold_json_roundtrip_via_cli_schema():
@@ -485,6 +493,60 @@ def test_transformation_laws_nan_residual_fails_the_check(capsys, monkeypatch):
     assert code == 1 and report["pass"] is False and len(report["failures"]) == 2
 
 
+def failed_check(capsys, *argv):
+    """The failures of a `verify` run that must fail: exit 1, "pass" false, "residual" nonzero."""
+    code, out, _ = run(capsys, "verify", *argv)
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False and report["residual"] == "nonzero"
+    return report["failures"]
+
+
+def off_by_one_coefficient(route):
+    return lambda *args: route(*args) + USeries.monomial(args[-1] - 1, 1, args[-1])
+
+
+def test_cancellation_check_fails_on_a_nonzero_residual(capsys, monkeypatch):
+    from ellgen import genera
+
+    monkeypatch.setattr(genera, "cancellation_residual", lambda p11, p2: Fraction(1))
+    failures = failed_check(capsys, "--check", "cancellation", "--samples", "2")
+    assert len(failures) == 2 and all(f.startswith("residual 1 at (p1^2, p2) = (") for f in failures)
+
+
+def test_cancellation_check_fails_on_a_nonzero_symbolic_class(capsys, monkeypatch):
+    from ellgen import chern, genera
+
+    monkeypatch.setattr(genera, "cancellation_class", lambda: chern.PontPoly.generator(2, 2, 1))
+    assert failed_check(capsys, "--check", "cancellation", "--samples", "1") == ["symbolic weight-2 residual is nonzero"]
+
+
+def test_modular_relation_check_fails_outside_the_modular_span(capsys, monkeypatch):
+    from ellgen import modular
+
+    def outside(e2, n):
+        raise ResidualNonzero("series is not in the modular span: residual 1 at u^3")
+
+    monkeypatch.setattr(modular, "expand_in_basis", outside)
+    failures = failed_check(capsys, "--check", "modular-relation", "--samples", "2", "--uorder", "6")
+    assert failures == ["random-n2: series is not in the modular span: residual 1 at u^3"] * 2
+
+
+def test_modular_relation_check_fails_on_a_wrong_ell1(capsys, monkeypatch):
+    from ellgen import modular
+
+    monkeypatch.setattr(modular, "reconstruct_ell1", off_by_one_coefficient(modular.reconstruct_ell1))
+    failures = failed_check(capsys, "--check", "modular-relation", "--samples", "2", "--uorder", "6")
+    assert failures == ["random-n2: reconstructed Ell1 mismatch"] * 2
+
+
+def test_route_equivalence_check_fails_when_the_routes_disagree(capsys, monkeypatch):
+    from ellgen import bundles
+
+    monkeypatch.setattr(bundles, "ell2_via_bundles", off_by_one_coefficient(bundles.ell2_via_bundles))
+    failures = failed_check(capsys, "--check", "route-equivalence", "--samples", "2", "--uorder", "6")
+    assert failures == ["random-n2: bundle route disagrees with theta route"] * 2
+
+
 @pytest.mark.parametrize("tau", ["1e-17i", "1e-300i", "0.5+1e-300i"])
 def test_transformation_laws_tau_with_unit_modulus_u_is_domain_error(capsys, tau):
     # |e^(pi i tau)| (or at -1/tau) rounds to 1, so no tail bound is finite
@@ -586,9 +648,9 @@ def test_hypersurface_command_skips_bundles_modular_sobolev():
 
 
 def test_cancellation_check_executes_the_genus_route_and_the_class_ring():
-    # the benchmark's warm-up child: the PontPoly ring, the residue factors' theta module and genera
+    # the benchmark's warm-up child: the PontPoly ring and genera, whose residue factors need no theta
     executed = executed_modules("verify", "--check", "cancellation", "--samples", "1")
-    assert package_modules(executed) == GENUS_ROUTE | {"ellgen.chern", "ellgen.theta", "ellgen.genera"}
+    assert package_modules(executed) == GENUS_ROUTE | {"ellgen.chern", "ellgen.genera"}
 
 
 def test_package_names_of_the_pontryagin_route_execute_neither_chern_nor_theta():

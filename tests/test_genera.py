@@ -217,6 +217,12 @@ def test_residue_rotation_sign():
     assert hypersurface_genus(h, signature_factor(4, 1, "tan")) == USeries.const(-1, 1)
 
 
+def test_tan_convention_is_the_rotated_factor():
+    for xdeg, uorder in ((1, 1), (6, 1), (11, 4)):
+        assert signature_factor(xdeg, uorder, "tan") == signature_factor(xdeg, uorder, "tanh").rotate()
+        assert ahat_factor(xdeg, uorder, "tan") == ahat_factor(xdeg, uorder, "tanh").rotate()
+
+
 def test_residue_nonunit_rejected():
     h = Hypersurface(5, 2)
     zero_const = signature_factor(6, 1) * 0

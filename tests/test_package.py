@@ -28,7 +28,7 @@ EXPORTED = {
         "ModBasisDecomp", "delta1", "delta2", "eps1", "eps2", "expand_in_basis", "numeric_eval",
         "reconstruct_ell1",
     ],
-    "series": ["USeries", "default_uorder", "weighted_product"],
+    "series": ["USeries", "weighted_product"],
     "sobolev": [
         "MoserExponents", "moser_constant", "moser_exponents", "poincare_s", "radius_r",
         "sobolev_c", "sphere_volume", "wallis",
@@ -114,3 +114,15 @@ def test_every_module_level_import_is_used():
                 if bound not in named and "# noqa" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.stem}: {bound}")
     assert unused == []
+
+
+def test_no_module_reads_the_environment():
+    # A setting read from the environment is a hidden knob: every setting is an argument.
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(Path(ellgen.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "name", getattr(node, "id", None))
+            if name in readers:
+                found.append(f"{path.stem}:{node.lineno} {name}")
+    assert found == []

@@ -5,9 +5,9 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from ellgen.chern import RootSeries, _log_coefficients, genus_class, partitions_of
+from ellgen.chern import RootSeries, _log_coefficients, genus_class, partitions_of, rotate_x
 from ellgen.errors import OddTermPresent, WeightViolation
-from ellgen.genera import ahat_class
+from ellgen.genera import ahat_class, x_over_tanh_poly
 from ellgen.pontryagin import cosh_half_poly, genus_columns, genus_log
 from ellgen.series import USeries, row_view, weighted_product
 from ellgen.theta import (
@@ -15,10 +15,8 @@ from ellgen.theta import (
     _theta_product,
     genus_root_series,
     half_x_over_sinh_half_poly,
-    rotate_poly,
     theta_factor,
     x_over_tanh_half_poly,
-    x_over_tanh_poly,
 )
 
 
@@ -36,8 +34,8 @@ def test_hyperbolic_polys_match_sympy():
     x = sympy.symbols("x")
     assert x_over_tanh_half_poly(10) == sympy_even_coeffs(x / sympy.tanh(x / 2), x, 10)
     assert x_over_tanh_poly(10) == sympy_even_coeffs(x / sympy.tanh(x), x, 10)
-    assert rotate_poly(x_over_tanh_poly(10)) == sympy_even_coeffs(x / sympy.tan(x), x, 10)
-    assert rotate_poly(half_x_over_sinh_half_poly(10)) == sympy_even_coeffs(
+    assert rotate_x(x_over_tanh_poly(10)) == sympy_even_coeffs(x / sympy.tan(x), x, 10)
+    assert rotate_x(half_x_over_sinh_half_poly(10)) == sympy_even_coeffs(
         (x / 2) / sympy.sin(x / 2), x, 10
     )
 
@@ -164,6 +162,13 @@ def test_rotate_requires_even():
     rs = RootSeries.from_xpoly({1: F(1)}, 4, 1)
     with pytest.raises(OddTermPresent):
         rs.rotate()
+
+
+def test_rotate_is_x_to_ix_and_an_involution():
+    for kind in ("theta", "theta1", "theta2"):
+        f = theta_factor(kind, 9, 6)
+        assert f.rotate().rotate() == f
+        assert f.rotate().coeff(2) == -f.coeff(2) and f.rotate().coeff(4) == f.coeff(4)
 
 
 def test_rs_product_weight_violation():
