@@ -28,10 +28,10 @@ _EXPORTS = {
     "signature_factor twisted_ahat twisted_ahat_series",
     "modular": "ModBasisDecomp delta1 delta2 eps1 eps2 expand_in_basis numeric_eval reconstruct_ell1",
     "pontryagin": "GenusKind Hypersurface Manifold Partition genus hypersurface_pont partitions_of",
-    "series": "USeries weighted_product",
+    "series": "USeries",
     "sobolev": "MoserExponents moser_constant moser_exponents poincare_s radius_r sobolev_c "
     "sphere_volume wallis",
-    "theta": "genus_root_series theta_factor",
+    "theta": "genus_root_series theta_factor weighted_product",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_HOME)

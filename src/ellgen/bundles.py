@@ -34,7 +34,7 @@ from typing import Mapping, NamedTuple
 
 from .errors import DimMismatch
 from .pontryagin import GenusKind, Manifold, Partition, _check_n, _join, _newton_terms, _pair_rows, genus_log, partitions_of
-from .series import DEFAULT_UORDER, USeries, _RingOps, as_int, combine, reduce_ratio, signed_sum
+from .series import DEFAULT_UORDER, RowView, USeries, _RingOps, as_int, combine, reduce_ratio, signed_sum
 
 
 def __getattr__(name: str):
@@ -134,6 +134,8 @@ class VirtualBundlePoly(_RingOps):
 
     def _coerce(self, other) -> "VirtualBundlePoly | None":
         if isinstance(other, VirtualBundlePoly):
+            if other.n != self.n:  # a monomial valid at one rank may be the zero bundle at the other
+                raise DimMismatch(f"bundles built for n = {self.n} and n = {other.n} do not combine")
             return other
         if isinstance(other, int):
             return VirtualBundlePoly.const(other, self.n)
@@ -450,7 +452,7 @@ def index_bundle(m: Manifold, v: VirtualBundlePoly) -> Fraction:
     if v.n != m.n:
         raise DimMismatch(f"bundle built for n = {v.n}, manifold has n = {m.n}")
     nums, den = _index_row(v)
-    return _pair_rows((((0, nums),), den), m, 1).coeff(0)
+    return _pair_rows(RowView(((0, nums),), den), m, 1).coeff(0)
 
 
 @lru_cache(maxsize=128)
@@ -460,7 +462,7 @@ def _index_class(n: int, uorder: int):
     rows = [_index_row(b.coeff(k)) for k in range(uorder)]
     den = lcm(*(d for _, d in rows))
     scaled = ((k, tuple(x * (den // d) for x in nums)) for k, (nums, d) in enumerate(rows))
-    return tuple((k, row) for k, row in scaled if any(row)), den
+    return RowView(tuple((k, row) for k, row in scaled if any(row)), den)
 
 
 def ell2_via_bundles(m: Manifold, uorder: int = DEFAULT_UORDER) -> USeries:

@@ -7,7 +7,8 @@ hypersurface's `--ambient`, `verify --n`), refused before any partition of
 n is enumerated, a Sobolev root whose residual tolerance cannot be reached or
 whose evaluation overflows double precision, an inconclusive
 transformation-laws check, whose proven tolerance no order up to
-`modular.LAW_CAP` brings under `modular.LAW_TARGET`, and an exact result with
+`modular.LAW_CAP` brings under `modular.LAW_TARGET` (a `--uorder` above that
+cap is refused at once), and an exact result with
 an integer longer than `sys.get_int_max_str_digits()` digits, which is not
 printed; 4 an internal error (a bug), with its traceback on stderr.
 All series output is exact rational except the `sobolev` command.
@@ -17,17 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-from . import __version__, bundles, genera, modular, pontryagin, sobolev
-from .errors import (
-    DimMismatch,
-    FloatRangeExceeded,
-    NotInUpperHalfPlane,
-    ResidualNonzero,
-    ToleranceNotReached,
-)
+from . import __version__, bundles, pontryagin, sobolev
+from .errors import DimMismatch, FloatRangeExceeded, NotInUpperHalfPlane, ToleranceNotReached
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -96,115 +90,10 @@ def cmd_bundles(args) -> int:
     return _print(lambda: "\n".join(f"{label}{k} = {bqs.coeff(k).pretty()}" for k in range(args.uorder)))
 
 
-def _random_manifold(n: int, rng) -> pontryagin.Manifold:
-    from fractions import Fraction
-
-    pont = {
-        p: Fraction(rng.randint(-60, 60), rng.randint(1, 6)) for p in pontryagin.partitions_of(n)
-    }
-    return pontryagin.Manifold(name=f"random-n{n}", dim=4 * n, pont=pont)
-
-
-def _parse_tau(text: str) -> complex:
-    text = text.strip().replace(" ", "")
-    if text == "i":
-        return 1j
-    if text.startswith("i/"):
-        denominator = float(text[2:])
-        if not denominator:
-            raise ValueError(f"tau {text!r} divides by zero")
-        # i/inf would read as 0j and i/nan as nan: reject the divisor as well as the quotient
-        tau = 1j / denominator if math.isfinite(denominator) else complex(math.nan)
-    else:
-        # complex() reads a+bi, a+i, -i and bi once i is spelled j.
-        tau = complex(text.replace("i", "j"))
-    if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
-        raise ValueError(f"tau {text!r} is not finite")
-    return tau
-
-
 def cmd_verify(args) -> int:
-    import random
-    from fractions import Fraction
+    from .verify import cmd_verify  # the identity suites compile only for this command
 
-    rng = random.Random(args.seed)
-    report: dict = {"check": args.check}
-    failures: list[str] = []
-
-    if args.check == "cancellation":
-        if not genera.cancellation_class().is_zero():
-            failures.append("symbolic weight-2 residual is nonzero")
-        residuals = []
-        for _ in range(args.samples):
-            p11 = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999))
-            p2 = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999))
-            r = genera.cancellation_residual(p11, p2)
-            residuals.append(str(r))
-            if r:
-                failures.append(f"residual {r} at (p1^2, p2) = ({p11}, {p2})")
-        report["samples"] = args.samples
-        report["residuals"] = residuals
-        report["residual"] = "0" if not failures else "nonzero"
-
-    elif args.check == "modular-relation":
-        n = args.n
-        uorder = args.uorder
-        report["n"] = n
-        report["uorder"] = uorder
-        resid = "0"
-        for _ in range(args.samples):
-            m = _random_manifold(n, rng)
-            e2 = pontryagin.genus(m, pontryagin.GenusKind.ELL2, uorder)
-            try:
-                dec = modular.expand_in_basis(e2, n)
-            except ResidualNonzero as exc:
-                failures.append(f"{m.name}: {exc}")
-                resid = "nonzero"
-                continue
-            if modular.reconstruct_ell1(dec, uorder) != pontryagin.genus(m, pontryagin.GenusKind.ELL1, uorder):
-                failures.append(f"{m.name}: reconstructed Ell1 mismatch")
-                resid = "nonzero"
-        report["residual"] = resid
-
-    elif args.check == "route-equivalence":
-        n = args.n
-        uorder = args.uorder
-        report["n"] = n
-        report["uorder"] = uorder
-        for _ in range(args.samples):
-            m = _random_manifold(n, rng)
-            if bundles.ell2_via_bundles(m, uorder) != pontryagin.genus(m, pontryagin.GenusKind.ELL2, uorder):
-                failures.append(f"{m.name}: bundle route disagrees with theta route")
-        report["residual"] = "0" if not failures else "nonzero"
-
-    elif args.check == "transformation-laws":
-        tau = _parse_tau(args.tau)
-        start = max(args.uorder, 40)
-        uorder, dtol, etol = modular.law_tolerance(tau, start)
-        rd, re = modular.law_residuals(tau, uorder)
-        report["tau"] = str(tau)
-        report["uorder"] = uorder
-        report["delta_residual"] = rd
-        report["eps_residual"] = re
-        report["delta_tolerance"] = dtol
-        report["eps_tolerance"] = etol
-        report["tolerance_source"] = (
-            "proven (modular.law_tolerance): divisor-sum coefficient tails in closed form plus "
-            f"float rounding, at the smallest uorder >= {start} where both are <= {modular.LAW_TARGET}"
-        )
-        if not rd <= dtol:  # a NaN residual fails too
-            failures.append(f"delta law residual {rd} above {dtol}")
-        if not re <= etol:
-            failures.append(f"eps law residual {re} above {etol}")
-
-    else:
-        raise ValueError(f"unknown check {args.check!r}")
-
-    report["pass"] = not failures
-    if failures:
-        report["failures"] = failures
-    print(json.dumps(report, default=str))
-    return EXIT_OK if not failures else EXIT_CHECK_FAILED
+    return cmd_verify(args)
 
 
 def cmd_sobolev(args) -> int:

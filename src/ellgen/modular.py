@@ -10,19 +10,20 @@ tolerance of `law_tolerance`.  The four forms are `series.divisor_sums`
 sieves, not trial divisions per coefficient.  Both bases are
 memoized in row form (per u-power, integer numerators over one denominator;
 the Ell_2 basis is integral and unitriangular up to the sign (-1)^n), so the
-solve is integer forward substitution and the transport one row product.
+solve is integer forward substitution, and the residual check and the
+transport are each one packed `series.row_product`.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, expm1, lcm, log, ulp
 from operator import mul
 
 from .errors import FloatRangeExceeded, NotInUpperHalfPlane, Record, ResidualNonzero, ToleranceNotReached
-from .series import DEFAULT_UORDER, USeries, divisor_sums, row_product, row_view
+from .series import DEFAULT_UORDER, RowView, USeries, divisor_sums, reduce_ratio, row_product, row_view
 
 
 def _divisor_form(uorder: int, const: Fraction, scale: int, first: int, step: int, term) -> USeries:
@@ -52,36 +53,55 @@ def eps2(uorder: int = DEFAULT_UORDER) -> USeries:
 
 
 class ModBasisDecomp(Record):
-    """Coordinates of Ell_2 in the basis (8 delta_2)^(n-2r) eps_2^r."""
+    """Coordinates of Ell_2 in the basis (8 delta_2)^(n-2r) eps_2^r.
 
-    _fields = ("n", "h")
+    They are kept canonical, as integer numerators `_h` over one `_den` (`reduce_ratio`);
+    `==` and `hash` go by that pair, and `h` is its Fraction view, built on first read.
+    """
+
+    _fields = ("n", "_h", "_den")
 
     def __init__(self, n: int, h: tuple[Fraction, ...]):
         if n < 1 or len(h) != n // 2 + 1:
             raise ValueError(f"n = {n} needs n >= 1 and {n // 2 + 1} coordinates, got {len(h)}")
-        self._set(n, h)
+        h = [Fraction(x) for x in h]
+        den = lcm(*(x.denominator for x in h))
+        self._set(n, *reduce_ratio([x.numerator * (den // x.denominator) for x in h], den))
+
+    @classmethod
+    def _make(cls, n: int, nums: list[int], den: int) -> "ModBasisDecomp":
+        """The coordinates nums[r] / den (den > 0), reduced to the canonical pair."""
+        out = cls.__new__(cls)
+        out._set(n, *reduce_ratio(nums, den))
+        return out
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, h={self.h!r})"
+
+    @cached_property
+    def h(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self._den) for v in self._h)
 
     @property
     def all_integer(self) -> bool:
-        return all(x.denominator == 1 for x in self.h)
+        return self._den == 1
 
 
 @lru_cache(maxsize=128)
-def _basis2(n: int, uorder: int) -> tuple[tuple[int, ...], ...]:
-    """The Ell_2 basis (8 delta_2)^(n-2r) eps_2^r, r = 0..n//2, in row form.
+def _basis2(n: int, uorder: int) -> RowView:
+    """The Ell_2 basis (8 delta_2)^(n-2r) eps_2^r, r = 0..n//2, as a `row_view` over den 1.
 
-    Row k holds [u^k] of every element.  8 delta_2 and eps_2 have integer
-    coefficients, so the rows are integers; element r starts at u^r with
-    leading coefficient (-1)^n.
+    8 delta_2 and eps_2 have integer coefficients; element r starts at u^r with
+    leading coefficient (-1)^n, so rows 0..n//2 are kept, at their own index.
     """
     d, e = delta2(uorder) * 8, eps2(uorder)
-    return tuple(zip(*((d ** (n - 2 * r) * e**r)._n for r in range(n // 2 + 1))))
+    return row_view([d ** (n - 2 * r) * e**r for r in range(n // 2 + 1)])
 
 
 @lru_cache(maxsize=128)
-def _basis1(n: int, uorder: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], int]:
-    """(rows, den): the images (8 delta_1)^(n-2r) eps_1^r of the `_basis2` elements
-    as a `row_view`; they are series in q = u^2, so only even rows are kept."""
+def _basis1(n: int, uorder: int) -> RowView:
+    """The images (8 delta_1)^(n-2r) eps_1^r of the `_basis2` elements as a `row_view`;
+    they are series in q = u^2, so only even rows are kept."""
     d, e = delta1(uorder) * 8, eps1(uorder)
     return row_view([d ** (n - 2 * r) * e**r for r in range(n // 2 + 1)])
 
@@ -92,26 +112,24 @@ def expand_in_basis(e2: USeries, n: int) -> ModBasisDecomp:
     The basis element indexed r starts at u^r with leading coefficient
     (-1)^n, so matching u^0..u^(floor(n/2)) is triangular: the h_r times
     e2's denominator come out as integers by forward substitution on e2's
-    numerators.  The remaining coefficients of e2 are then forced, and the
-    first mismatch raises ResidualNonzero.
+    numerators.  The remaining coefficients of e2 are then forced: one
+    `row_product` gives them all, and the first mismatch raises ResidualNonzero.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rmax = n // 2
     if e2.order < rmax + 1:
         raise ValueError(f"series order {e2.order} too small, need >= {rmax + 1}")
-    rows = _basis2(n, e2.order)
+    view = _basis2(n, e2.order)
     nums, den = e2._n, e2._d
     sign = -1 if n % 2 else 1
     h: list[int] = []
-    for k in range(rmax + 1):
-        h.append(sign * (nums[k] - sum(map(mul, h, rows[k]))))
-    for k in range(rmax + 1, e2.order):
-        if resid := nums[k] - sum(map(mul, h, rows[k])):
-            raise ResidualNonzero(
-                f"series is not in the modular span: residual {Fraction(resid, den)} at u^{k}"
-            )
-    return ModBasisDecomp(n=n, h=tuple(Fraction(v, den) for v in h))
+    for k, row in view[0][: rmax + 1]:
+        h.append(sign * (nums[k] - sum(map(mul, h, row))))
+    if (fit := row_product(view, h, e2.order)) != list(nums):
+        k, resid = next((k, v - f) for k, (v, f) in enumerate(zip(nums, fit)) if v != f)
+        raise ResidualNonzero(f"series is not in the modular span: residual {Fraction(resid, den)} at u^{k}")
+    return ModBasisDecomp._make(n, h, den)
 
 
 def reconstruct_ell1(d: ModBasisDecomp, uorder: int = DEFAULT_UORDER) -> USeries:
@@ -119,14 +137,11 @@ def reconstruct_ell1(d: ModBasisDecomp, uorder: int = DEFAULT_UORDER) -> USeries
 
     This is the coefficient-level content of Ell_1(-1/tau) =
     (2 tau)^(2n) Ell_2(tau) together with delta_2(-1/tau) = tau^2 delta_1
-    and eps_2(-1/tau) = tau^4 eps_1.  It is one integer row product on
-    `_basis1`, with the h_r over their lcm.
+    and eps_2(-1/tau) = tau^4 eps_1.  It is one `row_product` on `_basis1`
+    by the integer coordinates, over their one denominator.
     """
-    n = d.n
-    rows, den = _basis1(n, uorder)
-    big = lcm(*(hr.denominator for hr in d.h))
-    scales = [hr.numerator * (big // hr.denominator) * 4**n for hr in d.h]
-    return row_product(rows, scales, big * den, uorder)
+    view = _basis1(d.n, uorder)
+    return USeries._make(row_product(view, [v << 2 * d.n for v in d._h], uorder), d._den * view[1])
 
 
 def _u_point(tau: complex) -> complex:

@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import add
 from types import MappingProxyType
 from typing import Mapping
@@ -47,10 +47,6 @@ def partition_key(parts) -> Partition:
     return t
 
 
-def weight(p: Partition) -> int:
-    return sum(p)
-
-
 def _check_n(n: int) -> None:
     if n > MAX_N:
         raise DimTooLarge(f"n = {n} (dim {4 * n}) is above the largest supported n = {MAX_N}")
@@ -67,19 +63,10 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_n(n)
-    if n == 0:
-        return ((),)
-    out: list[Partition] = []
-
-    def gen(rest: int, maxpart: int, prefix: tuple[int, ...]):
-        if rest == 0:
-            out.append(prefix)
-            return
-        for p in range(min(rest, maxpart), 0, -1):
-            gen(rest - p, p, prefix + (p,))
-
-    gen(n, n, ())
-    return tuple(out)
+    # first part p descending, then the partitions of n - p whose parts are <= p, in this order
+    return ((),) if n == 0 else tuple(
+        (p, *rest) for p in range(n, 0, -1) for rest in partitions_of(n - p) if rest[:1] <= (p,)
+    )
 
 
 def partition_to_str(p: Partition) -> str:
@@ -207,10 +194,9 @@ def weight_view(columns: Mapping[Partition, USeries], n: int, order: int):
 def _pair_rows(view, m: Manifold, order: int) -> USeries:
     """sum_lambda P_lambda(M) col_lambda for a row view (rows, den) on `partitions_of(m.n)`: one
     integer matrix-vector product with `m`'s numerators in that order (`_vec`, kept on `m`)."""
-    rows, den = view
     if (vec := m.__dict__.get("_vec")) is None:  # a plain memo: Manifold fields are frozen
         vec = m.__dict__["_vec"] = tuple(map(m._num.get, partitions_of(m.n), repeat(0)))
-    return row_product(rows, vec, m._den * den, order)
+    return USeries._make(row_product(view, vec, order), m._den * view[1])
 
 
 def _bernoulli(m: int) -> list[Fraction]:
@@ -342,14 +328,5 @@ def hypersurface_pont(h: Hypersurface) -> Manifold:
     n = h.real_dim // 4
     parts = partitions_of(n)  # first: it refuses an n above MAX_N before any work
     # c[i] = [x^(2i)] (1+x^2)^(N+1) * sum_k (-d^2)^k x^(2k)
-    c = [
-        sum(comb(N + 1, j) * Fraction(-d * d) ** (i - j) for j in range(i + 1))
-        for i in range(n + 1)
-    ]
-    pont = {}
-    for part in parts:
-        value = Fraction(d)
-        for i in part:
-            value *= c[i]
-        pont[part] = value
-    return Manifold(name=f"X({N};{d})", dim=h.real_dim, pont=pont)
+    c = [sum(comb(N + 1, j) * Fraction(-d * d) ** (i - j) for j in range(i + 1)) for i in range(n + 1)]
+    return Manifold(f"X({N};{d})", h.real_dim, {part: d * prod(c[i] for i in part) for part in parts})

@@ -11,7 +11,8 @@ The truncation order is an exclusive bound on the u-exponent.  Binary
 operations truncate to the minimum of the two orders, and two series are
 equal iff their orders and all coefficients agree.
 `_RingOps` gives the ring classes of `series`, `chern` and `bundles` one `-`,
-`**` and `exp`; `weighted_product` is the one weight-checked infinite product.
+`**` and `exp`; `RowView` and `row_product` are the one integer matrix-vector
+product, over Kronecker-packed columns.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, lshift, mul
+from struct import pack, unpack
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
-from .errors import BadConstantTerm, WeightViolation, ZeroConstantTerm
+from .errors import BadConstantTerm, ZeroConstantTerm
 
 Scalar = Union[int, Fraction]
 
@@ -295,16 +298,10 @@ class USeries(_RingOps):
         """log of a series with constant term 1."""
         if self.constant() != 1:
             raise BadConstantTerm("log requires constant term 1")
-        m = self - 1
-        order = self.order
-        result = USeries.zero(order)
-        power = USeries.one(order)
-        k = 1
-        sign = 1
+        m, result, power, k = self - 1, USeries.zero(self.order), USeries.one(self.order), 1
         while not (power := power * m).is_zero():
-            result = result + power * Fraction(sign, k)
+            result = result + power * Fraction((-1) ** (k - 1), k)
             k += 1
-            sign = -sign
         return result
 
     # -- equality / hashing ------------------------------------------------
@@ -381,7 +378,7 @@ def reduce_ratio(numerators, den: int) -> tuple[tuple[int, ...], int]:
     g = gcd(den, *numerators)
     if g == 1:
         return tuple(numerators), den
-    return tuple(v // g for v in numerators), den // g
+    return tuple(map(g.__rfloordiv__, numerators)), den // g
 
 
 def divisor_sums(uorder: int, first: int, step: int, term) -> list[int]:
@@ -414,44 +411,69 @@ def linear_combination(terms: Iterable[Tuple[Scalar, USeries]], order: int) -> U
     return USeries._make(*combine(((a, (s._n, s._d)) for a, s in terms), order))
 
 
-def row_view(cols: list[USeries]) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], int]:
-    """(rows, den): the nonzero u-rows of `cols`, each (k, integer [u^k] of every column), over one den."""
+class RowView(tuple):
+    """(rows, den): integer u-rows (k, [u^k] of every column) over one den, compared and
+    unpacked as that pair; `row_product` memoizes on it the columns Kronecker-packed."""
+
+    def __new__(cls, rows, den: int):
+        view = super().__new__(cls, (rows, den))
+        view.top = max((abs(x) for _, row in rows for x in row), default=0).bit_length()
+        view.step = gcd(*(k for k, _ in rows)) or 1  # 2 for series in q = u^2: row k is field k/step
+        view.packed = (0, 0, ())  # (W, bias, columns) at the widest W yet needed
+        return view
+
+
+def row_view(cols: list[USeries]) -> RowView:
+    """The nonzero u-rows of `cols`, each (k, integer [u^k] of every column), over one den."""
     den = lcm(*(s._d for s in cols))
     rows = zip(*([v * (den // s._d) for v in s._n] for s in cols))
-    return tuple((k, row) for k, row in enumerate(rows) if any(row)), den
+    return RowView(tuple((k, row) for k, row in enumerate(rows) if any(row)), den)
 
 
-def row_product(rows, vec, den: int, order: int) -> USeries:
-    """The series sum_j vec[j] column_j / den of a `row_view`, at u-order `order`."""
-    acc = [0] * order
-    for k, row in rows:
-        acc[k] = sum(map(mul, vec, row))
-    return USeries._make(acc, den)
+def row_product(view: RowView, vec, order: int) -> list[int]:
+    """[u^k] of sum_j vec[j] column_j times the view's den, k < order, from the packed columns
+    C_j = sum_i (field i of column j) 2^(W i) (Kronecker; Harvey, J. Symbolic Comput. 44, 2009).
 
-
-def weighted_product(factors: Iterable[Tuple[int, _RingOps]], one: _RingOps, order: int):
-    """Product of `one` and an infinite family of factors, truncated at u-order `order`.
-
-    `factors` yields (weight, factor) pairs with strictly increasing weights;
-    each factor must equal 1 + O(u^weight).  Only factors of weight < order
-    contribute, so a lazy generator terminates after finitely many terms and
-    the result does not depend on the rest of the family.  The factors may be
-    any ring class here with a u-`valuation` (`USeries`, `RootSeries`, ...).
+    With a = bits(max |entry|) and b = bits(sum_j |vec[j]|), a field sum s_i = sum_j vec[j] (field
+    i of column j) has |s_i| <= (2^a - 1)(2^b - 1) < 2^(a+b) <= 2^(W-1) once W >= a + b + 1.  So
+    with h = 2^(W-1) in every field, bias + sum_j vec[j] C_j = sum_i (s_i + h) 2^(W i) has every
+    field s_i + h in [1, 2^W - 1]: none carries into the next, at any size.  W is a multiple of
+    64, so an entry packs as one fixed-width `to_bytes`, or a column as one `struct.pack` at W = 64.
     """
-    result = one
-    last_weight = None
-    for weight, factor in factors:
-        if last_weight is not None and weight <= last_weight:
-            raise WeightViolation(
-                f"factor weights must strictly increase ({weight} after {last_weight})"
-            )
-        last_weight = weight
-        if weight >= order:
-            break
-        val = (factor - 1).valuation()
-        if val is not None and val < weight:
-            raise WeightViolation(
-                f"factor deviates from 1 at u^{val}, below declared weight {weight}"
-            )
-        result = result * factor
-    return result
+    rows, step, acc = view[0], view.step, [0] * order
+    if not rows:
+        return acc
+    width, bias, cols = view.packed
+    size = rows[-1][0] // step + 1
+    if (need := view.top + sum(map(abs, vec)).bit_length() + 1) > width:
+        width = -(-need // 64) * 64
+        half, w8 = 1 << (width - 1), width // 8
+        bias = int.from_bytes(half.to_bytes(w8, "little") * size, "little")
+        dense = [(0,) * len(rows[0][1])] * size
+        for k, row in rows:
+            dense[k // step] = row
+        if width == 64:  # one-word fields: struct packs a column in C, as two's complements
+            cols = [(int.from_bytes(pack(f"<{size}q", *col), "little") ^ bias) - bias for col in zip(*dense)]
+        else:
+            cols = [int.from_bytes(b"".join([(x + half).to_bytes(w8, "little") for x in col]), "little") - bias
+                    for col in zip(*dense)]
+        view.packed = width, bias, cols
+    acc[: size * step : step] = _fields(sum(map(mul, vec, cols), bias), bias, width, size)
+    return acc
+
+
+def _fields(packed: int, bias: int, width: int, count: int) -> list[int]:
+    """The `count` width-bit fields of `packed`, low first, each less its bias 2^(width-1), in time
+    linear in the size: shifted off one by one up to 32 fields, above that read as 64-bit limbs."""
+    if count <= 32:
+        half, mask, out = 1 << (width - 1), (1 << width) - 1, []
+        for _ in range(count):
+            out.append((packed & mask) - half)
+            packed >>= width
+        return out
+    # flipping each field's top bit turns s + 2^(width-1) into the two's complement of s
+    raw, step = (packed ^ bias).to_bytes(count * width // 8, "little"), width // 64
+    out, low = list(unpack(f"<{count * step}q", raw)[step - 1 :: step]), unpack(f"<{count * step}Q", raw)
+    for i in range(step - 2, -1, -1):  # each field from its signed top word down
+        out = list(map(add, map(lshift, out, repeat(64)), low[i::step]))
+    return out

@@ -16,7 +16,8 @@ public API.  The Pontryagin route builds none: `pontryagin.genus_log` gives
 the a_k = [x^(2k)] log(f/f(0)) of each genus factor in closed form.  The
 theta families (`_FAMILIES`), the genera (`GenusKind`, `_LOGS`) and the
 prefactors they name live in `pontryagin` with it, and both routes read
-those tables; their names are bound here too.
+those tables; their names are bound here too.  `weighted_product` is the
+one weight-checked infinite product of the public API.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import add, mul, sub
+from operator import add, sub
+from typing import Iterable, Tuple
 
 from .chern import RootSeries
+from .errors import WeightViolation
 from .pontryagin import _FAMILIES, _LOGS, GenusKind, _even_poly, half_x_over_sinh_half_poly
-from .series import USeries
+from .series import RowView, USeries, _RingOps, row_product
 
 XPoly = dict[int, Fraction]
 
@@ -97,10 +100,11 @@ def _theta_product(kinds: tuple[str, ...], prefactor: XPoly, xdeg: int, uorder: 
     # Only even x-powers occur: [u^k x^(2i)] = sum_j c_(k,j) j^(2i) / (2i)!,
     # the j > 0 terms counted twice for their mirror images at -j.
     width = len(prod[-1])
+    view = RowView(tuple((k, (*row, *[0] * (width - len(row)))) for k, row in enumerate(prod)), 1)
     series = {}
     for i in range((xdeg + 1) // 2):
         weights = [(1 if j == 0 else 2) * j ** (2 * i) for j in range(width)]
-        series[2 * i] = USeries._make([sum(map(mul, row, weights)) for row in prod], factorial(2 * i))
+        series[2 * i] = USeries._make(row_product(view, weights, uorder), factorial(2 * i))
     return RootSeries(series, xdeg, uorder) * RootSeries.from_xpoly(prefactor, xdeg, uorder)
 
 
@@ -132,3 +136,31 @@ def genus_root_series(kind: GenusKind, xdeg: int, uorder: int) -> RootSeries:
     tanh, families = _LOGS[GenusKind(kind).value]
     prefactor = x_over_tanh_half_poly if tanh else half_x_over_sinh_half_poly
     return _theta_product(families, prefactor(xdeg), xdeg, uorder)
+
+
+def weighted_product(factors: Iterable[Tuple[int, _RingOps]], one: _RingOps, order: int):
+    """Product of `one` and an infinite family of factors, truncated at u-order `order`.
+
+    `factors` yields (weight, factor) pairs with strictly increasing weights;
+    each factor must equal 1 + O(u^weight).  Only factors of weight < order
+    contribute, so a lazy generator terminates after finitely many terms and
+    the result does not depend on the rest of the family.  The factors may be
+    any ring class with a u-`valuation` (`USeries`, `RootSeries`, ...).
+    """
+    result = one
+    last_weight = None
+    for weight, factor in factors:
+        if last_weight is not None and weight <= last_weight:
+            raise WeightViolation(
+                f"factor weights must strictly increase ({weight} after {last_weight})"
+            )
+        last_weight = weight
+        if weight >= order:
+            break
+        val = (factor - 1).valuation()
+        if val is not None and val < weight:
+            raise WeightViolation(
+                f"factor deviates from 1 at u^{val}, below declared weight {weight}"
+            )
+        result = result * factor
+    return result

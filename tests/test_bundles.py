@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 from functools import lru_cache
@@ -123,6 +124,16 @@ def test_ring_operations_against_polys_built_by_hand():
     assert b**2 == VirtualBundlePoly({l1l1: 1, BundleMonomial.make(ext=(1,)): -10, BundleMonomial(): 25}, 2)
     assert a**0 == VirtualBundlePoly.const(1, 2)
     assert (a - b).pretty() == "Λ^1(T) + S^1(T) - 3·1"
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+def test_ring_operations_refuse_bundles_of_two_ranks(op):
+    # Λ^6(T) is a bundle at n = 2 (rank 8) but the zero bundle at n = 1 (rank 4): no rank to combine at
+    one = VirtualBundlePoly.const(1, 1)
+    lam6 = VirtualBundlePoly({BundleMonomial.make(ext=(6,)): 1}, 2)
+    for left, right in ((one, lam6), (lam6, one)):
+        with pytest.raises(DimMismatch, match="n = 1 and n = 2|n = 2 and n = 1"):
+            op(left, right)
 
 
 # -- Chern characters --------------------------------------------------------

@@ -14,6 +14,7 @@ from ellgen.chern import Manifold
 from ellgen.cli import build_parser, main
 from ellgen.errors import ResidualNonzero
 from ellgen.genera import Hypersurface
+from ellgen.modular import LAW_CAP
 from ellgen.pontryagin import MAX_N
 from ellgen.series import DEFAULT_UORDER, USeries
 from ellgen.theta import GenusKind
@@ -568,6 +569,15 @@ def test_transformation_laws_pass_only_under_a_proven_tolerance(capsys, tau, lon
     assert report["tolerance_source"].startswith("proven")
 
 
+@pytest.mark.parametrize("uorder", [LAW_CAP + 1, 10**6], ids=["above-cap", "million"])
+def test_transformation_laws_refuse_an_order_above_the_cap_at_once(uorder):
+    # LAW_CAP + 1 once passed at that order, and 10**6 built the four forms there for some 30 s
+    proc = run_subprocess("verify", "--check", "transformation-laws", "--uorder", str(uorder))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and f"modular.LAW_CAP = {LAW_CAP}" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_transformation_laws_with_an_unreachable_tolerance_are_inconclusive(capsys):
     # a tolerance of 2.2e13 against a delta residual of 0.125 once passed here
     code, out, err = run(capsys, "verify", "--check", "transformation-laws", "--tau=1e-9+1e-9i")
@@ -609,6 +619,8 @@ def executed_modules(*argv):
 
 
 FRONT_END = {"ellgen", "ellgen.cli", "ellgen.errors"}
+# the identity suites, compiled by `verify` alone
+VERIFY = {"ellgen.verify"}
 # exactly what a cold genus or hypersurface command executes of the package
 GENUS_ROUTE = FRONT_END | {"ellgen.series", "ellgen.pontryagin"}
 # the cross-check routes (theta products, the RootSeries/PontPoly ring, residues) and the rest
@@ -650,7 +662,7 @@ def test_hypersurface_command_skips_bundles_modular_sobolev():
 def test_cancellation_check_executes_the_genus_route_and_the_class_ring():
     # the benchmark's warm-up child: the PontPoly ring and genera, whose residue factors need no theta
     executed = executed_modules("verify", "--check", "cancellation", "--samples", "1")
-    assert package_modules(executed) == GENUS_ROUTE | {"ellgen.chern", "ellgen.genera"}
+    assert package_modules(executed) == GENUS_ROUTE | VERIFY | {"ellgen.chern", "ellgen.genera"}
 
 
 def test_package_names_of_the_pontryagin_route_execute_neither_chern_nor_theta():
@@ -692,7 +704,7 @@ BUNDLE_ROUTE = GENUS_ROUTE | {"ellgen.bundles"}
 
 def test_route_equivalence_skips_modular_sobolev():
     executed = executed_modules("verify", "--check", "route-equivalence", "--samples", "1", "--uorder", "4")
-    assert package_modules(executed) == BUNDLE_ROUTE
+    assert package_modules(executed) == BUNDLE_ROUTE | VERIFY
     assert not executed & {"ellgen.chern", "ellgen.modular", "ellgen.sobolev"}
 
 
@@ -704,12 +716,12 @@ def test_bundles_command_executes_the_bundle_route_alone():
 
 def test_modular_relation_executes_the_genus_route_and_modular():
     executed = executed_modules("verify", "--check", "modular-relation", "--samples", "1", "--uorder", "4")
-    assert package_modules(executed) == GENUS_ROUTE | {"ellgen.modular"}
+    assert package_modules(executed) == GENUS_ROUTE | VERIFY | {"ellgen.modular"}
 
 
 def test_transformation_laws_executes_series_and_modular():
     executed = executed_modules("verify", "--check", "transformation-laws")
-    assert package_modules(executed) == FRONT_END | {"ellgen.series", "ellgen.modular"}
+    assert package_modules(executed) == FRONT_END | VERIFY | {"ellgen.series", "ellgen.modular"}
 
 
 def test_genus_choices_follow_genus_kind():

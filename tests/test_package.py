@@ -28,12 +28,12 @@ EXPORTED = {
         "ModBasisDecomp", "delta1", "delta2", "eps1", "eps2", "expand_in_basis", "numeric_eval",
         "reconstruct_ell1",
     ],
-    "series": ["USeries", "weighted_product"],
+    "series": ["USeries"],
     "sobolev": [
         "MoserExponents", "moser_constant", "moser_exponents", "poincare_s", "radius_r",
         "sobolev_c", "sphere_volume", "wallis",
     ],
-    "theta": ["GenusKind", "genus_root_series", "theta_factor"],
+    "theta": ["GenusKind", "genus_root_series", "theta_factor", "weighted_product"],
 }
 NAMES = sorted(name for names in EXPORTED.values() for name in names)
 

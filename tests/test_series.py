@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellgen.errors import BadConstantTerm, WeightViolation, ZeroConstantTerm
-from ellgen.series import USeries, as_fraction, as_ratio, linear_combination, weighted_product
+from ellgen.series import USeries, as_fraction, as_ratio, linear_combination
+from ellgen.theta import weighted_product
 
 
 def u(order=8):

@@ -9,13 +9,14 @@ from ellgen.chern import RootSeries, _log_coefficients, genus_class, partitions_
 from ellgen.errors import OddTermPresent, WeightViolation
 from ellgen.genera import ahat_class, x_over_tanh_poly
 from ellgen.pontryagin import cosh_half_poly, genus_columns, genus_log
-from ellgen.series import USeries, row_view, weighted_product
+from ellgen.series import USeries, row_view
 from ellgen.theta import (
     GenusKind,
     _theta_product,
     genus_root_series,
     half_x_over_sinh_half_poly,
     theta_factor,
+    weighted_product,
     x_over_tanh_half_poly,
 )
 
