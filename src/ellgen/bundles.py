@@ -32,9 +32,11 @@ from math import comb, factorial, lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import DimMismatch
+from .errors import DimMismatch, OrderTooLarge
 from .pontryagin import GenusKind, Manifold, Partition, _check_n, _join, _newton_terms, _pair_rows, genus_log, partitions_of
 from .series import DEFAULT_UORDER, RowView, USeries, _RingOps, as_int, combine, reduce_ratio, signed_sum
+
+MAX_UORDER = 24  # the largest uorder of the bundle route, DEFAULT_UORDER (README, "Size caps")
 
 
 def __getattr__(name: str):
@@ -169,6 +171,10 @@ class VirtualBundlePoly(_RingOps):
 
     __rmul__ = __mul__
 
+    def exp(self):
+        """Not defined: a bundle monomial is not nilpotent, so the Taylor sum would never end."""
+        raise TypeError("exp of a VirtualBundlePoly does not terminate")
+
     def pretty(self) -> str:
         if not self._t:
             return "0"
@@ -237,26 +243,20 @@ def expand_witten(which: str, n: int, uorder: int) -> BundleQSeries:
     _check_n(n)  # its coefficients grow like n^(uorder/2)
     if uorder < 1:
         raise ValueError("uorder must be >= 1")
+    if uorder > MAX_UORDER:  # the bundles, so the per-monomial memos too, grow with uorder
+        raise OrderTooLarge(f"uorder {uorder} is above the largest bundle-route uorder {MAX_UORDER}")
     rank = 4 * n
     sign = 1 if which == "theta1" else -1
     terms: list[dict] = [{} for _ in range(uorder)]
     terms[0][((), ())] = 1
     scalar = USeries.one(uorder)
-    m = 1
-    while True:
-        w_sym = 2 * m
-        w_twist = 2 * m if which == "theta1" else 2 * m - 1
-        if min(w_sym, w_twist) >= uorder:
-            break
-        if w_sym < uorder:
-            _mul_powers(terms, w_sym, 0, 1, uorder)
-            scalar = scalar * (USeries.one(uorder) - USeries.monomial(w_sym, 1, uorder)) ** rank
-        if w_twist < uorder:
-            # Lambda^b of the rank-4n bundle is zero for b > 4n.
-            _mul_powers(terms, w_twist, 1, sign, rank)
-            tsigned = USeries.monomial(w_twist, sign, uorder)
-            scalar = scalar * (USeries.one(uorder) + tsigned) ** (-rank)
-        m += 1
+    # The in-place passes commute: one family of factors after the other.
+    for w in range(2, uorder, 2):
+        _mul_powers(terms, w, 0, 1, uorder)
+        scalar = scalar * (USeries.one(uorder) - USeries.monomial(w, 1, uorder)) ** rank
+    for w in range(2 if which == "theta1" else 1, uorder, 2):
+        _mul_powers(terms, w, 1, sign, rank)  # Lambda^b of the rank-4n bundle is zero for b > 4n
+        scalar = scalar * (USeries.one(uorder) + USeries.monomial(w, sign, uorder)) ** (-rank)
     scaled: list[dict] = [{} for _ in range(uorder)]
     for i, s in scalar.items():
         s = as_int(s, "bundle scalar coefficient")

@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 verification check failed, 2 malformed input
 (also used by argparse for usage errors), 3 dimension/domain errors,
 including an n = dim/4 above `pontryagin.MAX_N` (a manifold's `dim`, a
 hypersurface's `--ambient`, `verify --n`), refused before any partition of
-n is enumerated, a Sobolev root whose residual tolerance cannot be reached or
-whose evaluation overflows double precision, an inconclusive
+n is enumerated, a `bundles` or `verify --check route-equivalence` `--uorder`
+above `bundles.MAX_UORDER` and a `sobolev --m` above `sobolev.MAX_M`, both
+refused before any work, a Sobolev root whose residual tolerance cannot be
+reached or whose evaluation overflows double precision, an inconclusive
 transformation-laws check, whose proven tolerance no order up to
 `modular.LAW_CAP` brings under `modular.LAW_TARGET` (a `--uorder` above that
 cap is refused at once), and an exact result with
@@ -34,7 +36,9 @@ def _load_manifold(path: str) -> pontryagin.Manifold:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     m = pontryagin.Manifold.from_json(obj)
-    missing = m.missing_partitions()
+    # an explicit 0 is given, not missing: `m` keeps only the nonzero numbers, so read the keys
+    given = set(map(pontryagin.partition_from_str, obj.get("pontryagin_numbers", {})))
+    missing = [p for p in pontryagin.partitions_of(m.n) if p not in given]
     if missing:
         names = ", ".join("p" + "p".join(map(str, p)) for p in missing)
         print(

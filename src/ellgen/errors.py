@@ -61,7 +61,13 @@ class DimNotMultipleOf4(DimMismatch):
 
 
 class DimTooLarge(DimMismatch):
-    """n = dim/4 above `pontryagin.MAX_N`: its partitions are too many to enumerate."""
+    """A dimension above its cap: n = dim/4 above `pontryagin.MAX_N`, whose partitions are too
+    many to enumerate, or a Sobolev m above `sobolev.MAX_M`."""
+
+
+class OrderTooLarge(DimMismatch):
+    """A uorder above `bundles.MAX_UORDER`, the largest of the bundle route; a `DimMismatch`,
+    as `DimTooLarge` is, so that the CLI reports it as a domain error (exit 3)."""
 
 
 class ResidualNonzero(ValueError):

@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import math
 
-from .errors import ExponentRangeViolation, FloatRangeExceeded, Record, ToleranceNotReached
+from .errors import DimTooLarge, ExponentRangeViolation, FloatRangeExceeded, Record, ToleranceNotReached
 
 _MAX_STEPS = 400
+# The largest m of `sobolev_c`: up to it no b took above 0.02 s at the default tol (README, "Size
+# caps"); at m = 2e4 the quadrature can chase the rounding of its (m-1)-th power for seconds.
+MAX_M = 10_000
 
 
 def wallis(m: int) -> float:
@@ -107,13 +110,16 @@ def sobolev_c(m: int, b: float, tol: float = 1e-11) -> float:
     with s = x b and t = b tau the integrand is 1 + s tau + O(b^2), so the
     equation becomes ((1+s)^m - 1)/m = W + O(b^2).
 
-    Raises FloatRangeExceeded when F overflows a double on the way, as it
-    does for m = 2000, b = 1 and for b = 1e300 (e^((m-1) b)), or when the
-    root itself does (b = 5e-324); ToleranceNotReached when tol is below
-    what the rounding of x F(x) allows within the iteration cap.
+    Raises DimTooLarge for m above `MAX_M`; FloatRangeExceeded when F
+    overflows a double on the way, as it does for m = 2000, b = 1 and for
+    b = 1e300 (e^((m-1) b)), or when the root itself does (b = 5e-324);
+    ToleranceNotReached when tol is below what the rounding of x F(x)
+    allows within the iteration cap.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
+    if m > MAX_M:
+        raise DimTooLarge(f"m = {m} is above the largest supported m = {MAX_M}")
     _require_positive_finite("b", b)
     _require_positive_finite("tol", tol)
     try:

@@ -3,18 +3,19 @@
 The normalized ratios x theta'(0)/theta(x), theta1(x)/theta1(0) and
 theta2(x)/theta2(0) are built as even RootSeries with rational coefficients:
 with x = 2*pi*sqrt(-1)*z the eta-like prefactors cancel and all trigonometry
-is hyperbolic.  Per power u^k, a product over m of (1 -+ u^w y^(+-1))
-factors, y = e^x, is an integer Laurent polynomial in y, symmetric under
-y -> 1/y, so only its half j >= 0 is kept; per weight w one in-place pass
-applies the pair (1 + c u^w y)(1 + c u^w/y) = 1 + c u^w (y + 1/y) + u^(2w)
-and one the squared scalar (1 + c u^w)^2.  The product becomes an x-series
-once, [u^k x^(2i)] = sum_j c_(k,j) j^(2i) / (2i)! with the j > 0 terms
-doubled, times the prefactor (x/2)/sinh(x/2) or cosh(x/2), whose x^(2k)
-coefficients are Bernoulli closed forms (Hirzebruch, Topological Methods in
-Algebraic Geometry, 1.5).  These products serve the residue route and the
-public API.  The Pontryagin route builds none: `pontryagin.genus_log` gives
-the a_k = [x^(2k)] log(f/f(0)) of each genus factor in closed form.  The
-theta families (`_FAMILIES`), the genera (`GenusKind`, `_LOGS`) and the
+is hyperbolic.  With y = e^x, each factor of a theta family,
+(1 + c u^w y)(1 + c u^w/y) / (1 + c u^w)^2 with c = +-1, is 1 + S_w Z for
+Z = y + 1/y - 2 = sum_(i>=1) 2 x^(2i)/(2i)! and the integer series
+S_w = c u^w/(1 + c u^w)^2 = -sum_(r>=1) r (-c)^r u^(w r).  Since Z = O(x^2),
+a product of such factors, or of their inverses, is a polynomial in Z of
+degree below xdeg/2 with USeries coefficients, one sparse product per degree
+per factor.  It is rewritten in x once, through the closed form of the powers
+of Z, and multiplied by the prefactor (x/2)/sinh(x/2) or cosh(x/2), whose
+x^(2k) coefficients are Bernoulli closed forms (Hirzebruch, Topological
+Methods in Algebraic Geometry, 1.5).  These products serve the residue route
+and the public API.  The Pontryagin route builds none: `pontryagin.genus_log`
+gives the a_k = [x^(2k)] log(f/f(0)) of each genus factor in closed form.
+The theta families (`_FAMILIES`), the genera (`GenusKind`, `_LOGS`) and the
 prefactors they name live in `pontryagin` with it, and both routes read
 those tables; their names are bound here too.  `weighted_product` is the
 one weight-checked infinite product of the public API.
@@ -24,14 +25,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from operator import add, sub
+from math import comb, factorial
 from typing import Iterable, Tuple
 
 from .chern import RootSeries
 from .errors import WeightViolation
 from .pontryagin import _FAMILIES, _LOGS, GenusKind, _even_poly, half_x_over_sinh_half_poly
-from .series import RowView, USeries, _RingOps, row_product
+from .series import USeries, _RingOps, linear_combination
 
 XPoly = dict[int, Fraction]
 
@@ -41,70 +41,29 @@ def x_over_tanh_half_poly(xdeg: int) -> XPoly:
     return _even_poly(xdeg, lambda k, b: 2 * b)
 
 
-# ---------------------------------------------------------------------------
-# Theta product factors
-# ---------------------------------------------------------------------------
-
-# Per u-power k, the coefficients c_(k,j), j >= 0, of the integer Laurent
-# polynomial sum_j c_(k,j) y^j, y = e^x.  Every factor is symmetric under
-# y -> 1/y, so c_(k,-j) = c_(k,j) and only the half j >= 0 is kept.
-Half = list[list[int]]
-
-
-def _apply(prod: Half, w: int, c: int, pair: bool, divide: bool) -> None:
-    """prod *= F or prod /= F in place, F = 1 + c u^w L + u^(2w), c = +-1:
-    L = y + 1/y for the pair (1 + c u^w y)(1 + c u^w/y), L = 2 for the
-    squared scalar (1 + c u^w)^2.
-
-    Multiplying, k descends, so u^(k-w) and u^(k-2w) are still the old P;
-    dividing, Q_k = P_k - c L Q_(k-w) - Q_(k-2w) with k ascending.
-    """
-    lin = add if (c > 0) != divide else sub
-    sq = sub if divide else add
-    ks = range(w, len(prod)) if divide else range(len(prod) - 1, w - 1, -1)
-    for k in ks:
-        src, dst = prod[k - w], prod[k]
-        # (y + 1/y) on a half: [j] <- [j-1] + [j+1], with [-1] = [1].  The
-        # map stops at the end of dst; all it can drop is src's spare zero.
-        lift = map(add, src[1:2] + src, src[1:] + [0, 0]) if pair else map(add, src, src)
-        dst[: len(src) + pair] = map(lin, dst, lift)
-        if k >= 2 * w:
-            low = prod[k - 2 * w]
-            dst[: len(low)] = map(sq, dst, low)
-
-
-def _apply_family(prod: Half, kind: str) -> None:
-    """Multiply prod by every factor (1 + c u^w y)(1 + c u^w/y) / (1 + c u^w)^2 of one
-    `_FAMILIES` product, or by its inverse when the pair divides.
-
-    A factor of weight w only touches u^k with k >= w, so factors of weight
-    >= the order are never applied.
-    """
-    first, c, divides, _ = _FAMILIES[kind]
-    for w in range(first, len(prod), 2):
-        _apply(prod, w, c, True, divides)
-        _apply(prod, w, c, False, not divides)
-
-
 def _theta_product(kinds: tuple[str, ...], prefactor: XPoly, xdeg: int, uorder: int) -> RootSeries:
     """prefactor(x) times the theta products of `kinds`, as an even RootSeries."""
     if xdeg < 1 or uorder < 1:
         raise ValueError("xdeg and uorder must be >= 1")
-    # |j| <= (k+1)/2 at u^k: every y-factor has weight >= 2 but theta2's
-    # first pair, which is multiplied once.  One spare zero slot per row
-    # keeps [1] in range and absorbs the top of the (y + 1/y) shift.
-    prod: Half = [[0] * ((k + 1) // 2 + 2) for k in range(uorder)]
-    prod[0][0] = 1
+    top = (xdeg - 1) // 2  # Z^j = O(x^(2j)): only j <= top reaches below x^xdeg
+    poly = [USeries.one(uorder)] + [USeries.zero(uorder)] * top  # sum_j poly[j] Z^j
     for kind in kinds:
-        _apply_family(prod, kind)
-    # Only even x-powers occur: [u^k x^(2i)] = sum_j c_(k,j) j^(2i) / (2i)!,
-    # the j > 0 terms counted twice for their mirror images at -j.
-    width = len(prod[-1])
-    view = RowView(tuple((k, (*row, *[0] * (width - len(row)))) for k, row in enumerate(prod)), 1)
+        first, c, divides, _ = _FAMILIES[kind]
+        sign = 1 if divides else -1
+        # s is S_w when the family multiplies and -S_w when it divides; only w < uorder counts.
+        # Times 1 + S_w Z, poly[j] += S_w poly[j - 1] with j descending, from the old
+        # poly[j - 1]; over it, poly[j] -= S_w poly[j - 1] with j ascending, from the new one.
+        for w in range(first, uorder, 2):
+            s = USeries({w * r: sign * r * (-c) ** r for r in range(1, (uorder - 1) // w + 1)}, uorder)
+            for j in range(1, top + 1) if divides else range(top, 0, -1):
+                poly[j] = poly[j] + poly[j - 1] * s
+    # Z^j = (y^(1/2) - y^(-1/2))^(2j) = sum_m (-1)^m C(2j, m) y^(j-m), so (2i)! [x^(2i)] Z^j
+    # is the integer sum_m (-1)^m C(2j, m) (j - m)^(2i), which is 0 for i < j.
     series = {}
-    for i in range((xdeg + 1) // 2):
-        weights = [(1 if j == 0 else 2) * j ** (2 * i) for j in range(width)]
-        series[2 * i] = USeries._make(row_product(view, weights, uorder), factorial(2 * i))
+    for i in range(top + 1):
+        z = (sum((-1) ** m * comb(2 * j, m) * (j - m) ** (2 * i) for m in range(2 * j + 1))
+             for j in range(i + 1))
+        series[2 * i] = linear_combination(zip(z, poly), uorder) * Fraction(1, factorial(2 * i))
     return RootSeries(series, xdeg, uorder) * RootSeries.from_xpoly(prefactor, xdeg, uorder)
 
 

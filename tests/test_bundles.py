@@ -136,6 +136,13 @@ def test_ring_operations_refuse_bundles_of_two_ranks(op):
             op(left, right)
 
 
+def test_exp_of_a_bundle_is_a_type_error():
+    # `_RingOps.exp` sums powers until one is zero; no power of a nonzero bundle monomial is
+    for v in (VirtualBundlePoly({BundleMonomial.make(ext=(1,)): 1}, 2), VirtualBundlePoly.const(1, 2)):
+        with pytest.raises(TypeError, match="does not terminate"):
+            v.exp()
+
+
 # -- Chern characters --------------------------------------------------------
 
 def test_ch_of_lambda1_matches_tangent():

@@ -15,8 +15,10 @@ from ellgen.cli import build_parser, main
 from ellgen.errors import ResidualNonzero
 from ellgen.genera import Hypersurface
 from ellgen.modular import LAW_CAP
+from ellgen.bundles import MAX_UORDER
 from ellgen.pontryagin import MAX_N
 from ellgen.series import DEFAULT_UORDER, USeries
+from ellgen.sobolev import MAX_M
 from ellgen.theta import GenusKind
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +62,18 @@ def test_genus_zero_manifold(capsys, tmp_path):
     assert code == 0
     assert out.startswith("0")
     assert "assuming 0" in err  # missing-number warning
+
+
+def test_genus_warns_only_for_absent_keys_not_for_an_explicit_zero(capsys, tmp_path):
+    # `Manifold` keeps only nonzero numbers: the warning reads the file's keys, not that sparse form
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"name": "h", "dim": 8, "pontryagin_numbers": {"[1,1]": "0"}}))
+    code, out, err = run(capsys, "genus", "--manifold", str(path), "--genus", "ell2", "--uorder", "4")
+    assert code == 0 and out.startswith("0")
+    assert err == f"warning: {path}: Pontryagin numbers p2 missing, assuming 0\n"
+    path.write_text(json.dumps({"name": "z", "dim": 8, "pontryagin_numbers": {"[1,1]": "0", "[2]": "0"}}))
+    code, out, err = run(capsys, "genus", "--manifold", str(path), "--genus", "ell2", "--uorder", "4")
+    assert code == 0 and out.startswith("0") and err == ""
 
 
 def test_genus_quadric_ahat_zero(capsys, tmp_path):
@@ -389,6 +403,29 @@ def test_an_n_above_the_cap_is_a_domain_error_at_once(argv):
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and f"n = {MAX_N}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["bundles", "--n", "2", "--uorder", str(MAX_UORDER + 1)], MAX_UORDER),
+        (["bundles", "--n", "2", "--uorder", "60"], MAX_UORDER),
+        (["verify", "--check", "route-equivalence", "--n", "2", "--uorder", str(MAX_UORDER + 1), "--samples", "1"],
+         MAX_UORDER),
+        (["verify", "--check", "route-equivalence", "--n", "2", "--uorder", "100", "--samples", "1"], MAX_UORDER),
+        (["sobolev", "--m", str(MAX_M + 1), "--b", "1e-9"], MAX_M),
+        (["sobolev", "--m", "100000000", "--b", "1e-9"], MAX_M),
+    ],
+    ids=["bundles-cap", "bundles-60", "route-equivalence-cap", "route-equivalence-100", "sobolev-cap", "sobolev-1e8"],
+)
+def test_work_above_its_cap_is_a_domain_error_at_once(argv, cap):
+    # uncapped, `bundles --uorder 60` took some 5-10 s, route-equivalence at uorder 100 over a
+    # minute, and sobolev at m = 10^8 some 24 s in its m-step loops
+    proc = run_subprocess(*argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert f"largest supported m = {cap}" in proc.stderr or f"largest bundle-route uorder {cap}" in proc.stderr
 
 
 @pytest.mark.parametrize("dim", ["4e300", str(4 * 10**300), str(4 * (MAX_N + 1))], ids=["float", "integer", "cap"])

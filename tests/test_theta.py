@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -303,6 +304,50 @@ def test_theta_product_matches_dict_laurent_reference(kinds, xdeg):
     for uorder in (1, 2, 3, 12, 24, 64):
         expected = _ref_theta_product(kinds, prefactor, xdeg, uorder)
         assert _theta_product(kinds, prefactor, xdeg, uorder) == expected, (kinds, xdeg, uorder)
+
+
+# -- the definition: every factor 1 + S_w Z a RootSeries of its own ---------------
+# (1 + c u^w y)(1 + c u^w/y) / (1 + c u^w)^2 = 1 + S_w Z with y = e^x, Z = y + 1/y - 2 and
+# S_w = c u^w / (1 + c u^w)^2.  The family parameters are written out here, not read from
+# `_FAMILIES`, so that a wrong sign or a lost inverse there shows up as a mismatch.
+
+
+@functools.lru_cache(maxsize=None)
+def definition_family(kind, xdeg, uorder):
+    """prod_w (1 + S_w Z), or prod_w (1 + S_w Z)^(-1) for theta with each factor inverted on its
+    own, multiplied through `weighted_product`."""
+    first, c, divides = {"theta": (2, -1, True), "theta1": (2, 1, False), "theta2": (1, -1, False)}[kind]
+    z = RootSeries.from_xpoly({k: F(2, math.factorial(k)) for k in range(2, xdeg, 2)}, xdeg, uorder)
+
+    def factors():
+        for w in itertools.count(first, 2):
+            t = USeries.monomial(w, c, uorder)
+            f = 1 + z * (t * (1 + t) ** -2)
+            yield w, f.inverse() if divides else f
+
+    return weighted_product(factors(), RootSeries.const(1, xdeg, uorder), uorder)
+
+
+@pytest.mark.parametrize("xdeg, uorder", [(5, 8), (13, 24), (5, 96), (33, 16)])
+def test_theta_products_match_their_definition_factor_by_factor(xdeg, uorder):
+    def pre(poly):
+        return RootSeries.from_xpoly(poly(xdeg), xdeg, uorder)
+
+    half, tanh = pre(half_x_over_sinh_half_poly), pre(x_over_tanh_half_poly)
+    theta, theta1, theta2 = (definition_family(kind, xdeg, uorder) for kind in ("theta", "theta1", "theta2"))
+    assert theta_factor("theta", xdeg, uorder) == theta * half
+    assert theta_factor("theta1", xdeg, uorder) == theta1 * pre(cosh_half_poly)
+    assert theta_factor("theta2", xdeg, uorder) == theta2
+    expected = {
+        GenusKind.AHAT: half,
+        GenusKind.LHAT: tanh,
+        GenusKind.WITTEN: theta * half,
+        GenusKind.ELL1: theta * theta1 * tanh,
+        GenusKind.ELL2: theta * theta2 * half,
+    }
+    assert set(expected) == set(GenusKind)
+    for kind, value in expected.items():
+        assert genus_root_series(kind, xdeg, uorder) == value, kind
 
 
 # -- closed-form log coefficients against the theta products -------------------
