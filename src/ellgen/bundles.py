@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -294,13 +295,9 @@ def _s_basis(nmax: int):
     """
     parts = tuple(mu for w in range(nmax + 1) for mu in partitions_of(w))
     index = {mu: i for i, mu in enumerate(parts)}
+    ends = tuple(accumulate(len(partitions_of(w)) for w in range(nmax + 1)))  # ends[w]: the parts of weight <= w
     table = tuple(
-        tuple(
-            (j, index[tuple(sorted(mu + nu, reverse=True))])
-            for j, nu in enumerate(parts)
-            if sum(mu) + sum(nu) <= nmax
-        )
-        for mu in parts
+        tuple((j, index[_join(mu, nu)]) for j, nu in enumerate(parts[: ends[nmax - sum(mu)]])) for mu in parts
     )
     return parts, table
 

@@ -178,8 +178,8 @@ class RootSeries(_Graded):
 
     The root variable is normalized as x = 2*pi*sqrt(-1)*z, so hyperbolic
     per-root factors have rational coefficients.  Genus factors are even
-    in x; `is_even` reports that property and `rotate` maps an even series
-    f(x) to f(ix) (the tan-convention twin).
+    in x; `is_even` reports that property, and `rotate_x` takes the
+    coefficients of an even series f(x) to those of f(ix) (the tan-convention twin).
     """
 
     __slots__ = ()
@@ -219,16 +219,13 @@ class RootSeries(_Graded):
             raise ValueError(f"x^{k} beyond truncation degree {self.xdeg}")
         return self._c.get(k, USeries.zero(self.uorder))
 
-    def constant_term(self) -> USeries:
-        return self.coeff(0)
-
     @property
     def is_even(self) -> bool:
         return all(k % 2 == 0 for k in self._c)
 
     def inverse(self) -> "RootSeries":
         """x-adic inverse, b_0 = 1/c_0 and b_k = -b_0 sum_(j=1..k) c_j b_(k-j); c_0 must be invertible."""
-        c0 = self.constant_term()
+        c0 = self.coeff(0)
         if not c0.constant():
             raise NonUnitConstant("x^0 coefficient has zero constant term")
         c = sorted((j, s) for j, s in self._c.items() if j)
@@ -246,19 +243,10 @@ class RootSeries(_Graded):
             {k: s * c**k for k, s in self._c.items()}, self.xdeg, self.uorder
         )
 
-    def rotate(self) -> "RootSeries":
-        """Substitute x -> ix on an even series (`rotate_x`)."""
-        return RootSeries._raw(rotate_x(self._c), self._top, self.uorder)
-
     def truncate_x(self, xdeg: int) -> "RootSeries":
         if xdeg > self.xdeg:
             raise ValueError(f"cannot extend xdeg {self.xdeg} to {xdeg}")
         return RootSeries(self._c, xdeg, self.uorder)
-
-    def truncate_u(self, uorder: int) -> "RootSeries":
-        return RootSeries(
-            {k: s.truncate(uorder) for k, s in self._c.items()}, self.xdeg, uorder
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +283,6 @@ class PontPoly(_Graded):
         """Largest weight kept."""
         return self._top
 
-    @classmethod
-    def generator(cls, i: int, nmax: int, uorder: int) -> "PontPoly":
-        """The class p_i."""
-        return cls({(i,): USeries.one(uorder)}, nmax, uorder)
-
     def coeff(self, parts) -> USeries:
         return self._c.get(self._key(parts), USeries.zero(self.uorder))
 
@@ -320,7 +303,7 @@ def _log_coefficients(f: RootSeries, n: int) -> tuple[USeries, list[USeries]]:
         raise OddTermPresent("genus factor must be even in x")
     if f.xdeg < 2 * n + 1:
         raise ValueError(f"xdeg {f.xdeg} too small for n = {n} (need >= {2 * n + 1})")
-    c0 = f.constant_term()
+    c0 = f.coeff(0)
     if not c0.constant():
         raise NonUnitConstant("genus factor value at x = 0 is not invertible")
     c0_inv = c0.inverse()

@@ -1,18 +1,18 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification check failed, 2 malformed input
-(also used by argparse for usage errors), 3 dimension/domain errors,
-including an n = dim/4 above `pontryagin.MAX_N` (a manifold's `dim`, a
-hypersurface's `--ambient`, `verify --n`), refused before any partition of
-n is enumerated, a `bundles` or `verify --check route-equivalence` `--uorder`
-above `bundles.MAX_UORDER` and a `sobolev --m` above `sobolev.MAX_M`, both
-refused before any work, a Sobolev root whose residual tolerance cannot be
-reached or whose evaluation overflows double precision, an inconclusive
-transformation-laws check, whose proven tolerance no order up to
-`modular.LAW_CAP` brings under `modular.LAW_TARGET` (a `--uorder` above that
-cap is refused at once), and an exact result with
-an integer longer than `sys.get_int_max_str_digits()` digits, which is not
-printed; 4 an internal error (a bug), with its traceback on stderr.
+(also used by argparse for usage errors), 3 dimension/domain errors, 4 an
+internal error (a bug), with its traceback on stderr.  Exit 3 covers a size
+above its cap, refused before any work: an n = dim/4 above `pontryagin.MAX_N`
+(a manifold's `dim`, a hypersurface's `--ambient`, `verify --n`), a `--uorder`
+above `bundles.MAX_UORDER` (`bundles`, `verify --check route-equivalence`) or
+`modular.LAW_CAP` (`transformation-laws`), or whose cost p(n)^(3/2) uorder^2 is
+above `pontryagin.MAX_COST` (`genus`, `hypersurface`, `modular-relation`), a
+`sobolev --m` above `sobolev.MAX_M` and a `--tol` below the rounding of x F(x).
+It also covers a Sobolev root not reached or overflowing double precision, an
+inconclusive transformation-laws check (no order up to `modular.LAW_CAP` brings
+its proven tolerance under `modular.LAW_TARGET`), and an exact result with an
+integer longer than `sys.get_int_max_str_digits()` digits, which is not printed.
 All series output is exact rational except the `sobolev` command.
 """
 
@@ -97,7 +97,7 @@ def cmd_bundles(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import cmd_verify  # the identity suites compile only for this command
 
-    return cmd_verify(args)
+    return EXIT_OK if cmd_verify(args) else EXIT_CHECK_FAILED
 
 
 def cmd_sobolev(args) -> int:

@@ -66,8 +66,9 @@ class DimTooLarge(DimMismatch):
 
 
 class OrderTooLarge(DimMismatch):
-    """A uorder above `bundles.MAX_UORDER`, the largest of the bundle route; a `DimMismatch`,
-    as `DimTooLarge` is, so that the CLI reports it as a domain error (exit 3)."""
+    """A uorder above its cap: `bundles.MAX_UORDER` on the bundle route, `modular.LAW_CAP` for the
+    transformation laws, and the budget p(n)^(3/2) uorder^2 <= `pontryagin.MAX_COST` of a genus class
+    or a modular basis; a `DimMismatch`, as `DimTooLarge` is, so that the CLI exits 3."""
 
 
 class ResidualNonzero(ValueError):

@@ -85,7 +85,7 @@ def hypersurface_genus(h: Hypersurface, f: RootSeries) -> USeries:
     N, d = h.ambient, h.degree
     if f.xdeg < N + 1:
         raise ValueError(f"factor needs xdeg >= {N + 1}, got {f.xdeg}")
-    if not f.constant_term().constant():
+    if not f.coeff(0).constant():
         raise NonUnitConstant("hypersurface factor value at x = 0 is not invertible")
     f = f.truncate_x(N + 1)
     dx = RootSeries({1: USeries.const(d, f.uorder)}, N + 1, f.uorder)

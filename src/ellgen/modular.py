@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 from math import comb, expm1, lcm, log, ulp
 from operator import mul
 
-from .errors import FloatRangeExceeded, NotInUpperHalfPlane, Record, ResidualNonzero, ToleranceNotReached
+from .errors import FloatRangeExceeded, NotInUpperHalfPlane, OrderTooLarge, Record, ResidualNonzero, ToleranceNotReached
 from .series import DEFAULT_UORDER, RowView, USeries, divisor_sums, reduce_ratio, row_product, row_view
 
 
@@ -88,21 +88,18 @@ class ModBasisDecomp(Record):
 
 
 @lru_cache(maxsize=128)
-def _basis2(n: int, uorder: int) -> RowView:
-    """The Ell_2 basis (8 delta_2)^(n-2r) eps_2^r, r = 0..n//2, as a `row_view` over den 1.
+def _basis(delta, eps, n: int, uorder: int) -> RowView:
+    """The basis (8 delta)^(n-2r) eps^r, r = 0..n//2, of the forms `delta`, `eps` as a `row_view`.
 
-    8 delta_2 and eps_2 have integer coefficients; element r starts at u^r with
-    leading coefficient (-1)^n, so rows 0..n//2 are kept, at their own index.
+    For (delta2, eps2) it is the Ell_2 basis: both forms have integer coefficients,
+    so its den is 1, and element r starts at u^r with leading coefficient (-1)^n.
+    For (delta1, eps1) it is the images of those elements under tau -> -1/tau;
+    they are series in q = u^2, so only even rows are kept.
     """
-    d, e = delta2(uorder) * 8, eps2(uorder)
-    return row_view([d ** (n - 2 * r) * e**r for r in range(n // 2 + 1)])
+    from .pontryagin import _check_cost  # imported here: transformation-laws builds no basis, nor loads pontryagin
 
-
-@lru_cache(maxsize=128)
-def _basis1(n: int, uorder: int) -> RowView:
-    """The images (8 delta_1)^(n-2r) eps_1^r of the `_basis2` elements as a `row_view`;
-    they are series in q = u^2, so only even rows are kept."""
-    d, e = delta1(uorder) * 8, eps1(uorder)
+    _check_cost(n, uorder)
+    d, e = delta(uorder) * 8, eps(uorder)
     return row_view([d ** (n - 2 * r) * e**r for r in range(n // 2 + 1)])
 
 
@@ -120,7 +117,7 @@ def expand_in_basis(e2: USeries, n: int) -> ModBasisDecomp:
     rmax = n // 2
     if e2.order < rmax + 1:
         raise ValueError(f"series order {e2.order} too small, need >= {rmax + 1}")
-    view = _basis2(n, e2.order)
+    view = _basis(delta2, eps2, n, e2.order)
     nums, den = e2._n, e2._d
     sign = -1 if n % 2 else 1
     h: list[int] = []
@@ -137,10 +134,10 @@ def reconstruct_ell1(d: ModBasisDecomp, uorder: int = DEFAULT_UORDER) -> USeries
 
     This is the coefficient-level content of Ell_1(-1/tau) =
     (2 tau)^(2n) Ell_2(tau) together with delta_2(-1/tau) = tau^2 delta_1
-    and eps_2(-1/tau) = tau^4 eps_1.  It is one `row_product` on `_basis1`
-    by the integer coordinates, over their one denominator.
+    and eps_2(-1/tau) = tau^4 eps_1.  It is one `row_product` on the `_basis`
+    of (delta1, eps1) by the integer coordinates, over their one denominator.
     """
-    view = _basis1(d.n, uorder)
+    view = _basis(delta1, eps1, d.n, uorder)
     return USeries._make(row_product(view, [v << 2 * d.n for v in d._h], uorder), d._den * view[1])
 
 
@@ -175,9 +172,20 @@ def numeric_eval(s: USeries, tau: complex) -> tuple[complex, float]:
     return value, tail
 
 
+LAW_TARGET = 1e-9  # the proven tolerance both laws must reach, or the check is inconclusive
+LAW_CAP = 4096  # the largest order at which the laws are evaluated or bounded
+
+
+def _check_law_order(uorder: int) -> None:
+    if uorder > LAW_CAP:  # refused before any form is built at that order
+        raise OrderTooLarge(f"uorder {uorder} is above modular.LAW_CAP = {LAW_CAP}, the largest order of the laws")
+
+
 def law_residuals(tau: complex, uorder: int) -> tuple[float, float]:
     """|delta2(-1/tau) - tau^2 delta1(tau)| and |eps2(-1/tau) - tau^4 eps1(tau)| through `numeric_eval`
-    of the order-`uorder` expansions: the float computation whose error `law_tolerance` bounds."""
+    of the order-`uorder` expansions: the float computation whose error `law_tolerance` bounds.
+    A uorder above `LAW_CAP` raises OrderTooLarge."""
+    _check_law_order(uorder)
     d2v, _ = numeric_eval(delta2(uorder), -1 / tau)
     d1v, _ = numeric_eval(delta1(uorder), tau)
     e2v, _ = numeric_eval(eps2(uorder), -1 / tau)
@@ -185,8 +193,6 @@ def law_residuals(tau: complex, uorder: int) -> tuple[float, float]:
     return abs(d2v - tau**2 * d1v), abs(e2v - tau**4 * e1v)
 
 
-LAW_TARGET = 1e-9  # the proven tolerance both laws must reach, or the check is inconclusive
-LAW_CAP = 4096  # the largest order `law_tolerance` tries
 _EPS = 2.0**-53  # the unit roundoff of a double
 _ZETA3 = 1.2020569031595945  # zeta(3), rounded up to a double
 
@@ -215,7 +221,7 @@ _FORM_BOUNDS = {
 
 
 def law_tolerance(tau: complex, uorder: int, target: float = LAW_TARGET) -> tuple[int, float, float]:
-    """(order, delta_tol, eps_tol): the smallest order in [uorder, max(uorder, LAW_CAP)] at which the
+    """(order, delta_tol, eps_tol): the smallest order in [uorder, LAW_CAP] at which the
     proven bounds on |delta2_N(-1/tau) - tau^2 delta1_N(tau)| and |eps2_N(-1/tau) - tau^4 eps1_N(tau)|,
     as `numeric_eval` computes them at truncation order N, are both <= target (an infinite
     target gives the bounds at uorder itself).
@@ -240,8 +246,9 @@ def law_tolerance(tau: complex, uorder: int, target: float = LAW_TARGET) -> tupl
     64 eps, so it is widened by 1e-3 for its own rounding and the second-order terms.
 
     ToleranceNotReached when no order up to LAW_CAP reaches the target: the check is then
-    inconclusive, never passed.
+    inconclusive, never passed.  OrderTooLarge for a uorder above LAW_CAP, before any work.
     """
+    _check_law_order(uorder)
     tau = complex(tau)
     near = abs(_u_point(tau))  # |u| at tau, checked first: -1/tau needs tau != 0
     far = abs(_u_point(-1 / tau))
@@ -257,8 +264,7 @@ def law_tolerance(tau: complex, uorder: int, target: float = LAW_TARGET) -> tupl
             )
         parts.append((form[0] == "e", scale, *_FORM_BOUNDS[form], x, eta + 12 * _EPS))
     sums = [[0.0, 0.0] for _ in parts]  # per form: sum_{k < N} c_k x^k e_k, and with 1 + e_k
-    top = max(uorder, LAW_CAP)
-    for N in range(top + 1):
+    for N in range(LAW_CAP + 1):
         if N >= uorder:
             tol = [0.0, 0.0]
             for (law, scale, step, _, _, tail, x, _), (err, size) in zip(parts, sums):
@@ -273,6 +279,6 @@ def law_tolerance(tau: complex, uorder: int, target: float = LAW_TARGET) -> tupl
                 acc[0] += term * e
                 acc[1] += term * (1 + e)
     raise ToleranceNotReached(
-        f"no order up to u^{top} brings the proven tolerance at tau = {tau} under {target} "
+        f"no order up to u^{LAW_CAP} brings the proven tolerance at tau = {tau} under {target} "
         f"(delta {tol[0]:.3g}, eps {tol[1]:.3g}): the check is inconclusive"
     )

@@ -14,7 +14,8 @@ live elsewhere: the theta products in `theta`, the ring of `RootSeries` and
 
 No n above `MAX_N` is accepted: `_check_n` raises `DimTooLarge`, and
 `partitions_of` (so every path that enumerates the partitions of n) and
-`bundles.expand_witten` call it before any work.
+`bundles.expand_witten` call it before any work; nor is a cost p(n)^(3/2)
+uorder^2 above `MAX_COST` (`_check_cost`, first in `genus_columns` and `modular._basis`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import DimMismatch, DimNotMultipleOf4, DimTooLarge, Record
+from .errors import DimMismatch, DimNotMultipleOf4, DimTooLarge, OrderTooLarge, Record
 from .series import DEFAULT_UORDER, USeries, as_int, as_ratio, divisor_sums, linear_combination, row_product, row_view
 
 Partition = tuple[int, ...]
@@ -37,6 +38,7 @@ Partition = tuple[int, ...]
 # The largest n = dim/4 accepted: p(20) = 627, and the slowest command at n = 20 takes
 # seconds (README); each cost grows about fourfold per 4 more (p(24) = 1575).
 MAX_N = 20
+MAX_COST = 2 * 10**8  # the slowest command at this cost takes about 20 s (README, "Size caps")
 
 
 def partition_key(parts) -> Partition:
@@ -50,6 +52,13 @@ def partition_key(parts) -> Partition:
 def _check_n(n: int) -> None:
     if n > MAX_N:
         raise DimTooLarge(f"n = {n} (dim {4 * n}) is above the largest supported n = {MAX_N}")
+
+
+def _check_cost(n: int, uorder: int) -> None:
+    """OrderTooLarge when p(n)^(3/2) uorder^2 is above `MAX_COST` (compared in integers, squared)."""
+    if len(partitions_of(n)) ** 3 * uorder**4 > MAX_COST**2:
+        raise OrderTooLarge(f"uorder {uorder} at n = {n} is above the Pontryagin-route budget "
+                            f"p(n)^(3/2) uorder^2 <= pontryagin.MAX_COST = {MAX_COST}")
 
 
 def _join(a: Partition, b: Partition) -> Partition:
@@ -123,14 +132,18 @@ class Manifold(Record):
         return MappingProxyType({k: Fraction(v, self._den) for k, v in self._num.items()})
 
     @property
+    def _vec(self) -> tuple[int, ...]:  # a plain memo: cached_property cost a warm sweep op 2-3 us on 3.11
+        """The numerators in the order of `partitions_of(n)`, absent ones 0: what `_pair_rows` multiplies."""
+        if (vec := self.__dict__.get("_vec")) is None:
+            vec = self.__dict__["_vec"] = tuple(map(self._num.get, partitions_of(self.n), repeat(0)))
+        return vec
+
+    @property
     def n(self) -> int:
         return self.dim // 4
 
     def pont_number(self, parts) -> Fraction:
         return self.pont.get(partition_key(parts), Fraction(0))
-
-    def missing_partitions(self) -> list[Partition]:
-        return [p for p in partitions_of(self.n) if p not in self._num]
 
     def to_json(self) -> dict:
         return {
@@ -193,10 +206,8 @@ def weight_view(columns: Mapping[Partition, USeries], n: int, order: int):
 
 def _pair_rows(view, m: Manifold, order: int) -> USeries:
     """sum_lambda P_lambda(M) col_lambda for a row view (rows, den) on `partitions_of(m.n)`: one
-    integer matrix-vector product with `m`'s numerators in that order (`_vec`, kept on `m`)."""
-    if (vec := m.__dict__.get("_vec")) is None:  # a plain memo: Manifold fields are frozen
-        vec = m.__dict__["_vec"] = tuple(map(m._num.get, partitions_of(m.n), repeat(0)))
-    return USeries._make(row_product(view, vec, order), m._den * view[1])
+    integer matrix-vector product with `m`'s numerators in that order (`Manifold._vec`)."""
+    return USeries._make(row_product(view, m._vec, order), m._den * view[1])
 
 
 def _bernoulli(m: int) -> list[Fraction]:
@@ -286,6 +297,7 @@ def genus_columns(kind: GenusKind, n: int, uorder: int):
     coefficients (f(0)^(2n) folded in) that depend on (kind, n, uorder)
     only; `genus` multiplies this one view by every manifold's numbers.
     """
+    _check_cost(n, uorder)
     return weight_view(_p_class(*genus_log(kind, n, uorder), n), n, uorder)
 
 

@@ -46,25 +46,25 @@ def _simpson(f, a: float, b: float) -> float:
     return (b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b))
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, depth: int = 40) -> float:
+def _adaptive_simpson(f, a: float, b: float, tol: float, rel: float, depth: int = 40) -> float:
     whole = _simpson(f, a, b)
     if not math.isfinite(whole):
         # inf - inf in the error estimate would recurse to full depth
         raise OverflowError("quadrature sum overflows")
-    return _adaptive_step(f, a, b, tol, whole, depth)
+    return _adaptive_step(f, a, b, tol, rel, whole, depth)
 
 
-def _adaptive_step(f, a: float, b: float, tol: float, whole: float, depth: int) -> float:
+def _adaptive_step(f, a: float, b: float, tol: float, rel: float, whole: float, depth: int) -> float:
     mid = 0.5 * (a + b)
     left = _simpson(f, a, mid)
     right = _simpson(f, mid, b)
-    # The relative floor keeps the recursion from chasing tolerances below
-    # rounding noise when the local integral is large.
-    floor = max(tol, 1e-15 * (abs(left) + abs(right)))
+    # The relative floor, the integrand's rounding `rel`, keeps the recursion from chasing
+    # tolerances below rounding noise when the local integral is large.
+    floor = max(tol, rel * (abs(left) + abs(right)))
     if depth <= 0 or abs(left + right - whole) <= 15.0 * floor:
         return left + right + (left + right - whole) / 15.0
-    return _adaptive_step(f, a, mid, tol / 2.0, left, depth - 1) + _adaptive_step(
-        f, mid, b, tol / 2.0, right, depth - 1
+    return _adaptive_step(f, a, mid, tol / 2.0, rel, left, depth - 1) + _adaptive_step(
+        f, mid, b, tol / 2.0, rel, right, depth - 1
     )
 
 
@@ -90,7 +90,7 @@ def _xF(m: int, b: float, x: float, tol: float) -> float:
     if x <= 1.0:
         return x * _closed_form_F(m, b, x)
     return _adaptive_simpson(
-        lambda t: x * (math.cosh(t) + x * math.sinh(t)) ** (m - 1), 0.0, b, tol
+        lambda t: x * (math.cosh(t) + x * math.sinh(t)) ** (m - 1), 0.0, b, tol, max(1e-15, m * 2.0**-53)
     )
 
 
@@ -110,11 +110,16 @@ def sobolev_c(m: int, b: float, tol: float = 1e-11) -> float:
     with s = x b and t = b tau the integrand is 1 + s tau + O(b^2), so the
     equation becomes ((1+s)^m - 1)/m = W + O(b^2).
 
+    The base cosh t + x sinh t can be off by one rounding, 2^-53 relative; the
+    (m-1)-th power multiplies that by m - 1 and the factor x adds one more, so
+    x F(x), about W near the root, is known to W m 2^-53 at best: a tol below that
+    cannot tell a root from rounding noise.  The quadrature stops there too.
+
     Raises DimTooLarge for m above `MAX_M`; FloatRangeExceeded when F
     overflows a double on the way, as it does for m = 2000, b = 1 and for
     b = 1e300 (e^((m-1) b)), or when the root itself does (b = 5e-324);
-    ToleranceNotReached when tol is below what the rounding of x F(x)
-    allows within the iteration cap.
+    ToleranceNotReached at once for a tol below W m 2^-53, and when the
+    iteration cap comes first.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -122,6 +127,8 @@ def sobolev_c(m: int, b: float, tol: float = 1e-11) -> float:
         raise DimTooLarge(f"m = {m} is above the largest supported m = {MAX_M}")
     _require_positive_finite("b", b)
     _require_positive_finite("tol", tol)
+    if tol < (noise := wallis(m) * m * 2.0**-53):
+        raise ToleranceNotReached(f"residual tolerance {tol} not reached: below W m 2^-53 = {noise:.3g}, the rounding")
     try:
         return _solve_root(m, b, tol)
     except OverflowError as exc:

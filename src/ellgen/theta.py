@@ -33,15 +33,13 @@ from .errors import WeightViolation
 from .pontryagin import _FAMILIES, _LOGS, GenusKind, _even_poly, half_x_over_sinh_half_poly
 from .series import USeries, _RingOps, linear_combination
 
-XPoly = dict[int, Fraction]
 
-
-def x_over_tanh_half_poly(xdeg: int) -> XPoly:
+def x_over_tanh_half_poly(xdeg: int) -> dict[int, Fraction]:
     """x / tanh(x/2), coefficients 2 B_2k: the u^0 slice of the Ell1 factor (L-hat factor)."""
     return _even_poly(xdeg, lambda k, b: 2 * b)
 
 
-def _theta_product(kinds: tuple[str, ...], prefactor: XPoly, xdeg: int, uorder: int) -> RootSeries:
+def _theta_product(kinds: tuple[str, ...], prefactor: dict[int, Fraction], xdeg: int, uorder: int) -> RootSeries:
     """prefactor(x) times the theta products of `kinds`, as an even RootSeries."""
     if xdeg < 1 or uorder < 1:
         raise ValueError("xdeg and uorder must be >= 1")

@@ -535,6 +535,24 @@ def test_ch_converters_return_pont_polys_and_pair_is_chern_pair():
         bundles.no_such_name
 
 
+@pytest.mark.parametrize("nmax", range(11))
+def test_s_basis_table_is_the_quadratic_definition(nmax):
+    # the table walks only the parts of weight <= nmax - |mu|; the definition tests every pair
+    from ellgen.bundles import _s_basis
+
+    parts, table = _s_basis(nmax)
+    index = {mu: i for i, mu in enumerate(parts)}
+    assert parts == tuple(mu for w in range(nmax + 1) for mu in partitions_of(w))
+    assert table == tuple(
+        tuple(
+            (j, index[tuple(sorted(mu + nu, reverse=True))])
+            for j, nu in enumerate(parts)
+            if sum(mu) + sum(nu) <= nmax
+        )
+        for mu in parts
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bundle_route_pairs_the_index_vectors_in_the_s_basis(n):
     # Ell_2 = sum_mu <s_mu, [M]> col_mu with [u^k] col_mu the s-basis index vector of B_k, an

@@ -16,7 +16,7 @@ from ellgen.errors import ResidualNonzero
 from ellgen.genera import Hypersurface
 from ellgen.modular import LAW_CAP
 from ellgen.bundles import MAX_UORDER
-from ellgen.pontryagin import MAX_N
+from ellgen.pontryagin import MAX_COST, MAX_N, partitions_of
 from ellgen.series import DEFAULT_UORDER, USeries
 from ellgen.sobolev import MAX_M
 from ellgen.theta import GenusKind
@@ -428,6 +428,33 @@ def test_work_above_its_cap_is_a_domain_error_at_once(argv, cap):
     assert f"largest supported m = {cap}" in proc.stderr or f"largest bundle-route uorder {cap}" in proc.stderr
 
 
+@pytest.mark.parametrize("check", ["genus", "hypersurface", "modular-relation"])
+def test_a_pontryagin_route_order_above_the_budget_is_a_domain_error_at_once(tmp_path, check):
+    # the first order past the budget at n = 2, 8409, once ran: genus and hypersurface for about
+    # 3 s, modular-relation for 7.5 s, and `genus --uorder 30000` for over a minute
+    uorder = math.isqrt(math.isqrt(MAX_COST**2 // len(partitions_of(2)) ** 3)) + 1
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"name": "m", "dim": 8, "pontryagin_numbers": {"[2]": "1", "[1,1]": "3"}}))
+    argv = {
+        "genus": ["genus", "--genus", "ell2", "--manifold", str(path)],
+        "hypersurface": ["hypersurface", "--ambient", "5", "--degree", "2"],
+        "modular-relation": ["verify", "--check", "modular-relation", "--n", "2", "--samples", "1"],
+    }[check]
+    proc = run_subprocess(*argv, "--uorder", str(uorder))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert f"uorder {uorder} at n = 2" in proc.stderr and f"pontryagin.MAX_COST = {MAX_COST}" in proc.stderr
+
+
+@pytest.mark.parametrize("m, tol", [(2000, "1e-15"), (10000, "1e-14")])
+def test_sobolev_tolerance_below_the_rounding_is_refused_at_once(m, tol):
+    # the quadrature once chased the rounding of x F(x) here: m = 2000 ran past 40 s, m = 10000 took 5.4 s
+    proc = run_subprocess("sobolev", "--m", str(m), "--b", "1e-9", "--tol", tol)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert "not reached: below W m 2^-53" in proc.stderr
+
+
 @pytest.mark.parametrize("dim", ["4e300", str(4 * 10**300), str(4 * (MAX_N + 1))], ids=["float", "integer", "cap"])
 def test_genus_manifold_of_a_dimension_above_the_cap_is_a_domain_error_at_once(tmp_path, dim):
     path = tmp_path / "big.json"
@@ -554,7 +581,7 @@ def test_cancellation_check_fails_on_a_nonzero_residual(capsys, monkeypatch):
 def test_cancellation_check_fails_on_a_nonzero_symbolic_class(capsys, monkeypatch):
     from ellgen import chern, genera
 
-    monkeypatch.setattr(genera, "cancellation_class", lambda: chern.PontPoly.generator(2, 2, 1))
+    monkeypatch.setattr(genera, "cancellation_class", lambda: chern.PontPoly({(2,): USeries.one(1)}, 2, 1))
     assert failed_check(capsys, "--check", "cancellation", "--samples", "1") == ["symbolic weight-2 residual is nonzero"]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ellgen.chern import Manifold, ch_tangent, disjoint_union, partitions_of
+from ellgen.chern import Manifold, RootSeries, ch_tangent, disjoint_union, partitions_of, rotate_x
 from ellgen.errors import DimNotMultipleOf4, NonUnitConstant
 from ellgen.genera import (
     Hypersurface,
@@ -219,8 +219,9 @@ def test_residue_rotation_sign():
 
 def test_tan_convention_is_the_rotated_factor():
     for xdeg, uorder in ((1, 1), (6, 1), (11, 4)):
-        assert signature_factor(xdeg, uorder, "tan") == signature_factor(xdeg, uorder, "tanh").rotate()
-        assert ahat_factor(xdeg, uorder, "tan") == ahat_factor(xdeg, uorder, "tanh").rotate()
+        for factor in (signature_factor, ahat_factor):
+            rotated = rotate_x(dict(factor(xdeg, uorder, "tanh").items()))
+            assert factor(xdeg, uorder, "tan") == RootSeries(rotated, xdeg, uorder)
 
 
 def test_residue_nonunit_rejected():

@@ -7,7 +7,7 @@ import pytest
 
 from ellgen import modular, pontryagin, series, theta
 from ellgen.chern import Manifold, partitions_of
-from ellgen.errors import NotInUpperHalfPlane, ResidualNonzero, ToleranceNotReached
+from ellgen.errors import NotInUpperHalfPlane, OrderTooLarge, ResidualNonzero, ToleranceNotReached
 from ellgen.genera import Hypersurface, genus, hypersurface_pont
 from ellgen.modular import (
     ModBasisDecomp,
@@ -16,6 +16,8 @@ from ellgen.modular import (
     eps1,
     eps2,
     expand_in_basis,
+    LAW_CAP,
+    law_residuals,
     law_tolerance,
     numeric_eval,
     reconstruct_ell1,
@@ -187,9 +189,9 @@ def test_bases_match_direct_construction(n, uorder):
 
 
 def test_basis_memos_are_bounded():
-    from ellgen.modular import _basis1, _basis2
+    from ellgen.modular import _basis
 
-    assert _basis1.cache_info().maxsize == _basis2.cache_info().maxsize == 128
+    assert _basis.cache_info().maxsize == 128
 
 
 # -- numeric evaluation ----------------------------------------------------------
@@ -323,6 +325,38 @@ def test_law_tolerance_raises_the_order_where_u40_is_too_short(tau):
     assert order > 40 and max(dtol, etol) <= modular.LAW_TARGET
     # the order is the smallest one that meets the target
     assert max(law_tolerance(tau, order - 1, target=math.inf)[1:]) > modular.LAW_TARGET
+
+
+@pytest.mark.parametrize("law", [law_tolerance, law_residuals])
+def test_the_laws_refuse_an_order_above_their_cap(law):
+    # law_tolerance once tried every order up to the one asked for, law_residuals built the forms there
+    with pytest.raises(OrderTooLarge, match=f"modular.LAW_CAP = {LAW_CAP}"):
+        law(1j, LAW_CAP + 1)
+
+
+def first_refused(n):
+    """The smallest uorder whose cost p(n)^(3/2) uorder^2 is above `pontryagin.MAX_COST`."""
+    return math.isqrt(math.isqrt(pontryagin.MAX_COST**2 // len(partitions_of(n)) ** 3)) + 1
+
+
+def test_the_pontryagin_budget_keeps_every_tested_size_and_refuses_past_its_edge():
+    for n in range(1, pontryagin.MAX_N + 1):
+        pontryagin._check_cost(n, 64)  # the tests and the benchmark stay at n <= 6, uorder <= 64
+        pontryagin._check_cost(n, first_refused(n) - 1)
+        with pytest.raises(OrderTooLarge, match=f"pontryagin.MAX_COST = {pontryagin.MAX_COST}"):
+            pontryagin._check_cost(n, first_refused(n))
+
+
+def test_the_genus_class_and_the_modular_bases_refuse_an_order_above_the_budget():
+    # at the parent each of these built its class or basis at uorder 8409, for about a second or three
+    u = first_refused(2)
+    for build in (
+        lambda: pontryagin.genus(Manifold("m", 8, {(2,): F(1)}), pontryagin.GenusKind.ELL2, u),
+        lambda: expand_in_basis(USeries.one(u), 2),
+        lambda: reconstruct_ell1(ModBasisDecomp(2, (F(1), F(0))), u),
+    ):
+        with pytest.raises(OrderTooLarge, match="MAX_COST"):
+            build()
 
 
 def test_law_tolerance_is_inconclusive_near_the_real_axis():

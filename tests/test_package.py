@@ -126,3 +126,41 @@ def test_no_module_reads_the_environment():
             if name in readers:
                 found.append(f"{path.stem}:{node.lineno} {name}")
     assert found == []
+
+
+def test_every_class_member_is_named_outside_the_unit_tests():
+    # A class member that only unit tests call is a wrapper the package does not need.  A member
+    # counts as named when code in `src/`, `scripts/`, `perfbench/` or the acceptance suite
+    # reads it as an attribute or a name, or spells it in a dotted string (a trace target,
+    # `_bound_name`); an attribute set to a string is named by that string too (an `Enum`
+    # member read by value), and dunders are called by the language itself.
+    root = Path(ellgen.__file__).parents[2]
+    paths = [*root.glob("src/**/*.py"), *root.glob("scripts/**/*.py"), *root.glob("perfbench/**/*.py")]
+    named = set()
+    for path in [*paths, root / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(getattr(node, "attr", None) or node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isascii():
+                if all(part.isidentifier() for part in node.value.split(".")):
+                    named.update(node.value.split("."))
+    unnamed = []
+    for path in sorted(Path(ellgen.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    members = [stmt.name]
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    members = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                value = getattr(stmt, "value", None)
+                by_value = isinstance(value, ast.Constant) and value.value in named
+                unnamed += [
+                    f"{path.stem}.{cls.name}.{name}" for name in members
+                    if name not in named and not by_value and not (name.startswith("__") and name.endswith("__"))
+                ]
+    assert unnamed == []

@@ -23,7 +23,7 @@ from ellgen.chern import Manifold, PontPoly, ch_tangent, genus_class, pair, part
 from ellgen.errors import ResidualNonzero
 from ellgen.genera import ahat_class, genus, twisted_ahat_series
 from ellgen.modular import (
-    ModBasisDecomp, _basis1, delta1, delta2, eps1, eps2, expand_in_basis, reconstruct_ell1,
+    ModBasisDecomp, _basis, delta1, delta2, eps1, eps2, expand_in_basis, reconstruct_ell1,
 )
 from ellgen.pontryagin import genus_columns, partition_from_str, partition_to_str
 from ellgen.series import USeries, linear_combination
@@ -185,7 +185,7 @@ def test_twisted_pairing_matches_the_reference():
 @pytest.mark.parametrize("uorder", [1, 2, 7, 12, 13, 24])
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_row_views_keep_exactly_the_nonzero_rows_at_their_exponents(n, uorder):
-    # Ell_1 and the _basis1 images are series in q = u^2: only even rows survive.
+    # Ell_1 and the images in the (delta1, eps1) _basis are series in q = u^2: only even rows survive.
     # Ell_2 is a series in u: odd rows are kept, at their own exponents.
     for kind, parity in ((GenusKind.ELL1, {0}), (GenusKind.ELL2, {0, 1})):
         rows, den = genus_columns(kind, n, uorder)
@@ -193,7 +193,7 @@ def test_row_views_keep_exactly_the_nonzero_rows_at_their_exponents(n, uorder):
         kept = [k for k in range(uorder) if any(s.coeff(k) for s in series)]
         assert [k for k, _ in rows] == kept and {k % 2 for k in kept} == parity & set(range(uorder))
         assert all(row == tuple(s.coeff(k) * den for s in series) for k, row in rows)
-    rows, den = _basis1(n, uorder)
+    rows, den = _basis(delta1, eps1, n, uorder)
     series = [ref_basis1(n, r, uorder) for r in range(n // 2 + 1)]
     kept = [k for k in range(uorder) if any(s.coeff(k) for s in series)]
     assert [k for k, _ in rows] == kept == list(range(0, uorder, 2))

@@ -135,6 +135,17 @@ def test_tolerance_not_reached():
         sobolev_c(12, 1.0, 1e-300)
 
 
+@pytest.mark.parametrize("m", [2, 8, 64, 500])
+def test_a_tolerance_below_the_rounding_of_x_f_is_refused(m):
+    # W m 2^-53 is the least the rounding of x F(x) near W lets the residual certify; at the
+    # parent a tol just below it returned a root, accepted on noise
+    noise = wallis(m) * m * 2.0**-53
+    with pytest.raises(ToleranceNotReached, match="below W m 2"):
+        sobolev_c(m, 1e-9, 0.99 * noise)
+    x = sobolev_c(m, 1e-9, 1.01 * noise)
+    assert abs(x * si.quad(lambda t: (math.cosh(t) + x * math.sinh(t)) ** (m - 1), 0, 1e-9)[0] - wallis(m)) < 1e-9
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         sobolev_c(1, 1.0, 1e-8)

@@ -22,7 +22,7 @@ CACHES = [
     "ellgen.bundles._ahat_s", "ellgen.bundles._ch_monomial_s", "ellgen.bundles._index_class",
     "ellgen.bundles._power_ch", "ellgen.bundles._power_sum_terms", "ellgen.bundles._s_basis",
     "ellgen.bundles._scaled_tangent_ch", "ellgen.bundles.expand_witten",
-    "ellgen.genera.ahat_class", "ellgen.modular._basis1", "ellgen.modular._basis2",
+    "ellgen.genera.ahat_class", "ellgen.modular._basis",
     "ellgen.pontryagin._newton_terms", "ellgen.pontryagin.genus_columns", "ellgen.pontryagin.partition_from_str",
     "ellgen.pontryagin.partitions_of", "ellgen.theta.genus_root_series", "ellgen.theta.theta_factor",
 ]
