@@ -100,7 +100,13 @@ def _basis(delta, eps, n: int, uorder: int) -> RowView:
 
     _check_cost(n, uorder)
     d, e = delta(uorder) * 8, eps(uorder)
-    return row_view([d ** (n - 2 * r) * e**r for r in range(n // 2 + 1)])
+    # d^(n mod 2) (d^2)^i and e^i for i = 0..n//2 as running products, one product per power
+    lead, tail = [d ** (n % 2)], [e**0]
+    d2 = d * d if n > 1 else None
+    for _ in range(n // 2):
+        lead.append(lead[-1] * d2)
+        tail.append(tail[-1] * e)
+    return row_view([a * b for a, b in zip(reversed(lead), tail)])
 
 
 def expand_in_basis(e2: USeries, n: int) -> ModBasisDecomp:

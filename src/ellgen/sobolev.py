@@ -24,7 +24,7 @@ import math
 from .errors import DimTooLarge, ExponentRangeViolation, FloatRangeExceeded, Record, ToleranceNotReached
 
 _MAX_STEPS = 400
-# The largest m of `sobolev_c`: up to it no b took above 0.02 s at the default tol (README, "Size
+# The largest m of `sobolev_c`: up to it the slowest b found took about 3 s at the default tol (README, "Size
 # caps"); at m = 2e4 the quadrature can chase the rounding of its (m-1)-th power for seconds.
 MAX_M = 10_000
 
@@ -71,15 +71,24 @@ def _adaptive_step(f, a: float, b: float, tol: float, rel: float, whole: float, 
 def _closed_form_F(m: int, b: float, x: float) -> float:
     # cosh t + x sinh t = A e^t + B e^-t with A = (1+x)/2, B = (1-x)/2, so
     # the integrand expands binomially into exponentials and integrates
-    # exactly.  For x <= 1 every term is nonnegative: no cancellation.
+    # exactly.  For x <= 1 every term is nonnegative: no cancellation, so
+    # the terms are summed from their logarithms, scaled by the largest.
+    # C(m-1, k) alone leaves the double range once m - 1 >= 1030; this way
+    # only a value of F above the largest double raises OverflowError.
     A = 0.5 * (1.0 + x)
     B = 0.5 * (1.0 - x)
-    total = 0.0
-    for k in range(m):
+    log_a = math.log(A)
+    # B = 0 (x = 1): only the k = m-1 term, whose B^0 = 1, is nonzero
+    log_b = math.log(B) if B > 0.0 else 0.0
+    log_fact = [math.lgamma(k + 1) for k in range(m)]
+    logs = []
+    for k in range(m) if B > 0.0 else (m - 1,):
         j = 2 * k - (m - 1)
-        piece = b if j == 0 else math.expm1(j * b) / j
-        total += math.comb(m - 1, k) * A**k * B ** (m - 1 - k) * piece
-    return total
+        # log(expm1(j b) / j) = max(j, 0) b + log(-expm1(-|j| b)) - log |j|
+        piece = math.log(b) if j == 0 else max(j, 0) * b + math.log(-math.expm1(-abs(j) * b)) - math.log(abs(j))
+        logs.append(log_fact[m - 1] - log_fact[k] - log_fact[m - 1 - k] + k * log_a + (m - 1 - k) * log_b + piece)
+    top = max(logs)
+    return math.exp(top + math.log(math.fsum(math.exp(v - top) for v in logs)))
 
 
 def _xF(m: int, b: float, x: float, tol: float) -> float:

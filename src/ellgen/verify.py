@@ -89,7 +89,7 @@ def cmd_verify(args) -> bool:
         for _ in range(args.samples):
             m = _random_manifold(n, rng)
             if bundles.ell2_via_bundles(m, uorder) != pontryagin.genus(m, pontryagin.GenusKind.ELL2, uorder):
-                failures.append(f"{m.name}: bundle route disagrees with theta route")
+                failures.append(f"{m.name}: bundle route disagrees with Pontryagin route")
         report["residual"] = "0" if not failures else "nonzero"
 
     elif args.check == "transformation-laws":

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.special import beta
 
 from ellgen.chern import Manifold
-from ellgen.cli import build_parser, main
+from ellgen.cli import COMMANDS, main
 from ellgen.errors import ResidualNonzero
 from ellgen.genera import Hypersurface
 from ellgen.modular import LAW_CAP
@@ -205,9 +205,8 @@ def test_genus_order_ignores_the_environment(capsys, k3_file, monkeypatch):
 
 
 def test_genus_uorder_default_is_the_series_default():
-    parser = build_parser()
-    genus_parser = next(a for a in parser._actions if a.dest == "command").choices["genus"]
-    assert next(a for a in genus_parser._actions if a.dest == "uorder").default == DEFAULT_UORDER
+    _, _, options = COMMANDS["genus"]
+    assert options["uorder"].default == DEFAULT_UORDER
 
 
 def test_manifold_json_roundtrip_via_cli_schema():
@@ -283,6 +282,86 @@ def test_nonpositive_count_is_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage: ") and "error: " in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        ([], "required: command"),
+        (["nope"], "'nope'"),
+        (["genus"], "required: --manifold, --genus"),
+        (["verify", "--check", "cancellation", "--s", "1"], "--samples, --seed"),
+        (["sobolev", "--m", "8", "--b"], "--b: expected one argument"),
+        (["sobolev", "--m", "8", "--b", "1", "--bogus", "1"], "'--bogus'"),
+        (["sobolev", "--m", "8", "--b", "1", "extra"], "'extra'"),
+        (["verify", "--check", "nope"], "--check: invalid choice: 'nope'"),
+        (["bundles", "--n=--"], "--n: "),
+    ],
+    ids=["bare", "unknown-command", "missing-required", "ambiguous-prefix", "missing-value", "unknown-option",
+         "stray-token", "bad-choice", "n-dashes"],
+)
+def test_usage_error_exits_2_and_names_the_fault(capsys, argv, fragment):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: ellgen") and " error: " in error and fragment in error
+
+
+@pytest.mark.parametrize(
+    "argv, same",
+    [
+        (["hypersurface", "--ambient", "5", "--degree", "2", "--uorder", "4", "--format", "json"],
+         ["hypersurface", "--ambient=5", "--degree=2", "--uorder=4", "--format=json"]),
+        (["sobolev", "--m", "8", "--b", "0.5", "--tol", "1e-12"], ["sobolev", "--m=8", "--b=0.5", "--tol=1e-12"]),
+        (["verify", "--check", "transformation-laws", "--tau", "1+2i"],
+         ["verify", "--check=transformation-laws", "--tau=1+2i"]),
+        (["genus", "--manifold", "K3", "--genus", "ell2", "--uorder", "4"],
+         ["genus", "--man", "K3", "--gen", "ell2", "--uord", "4"]),
+        (["sobolev", "--b", "1", "--m", "8"], ["sobolev", "--m", "3", "--b", "1", "--m", "8"]),
+    ],
+    ids=["equals-hypersurface", "equals-sobolev", "equals-verify", "unique-prefix", "last-repeat-wins"],
+)
+def test_equivalent_command_lines_give_the_same_output(capsys, k3_file, argv, same):
+    expected = run(capsys, *(k3_file if arg == "K3" else arg for arg in argv))
+    assert expected[0] == 0
+    assert run(capsys, *(k3_file if arg == "K3" else arg for arg in same)) == expected
+
+
+def test_tau_value_starting_with_a_dash_is_read_verbatim(capsys):
+    code, out, err = run(capsys, "verify", "--check", "transformation-laws", "--tau", "-2i")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "imaginary part" in err
+
+
+@pytest.mark.parametrize(
+    "argv, fragments",
+    [
+        (["--version"], ["ellgen 0.1.0"]),
+        (["--help"], ["usage: ellgen", *COMMANDS]),
+        (["genus", "-h"], ["usage: ellgen genus [-h] --manifold MANIFOLD"]),
+    ],
+    ids=["version", "help", "genus-help"],
+)
+def test_help_and_version_exit_0(capsys, argv, fragments):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and all(f in captured.out for f in fragments)
+
+
+def test_genus_help_names_every_option_with_its_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["genus", "--help"])
+    out = capsys.readouterr().out
+    rows = out.split("\n  -")[1:]  # "-h, --help ...", then one "--name VALUE ..." row per option
+    assert len(rows) == 5
+    expected = {"manifold": "(required)", "genus": "(required)", "uorder": "(default: 24)", "format": "(default: text)"}
+    for name, default in expected.items():
+        assert default in next(row for row in rows if row.startswith(f"-{name} "))
 
 
 @pytest.mark.parametrize("tau", ["0", "-2i", "1"])
@@ -524,6 +603,19 @@ def test_sobolev_double_overflow_is_domain_error(argv):
     assert "overflows double precision" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "m, b, root", [(2000, "0.01", 0.2333709499), (2000, "0.1", 4.48993697e-4), (10000, "0.001", 0.5526126201)]
+)
+def test_sobolev_above_the_binomial_overflow_solves(m, b, root):
+    # C(m-1, k) alone is above the largest double once m - 1 >= 1030, but F is not;
+    # each root is from a 30-digit mpmath bisection, rounded to the digits given
+    proc = run_subprocess("sobolev", "--m", str(m), "--b", b)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["residual"] < 1e-11  # the default --tol
+    assert math.isclose(report["C_b"], root, rel_tol=2e-9)
+
+
 @pytest.mark.parametrize("tau, value", [("1+i", 1 + 1j), ("-1+i", -1 + 1j), ("0.5+2i", 0.5 + 2j), ("+i", 1j)])
 def test_transformation_laws_tau_with_real_part(capsys, tau, value):
     code, out, _ = run(capsys, "verify", "--check", "transformation-laws", f"--tau={tau}")
@@ -609,7 +701,7 @@ def test_route_equivalence_check_fails_when_the_routes_disagree(capsys, monkeypa
 
     monkeypatch.setattr(bundles, "ell2_via_bundles", off_by_one_coefficient(bundles.ell2_via_bundles))
     failures = failed_check(capsys, "--check", "route-equivalence", "--samples", "2", "--uorder", "6")
-    assert failures == ["random-n2: bundle route disagrees with theta route"] * 2
+    assert failures == ["random-n2: bundle route disagrees with Pontryagin route"] * 2
 
 
 @pytest.mark.parametrize("tau", ["1e-17i", "1e-300i", "0.5+1e-300i"])
@@ -788,8 +880,21 @@ def test_transformation_laws_executes_series_and_modular():
     assert package_modules(executed) == FRONT_END | VERIFY | {"ellgen.series", "ellgen.modular"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genus", "--manifold", "K3", "--genus", "ell2", "--uorder", "4"],
+        ["hypersurface", "--ambient", "5", "--degree", "2", "--uorder", "4"],
+        ["sobolev", "--m", "8", "--b", "1"],
+        ["verify", "--check", "route-equivalence", "--samples", "1", "--uorder", "4"],
+    ],
+    ids=["genus", "hypersurface", "sobolev", "route-equivalence"],
+)
+def test_valid_command_executes_no_argparse_gettext_or_locale(k3_file, argv):
+    executed = executed_modules(*(k3_file if arg == "K3" else arg for arg in argv))
+    assert not executed & {"argparse", "gettext", "locale"}
+
+
 def test_genus_choices_follow_genus_kind():
-    parser = build_parser()
-    genus_parser = next(a for a in parser._actions if a.dest == "command").choices["genus"]
-    choices = next(a for a in genus_parser._actions if a.dest == "genus").choices
-    assert list(choices) == [k.value for k in GenusKind]
+    _, _, options = COMMANDS["genus"]
+    assert list(options["genus"].choices) == [k.value for k in GenusKind]

@@ -1,5 +1,5 @@
 """Contract fuzz of the command line, in process: every run of `main(argv)` returns an exit
-code in {0, 1, 2, 3} (argparse's own exits included), no exception escapes, and exit 1,
+code in {0, 1, 2, 3} (the parser's own exits included), no exception escapes, and exit 1,
 "a verification check failed", comes only from `verify`.  Sizes stay small (n <= 4,
 uorder <= 12, samples <= 2, m <= 64) so that the whole fuzz costs a few seconds, or
 go above a cap, where the command must refuse at once: n above `MAX_N` (a manifold `dim`,
@@ -133,7 +133,7 @@ def test_every_cli_run_exits_with_a_documented_code(tmp_path_factory, drawn):
     signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
     try:
         code = main(argv)
-    except SystemExit as exc:  # argparse: 2 for a usage error, 0 for --version
+    except SystemExit as exc:  # the parser: 2 for a usage error, 0 for --version
         code = exc.code
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)

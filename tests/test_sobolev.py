@@ -130,6 +130,20 @@ def test_solver_root_far_below_one_at_large_m(m, b):
     assert abs(x - reference) < 1e-9 * reference
 
 
+@pytest.mark.parametrize("x", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("m", [2, 3, 8, 64, 1030])
+def test_closed_form_matches_the_binomial_sum(m, x):
+    # the log-space sum of `_closed_form_F` against the direct sum of its binomial terms, which
+    # stays in range up to m - 1 = 1029; x = 1 (B = 0) keeps one term, F(1) = expm1((m-1) b)/(m-1)
+    b, A, B = 0.05, 0.5 * (1.0 + x), 0.5 * (1.0 - x)
+    pieces = [b if 2 * k == m - 1 else math.expm1((2 * k - m + 1) * b) / (2 * k - m + 1) for k in range(m)]
+    direct = sum(math.comb(m - 1, k) * A**k * B ** (m - 1 - k) * p for k, p in enumerate(pieces))
+    got = ellgen.sobolev._closed_form_F(m, b, x)
+    assert math.isclose(got, direct, rel_tol=m * 1e-15)
+    if x == 1.0:
+        assert math.isclose(got, math.expm1((m - 1) * b) / (m - 1), rel_tol=m * 1e-15)
+
+
 def test_tolerance_not_reached():
     with pytest.raises(ToleranceNotReached):
         sobolev_c(12, 1.0, 1e-300)
