@@ -66,16 +66,14 @@ def cmd_genus(args) -> int:
 
 def cmd_hypersurface(args) -> int:
     m = pontryagin.hypersurface_pont(pontryagin.Hypersurface(ambient=args.ambient, degree=args.degree))
-    sigma = pontryagin.genus(m, pontryagin.GenusKind.LHAT, 1).coeff(0)
-    ahat = pontryagin.genus(m, pontryagin.GenusKind.AHAT, 1).coeff(0)
+    sigma = pontryagin.genus(m, pontryagin.GenusKind.LHAT, 1)
+    ahat = pontryagin.genus(m, pontryagin.GenusKind.AHAT, 1)
     ell2 = pontryagin.genus(m, pontryagin.GenusKind.ELL2, args.uorder)
     if args.format == "json":
-        return _print(lambda: json.dumps(
-            {"manifold": m.to_json(), "signature": str(sigma), "ahat": str(ahat), "ell2": ell2.to_json()}
-        ))
-    return _print(lambda: "\n".join(
-        [json.dumps(m.to_json()), f"signature = {sigma}", f"ahat      = {ahat}", f"ell2      = {ell2.qstring()}"]
-    ))
+        return _print(lambda: json.dumps({"manifold": m.to_json(), "signature": sigma.coeff_str(0),
+                                          "ahat": ahat.coeff_str(0), "ell2": ell2.to_json()}))
+    return _print(lambda: "\n".join([json.dumps(m.to_json()), f"signature = {sigma.coeff_str(0)}",
+                                     f"ahat      = {ahat.coeff_str(0)}", f"ell2      = {ell2.qstring()}"]))
 
 
 def cmd_bundles(args) -> int:

@@ -11,6 +11,8 @@ one pairing kernel of both genus routes, multiplies the row view of its
 weight-n columns by the manifold's integer numbers.  The cross-check routes
 live elsewhere: the theta products in `theta`, the ring of `RootSeries` and
 `PontPoly` in `chern`, the residue route and the twisted A-hat in `genera`.
+The route runs in integers from the manifold's numbers to the printed
+output: `fractions` loads only where a value is read as a `Fraction`.
 
 No n above `MAX_N` is accepted: `_check_n` raises `DimTooLarge`, and
 `partitions_of` (so every path that enumerates the partitions of n) and
@@ -22,16 +24,16 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import DimMismatch, DimNotMultipleOf4, DimTooLarge, OrderTooLarge, Record
-from .series import DEFAULT_UORDER, USeries, as_int, as_ratio, divisor_sums, linear_combination, row_product, row_view
+from .series import DEFAULT_UORDER, USeries, as_int, as_ratio, divisor_sums, linear_combination, ratio_str
+from .series import row_product, row_view
 
 Partition = tuple[int, ...]
 
@@ -129,6 +131,7 @@ class Manifold(Record):
 
     @cached_property
     def pont(self) -> Mapping[Partition, Fraction]:
+        from fractions import Fraction
         return MappingProxyType({k: Fraction(v, self._den) for k, v in self._num.items()})
 
     @property
@@ -143,6 +146,7 @@ class Manifold(Record):
         return self.dim // 4
 
     def pont_number(self, parts) -> Fraction:
+        from fractions import Fraction
         return self.pont.get(partition_key(parts), Fraction(0))
 
     def to_json(self) -> dict:
@@ -150,7 +154,7 @@ class Manifold(Record):
             "name": self.name,
             "dim": self.dim,
             "pontryagin_numbers": {
-                partition_to_str(p): str(v) for p, v in sorted(self.pont.items())
+                partition_to_str(p): ratio_str(v, self._den) for p, v in sorted(self._num.items())
             },
         }
 
@@ -183,18 +187,17 @@ def _newton_terms(k: int) -> tuple[tuple[Partition, int], ...]:
 def _p_class(f0: USeries, a: list[USeries], n: int) -> dict[Partition, USeries]:
     """The columns of f(0)^(2n) exp(sum_k a_k s_k) up to weight n, by partition."""
     # Hirzebruch's recursion from G_0 = f(0)^(2n): each column of G_m is one
-    # integer combination of the products (k/m) a_k G_(m-k)[lambda].
+    # integer combination of the products k a_k G_(m-k)[lambda], over m.
     order = f0.order
     g = [{(): f0 ** (2 * n)}]
     for m in range(1, n + 1):
         rows: dict[Partition, list[tuple[int, USeries]]] = {}
         for k in range(1, m + 1):
-            ka = a[k - 1] * Fraction(k, m)
             for lam, c in g[m - k].items():
-                b = ka * c
+                b = a[k - 1] * c
                 for nu, t in _newton_terms(k):
-                    rows.setdefault(_join(lam, nu), []).append((t, b))
-        g.append({lam: linear_combination(row, order) for lam, row in rows.items()})
+                    rows.setdefault(_join(lam, nu), []).append((k * t, b))
+        g.append({lam: linear_combination(row, order, m) for lam, row in rows.items()})
     return {lam: c for gm in g for lam, c in gm.items()}
 
 
@@ -210,28 +213,39 @@ def _pair_rows(view, m: Manifold, order: int) -> USeries:
     return USeries._make(row_product(view, m._vec, order), m._den * view[1])
 
 
-def _bernoulli(m: int) -> list[Fraction]:
-    """B_0..B_(m-1), from B_0 = 1 and sum_{j<=i} C(i+1, j) B_j = 0 (i >= 1)."""
-    b = [Fraction(1)]
-    for i in range(1, m):
-        b.append(-sum(comb(i + 1, j) * b[j] for j in range(i)) / (i + 1))
+def _bernoulli(n: int) -> list[tuple[int, int]]:
+    """B_0, B_2, ..., B_2n as reduced (p, q > 0) pairs: B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from
+    the tangent numbers T_k, built in place by one integer recurrence (Brent-Harvey, arXiv:1108.0286)."""
+    t = [0, 1] + [0] * (n - 1)  # t[k] ends as T_k, from (k-1)!
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    b = [(1, 1)]
+    for k in range(1, n + 1):
+        p, q = (-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1)
+        g = gcd(p, q)
+        b.append((p // g, q // g))
     return b
 
 
 def _even_poly(xdeg: int, coeff) -> dict[int, Fraction]:
-    """sum_{2k < xdeg} coeff(k, B_2k) x^(2k) / (2k)! with the Bernoulli numbers B_2k."""
-    b = _bernoulli(xdeg)
-    return {2 * k: coeff(k, b[2 * k]) / factorial(2 * k) for k in range((xdeg + 1) // 2)}
+    """sum_{2k < xdeg} coeff(k, B_2k) x^(2k) / (2k)! with the Bernoulli numbers B_2k as Fractions."""
+    from fractions import Fraction
+    b = _bernoulli((xdeg - 1) // 2)
+    return {2 * k: coeff(k, Fraction(*b[k])) / factorial(2 * k) for k in range((xdeg + 1) // 2)}
 
 
 def cosh_half_poly(xdeg: int) -> dict[int, Fraction]:
     """cosh(x/2): coefficients 1/4^k."""
+    from fractions import Fraction
     return _even_poly(xdeg, lambda k, b: Fraction(1, 4**k))
 
 
 def half_x_over_sinh_half_poly(xdeg: int) -> dict[int, Fraction]:
     """(x/2) / sinh(x/2), coefficients (2/4^k - 1) B_2k: the u^0 slice of the theta factor (A-hat factor)."""
-    return _even_poly(xdeg, lambda k, b: (Fraction(2, 4**k) - 1) * b)
+    return _even_poly(xdeg, lambda k, b: 2 * b / 4**k - b)
 
 
 # kind -> (weight w of the m = 1 factor, stepping by 2; sign c of the pair
@@ -240,7 +254,7 @@ def half_x_over_sinh_half_poly(xdeg: int) -> dict[int, Fraction]:
 _FAMILIES = {
     "theta": (2, -1, True, half_x_over_sinh_half_poly),
     "theta1": (2, 1, False, cosh_half_poly),
-    "theta2": (1, -1, False, lambda xdeg: {0: Fraction(1)}),
+    "theta2": (1, -1, False, lambda xdeg: {0: 1}),
 }
 
 
@@ -269,7 +283,7 @@ def genus_log(kind: GenusKind, n: int, uorder: int) -> tuple[USeries, list[USeri
     if uorder < 1:
         raise ValueError("uorder must be >= 1")
     tanh, families = _LOGS[GenusKind(kind).value]
-    b = _bernoulli(2 * n + 1)
+    b = _bernoulli(n)
     a = []
     for k in range(1, n + 1):
         t = [0] * uorder
@@ -277,7 +291,7 @@ def genus_log(kind: GenusKind, n: int, uorder: int) -> tuple[USeries, list[USeri
             sign = 1 if divides else -1
             t = list(map(add, t, divisor_sums(uorder, first, 2, lambda r: sign * (-c) ** r * r ** (2 * k - 1))))
         # over the denominator 2k (2k)! q, B_2k = p/q: the theta term's 2/(2k)! is 4kq
-        p, q = b[2 * k].numerator, b[2 * k].denominator
+        p, q = b[k]
         nums = [((4**k - 2) if tanh else -1) * p] + [4 * k * q * v for v in t[1:]]
         a.append(USeries._make(nums, 2 * k * factorial(2 * k) * q))
     return USeries.const(2 if tanh else 1, uorder), a
@@ -340,5 +354,5 @@ def hypersurface_pont(h: Hypersurface) -> Manifold:
     n = h.real_dim // 4
     parts = partitions_of(n)  # first: it refuses an n above MAX_N before any work
     # c[i] = [x^(2i)] (1+x^2)^(N+1) * sum_k (-d^2)^k x^(2k)
-    c = [sum(comb(N + 1, j) * Fraction(-d * d) ** (i - j) for j in range(i + 1)) for i in range(n + 1)]
+    c = [sum(comb(N + 1, j) * (-d * d) ** (i - j) for j in range(i + 1)) for i in range(n + 1)]
     return Manifold(f"X({N};{d})", h.real_dim, {part: d * prod(c[i] for i in part) for part in parts})

@@ -5,7 +5,8 @@ integral q-support simply have even u-support.  A series is stored as
 integer numerators, one per exponent below its truncation order, over one
 positive denominator, reduced after every operation so that the pair is
 canonical; there is no floating point here, and a `fractions.Fraction` is
-built only when a coefficient is read.
+built, and `fractions` imported, only when a coefficient is read as one:
+`ratio_str` prints a coefficient from the integers.
 
 The truncation order is an exclusive bound on the u-exponent.  Binary
 operations truncate to the minimum of the two orders, and two series are
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, lshift, mul
@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .errors import BadConstantTerm, ZeroConstantTerm
 
-Scalar = Union[int, Fraction]
+Scalar = Union[int, "Fraction"]  # fractions.Fraction, imported where one is built
 
 DEFAULT_UORDER = 24  # the default truncation order in u (q-order 12)
 _EXPONENT = r"[eE]([-+]?[\d_]+)\s*\Z"  # the exponent of a Fraction text, compiled on first use
@@ -51,6 +51,7 @@ def as_fraction(value, what: str) -> Fraction:
     if isinstance(value, str) and limit and (m := re.search(_EXPONENT, value)):
         if abs(int(m[1])) > limit:  # an exponent int() cannot read is one Fraction rejects too
             raise ValueError(f"{what} has an exponent beyond the {limit}-digit limit of int()")
+    from fractions import Fraction
     return Fraction(value)
 
 
@@ -69,6 +70,18 @@ def as_ratio(value, what: str) -> tuple[int, int]:
             return p // g, q // g
     f = as_fraction(value, what)
     return f.numerator, f.denominator
+
+
+def ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for ints n and d > 0, in integers: "p/q" in lowest terms, "p" when q = 1.
+    Past `sys.get_int_max_str_digits()` digits it raises ValueError, as str() does."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _is_scalar(x) -> bool:
+    """x is an int or a Fraction, told apart without importing `fractions`: no Fraction exists before it is."""
+    return isinstance(x, int) or ((f := sys.modules.get("fractions")) is not None and isinstance(x, f.Fraction))
 
 
 class _RingOps:
@@ -112,6 +125,7 @@ class _RingOps:
         """exp of an element with zero constant part: its Taylor sum, which ends at the first zero term."""
         if self._has_constant():
             raise BadConstantTerm("exp requires zero constant term")
+        from fractions import Fraction
         result = term = self._coerce(1)
         k = 1
         while not (term := term * self * Fraction(1, k)).is_zero():
@@ -134,13 +148,16 @@ class USeries(_RingOps):
     def __init__(self, coeffs: Mapping[int, Scalar] = (), order: int = DEFAULT_UORDER):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        c: dict[int, Fraction] = {}
+        c: dict[int, Scalar] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for k, v in items:
             if k < 0:
                 raise ValueError(f"negative u-exponent {k}")
             if k < order:
-                c[k] = Fraction(v)
+                if type(v) is not int:  # a Fraction, or what Fraction() reads: 0.5, "1/3", True
+                    from fractions import Fraction
+                    v = Fraction(v)
+                c[k] = v
         # Over the lcm of reduced denominators the numerators share no factor
         # with it: the denominator of largest p-power keeps p out of its term.
         d = lcm(*(v.denominator for v in c.values()))
@@ -186,11 +203,17 @@ class USeries(_RingOps):
         """Coefficient of u^k.  Asking at or beyond the order is an error."""
         if k >= self.order:
             raise ValueError(f"coefficient u^{k} beyond truncation order {self.order}")
+        from fractions import Fraction
         return Fraction(self._n[k], self._d) if k >= 0 else Fraction(0)
 
     def items(self) -> Iterator[Tuple[int, Fraction]]:
+        from fractions import Fraction
         d = self._d
         return ((k, Fraction(v, d)) for k, v in enumerate(self._n) if v)
+
+    def coeff_str(self, k: int) -> str:
+        """str(self.coeff(k)) for 0 <= k < order, printed from the integers by `ratio_str`."""
+        return ratio_str(self._n[k], self._d)
 
     def support(self) -> list[int]:
         return [k for k, v in enumerate(self._n) if v]
@@ -206,10 +229,11 @@ class USeries(_RingOps):
         return not any(self._n[1::2])
 
     def constant(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._n[0], self._d) if self._n else Fraction(0)
 
     def _has_constant(self) -> bool:
-        return bool(self.constant())
+        return any(self._n[:1])
 
     # -- ring structure ----------------------------------------------------
 
@@ -223,7 +247,7 @@ class USeries(_RingOps):
     def _coerce(self, other) -> "USeries | None":
         if isinstance(other, USeries):
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return USeries.const(other, self.order)
         return None
 
@@ -259,9 +283,10 @@ class USeries(_RingOps):
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "USeries":
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             if other == 0:
                 raise ZeroDivisionError("division of series by zero scalar")
+            from fractions import Fraction
             return self * (Fraction(1) / Fraction(other))
         if isinstance(other, USeries):
             return self * other.inverse()
@@ -274,7 +299,7 @@ class USeries(_RingOps):
         for C_0 = 1 and C_k = -sum_(j=1..k) n_j n_0^(j-1) C_(k-j), so the
         inverse is sum_k d C_k n_0^(order-1-k) u^k over n_0^order.
         """
-        if not self.constant():
+        if not self._has_constant():
             raise ZeroConstantTerm("series has zero constant term")
         n, d, order = self._n, self._d, self.order
         n0 = n[0]
@@ -296,8 +321,9 @@ class USeries(_RingOps):
 
     def log(self) -> "USeries":
         """log of a series with constant term 1."""
-        if self.constant() != 1:
+        if self._n[:1] != (self._d,):  # the canonical pair of a constant term 1
             raise BadConstantTerm("log requires constant term 1")
+        from fractions import Fraction
         m, result, power, k = self - 1, USeries.zero(self.order), USeries.one(self.order), 1
         while not (power := power * m).is_zero():
             result = result + power * Fraction((-1) ** (k - 1), k)
@@ -321,7 +347,7 @@ class USeries(_RingOps):
             "var": "u",
             "u_means": "q^(1/2)",
             "order": self.order,
-            "coeffs": [[k, str(v)] for k, v in self.items()],
+            "coeffs": [[k, self.coeff_str(k)] for k in self.support()],
         }
 
     @classmethod
@@ -337,13 +363,13 @@ class USeries(_RingOps):
         if self.is_zero():
             return "0" + _qtail(self.order)
         terms = []
-        for k, v in self.items():
-            mono = _qpower(k)
+        for k in self.support():
+            v, mono = self.coeff_str(k), _qpower(k)
             if mono == "1":
-                terms.append(str(v))
-            elif v == 1:
+                terms.append(v)
+            elif v == "1":
                 terms.append(mono)
-            elif v == -1:
+            elif v == "-1":
                 terms.append(f"-{mono}")
             else:
                 terms.append(f"{v} {mono}")
@@ -406,9 +432,10 @@ def combine(terms, size: int) -> tuple[list[int], int]:
     return out, den
 
 
-def linear_combination(terms: Iterable[Tuple[Scalar, USeries]], order: int) -> USeries:
-    """sum_i a_i s_i truncated at `order`, for scalars a_i and series s_i, over one denominator."""
-    return USeries._make(*combine(((a, (s._n, s._d)) for a, s in terms), order))
+def linear_combination(terms: Iterable[Tuple[Scalar, USeries]], order: int, den: int = 1) -> USeries:
+    """sum_i a_i s_i / den truncated at `order`, for scalars a_i, series s_i and an int den > 0."""
+    nums, d = combine(((a, (s._n, s._d)) for a, s in terms), order)
+    return USeries._make(nums, d * den)
 
 
 class RowView(tuple):

@@ -10,7 +10,9 @@ g(1) = (e^((m-1) b) - 1)/(m-1), narrows [0, 1] to [0, W/F(0)] when the
 root lies below 1 (g(x) >= x F(0)), and then runs Illinois regula falsi:
 false position whose retained endpoint value is halved when the same end
 moves twice running, with the midpoint taken whenever the secant point is
-not strictly inside the bracket.  The iteration constant of the mean value
+not strictly inside the bracket, or when an end stalls: at m = 10000,
+b = 0.0153, g(1) is 1e64 times W, and the halvings alone crept up from
+1e-64 one doubling per step.  The iteration constant of the mean value
 inequality is assembled from closed forms of the geometric sums K_1, K_2.
 
 The sphere Sobolev constant Sigma(m, l1, l2) and the Moser constant C(m, p)
@@ -24,6 +26,7 @@ import math
 from .errors import DimTooLarge, ExponentRangeViolation, FloatRangeExceeded, Record, ToleranceNotReached
 
 _MAX_STEPS = 400
+_STALL = 2.0**-30  # a secant step below this share of the bracket is stalled (`_solve_root`)
 # The largest m of `sobolev_c`: up to it the slowest b found took about 3 s at the default tol (README, "Size
 # caps"); at m = 2e4 the quadrature can chase the rounding of its (m-1)-th power for seconds.
 MAX_M = 10_000
@@ -176,12 +179,13 @@ def _solve_root(m: int, b: float, tol: float) -> float:
             lo, g_lo, hi = hi, g_hi, 2.0 * hi
         if not math.isfinite(hi):
             raise OverflowError("the root exceeds the largest double")
-    moved = 0  # -1 or 1: the end the previous step replaced
+    moved = 0  # -j or j: the last j steps all replaced lo, or all hi
     steps = 0
     while steps < _MAX_STEPS:
         denom = g_hi - g_lo
         x = (lo * g_hi - hi * g_lo) / denom if denom else lo  # lo: bisect
-        if not lo < x < hi:
+        # a stall: one end moved 3 times running and the secant point all but sits on an end
+        if not lo < x < hi or (abs(moved) >= 3 and min(x - lo, hi - x) < (hi - lo) * _STALL):
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
                 break  # lo and hi are adjacent doubles
@@ -193,12 +197,12 @@ def _solve_root(m: int, b: float, tol: float) -> float:
             lo, g_lo = x, value
             if moved < 0:
                 g_hi *= 0.5
-            moved = -1
+            moved = min(moved, 0) - 1
         else:
             hi, g_hi = x, value
             if moved > 0:
                 g_lo *= 0.5
-            moved = 1
+            moved = max(moved, 0) + 1
     raise ToleranceNotReached(
         f"residual tolerance {tol} not reached after {steps} iterations"
     )

@@ -781,6 +781,8 @@ VERIFY = {"ellgen.verify"}
 GENUS_ROUTE = FRONT_END | {"ellgen.series", "ellgen.pontryagin"}
 # the cross-check routes (theta products, the RootSeries/PontPoly ring, residues) and the rest
 NOT_FOR_GENERA = {"ellgen.chern", "ellgen.theta", "ellgen.genera", "ellgen.bundles", "ellgen.modular", "ellgen.sobolev"}
+# what `import fractions` executes: the genus route runs in integers from manifold file to output
+RATIONAL_TOWER = {"fractions", "decimal", "numbers"}
 
 
 def package_modules(executed):
@@ -804,15 +806,18 @@ def test_sobolev_command_executes_only_sobolev():
 
 
 def test_genus_command_skips_bundles_modular_sobolev(k3_file):
-    executed = executed_modules("genus", "--manifold", k3_file, "--genus", "ell2", "--uorder", "4")
-    assert package_modules(executed) == GENUS_ROUTE
-    assert not executed & NOT_FOR_GENERA
+    for kind in ("ahat", "lhat", "ell1", "ell2", "witten"):
+        for fmt in ("text", "json"):
+            executed = executed_modules("genus", "--manifold", k3_file, "--genus", kind, "--uorder", "4", "--format", fmt)
+            assert package_modules(executed) == GENUS_ROUTE, (kind, fmt)
+            assert not executed & (NOT_FOR_GENERA | RATIONAL_TOWER), (kind, fmt)
 
 
 def test_hypersurface_command_skips_bundles_modular_sobolev():
-    executed = executed_modules("hypersurface", "--ambient", "5", "--degree", "2", "--uorder", "4")
-    assert package_modules(executed) == GENUS_ROUTE
-    assert not executed & NOT_FOR_GENERA
+    for fmt in ("text", "json"):
+        executed = executed_modules("hypersurface", "--ambient", "5", "--degree", "2", "--uorder", "4", "--format", fmt)
+        assert package_modules(executed) == GENUS_ROUTE, fmt
+        assert not executed & (NOT_FOR_GENERA | RATIONAL_TOWER), fmt
 
 
 def test_cancellation_check_executes_the_genus_route_and_the_class_ring():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellgen.errors import BadConstantTerm, WeightViolation, ZeroConstantTerm
-from ellgen.series import USeries, as_fraction, as_ratio, linear_combination
+from ellgen.series import USeries, as_fraction, as_ratio, linear_combination, ratio_str
 from ellgen.theta import weighted_product
 
 
@@ -475,3 +475,37 @@ print("ok")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+# -- printing ----------------------------------------------------------------
+
+@pytest.mark.parametrize("n, d", [(0, 1), (0, 7), (5, 1), (-5, 1), (1, 3), (-1, 3), (6, 4), (-6, 4), (-12, 36), (7, 7),
+                                  (-3 * 10**40, 6 * 10**20)])
+def test_ratio_str_prints_what_fraction_prints(n, d):
+    assert ratio_str(n, d) == str(F(n, d))
+
+
+@given(st.integers(), st.integers(min_value=1))
+def test_ratio_str_prints_what_fraction_prints_at_random(n, d):
+    assert ratio_str(n, d) == str(F(n, d))
+
+
+@given(useries())
+def test_printed_coefficients_are_those_of_fraction(s):
+    assert s.to_json()["coeffs"] == [[k, str(v)] for k, v in s.items()]
+    assert [s.coeff_str(k) for k in range(s.order)] == [str(s.coeff(k)) for k in range(s.order)]
+
+
+def test_ratio_str_refuses_past_the_digit_limit_as_str_does():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest limit there is
+    try:
+        big = 10**640  # 641 digits
+        for n, d in [(big, 1), (-big, 1), (big + 1, 3), (1, 3 * big), (2 * big, 2)]:
+            with pytest.raises(ValueError):
+                str(F(n, d))
+            with pytest.raises(ValueError):
+                ratio_str(n, d)
+        assert ratio_str(big // 10, 1) == str(big // 10)  # 640 digits: at the limit, not past it
+    finally:
+        sys.set_int_max_str_digits(limit)

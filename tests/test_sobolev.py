@@ -130,6 +130,19 @@ def test_solver_root_far_below_one_at_large_m(m, b):
     assert abs(x - reference) < 1e-9 * reference
 
 
+@pytest.mark.parametrize("m, b", [(10000, 0.0153), (5000, 0.0226)])
+def test_a_root_false_position_crawled_to_takes_few_evaluations(monkeypatch, m, b):
+    # g(1) is about 3e62 (2e45) while W is 0.025 (0.035): false position from [0, 1] crept
+    # up from 1e-64 (1e-47) by one doubling per step, 217 (153) evaluations, until a stalled end bisected
+    calls = []
+    xF = ellgen.sobolev._xF
+    monkeypatch.setattr(ellgen.sobolev, "_xF", lambda *args: calls.append(args) or xF(*args))
+    tol = 1e-11
+    x = sobolev_c(m, b, tol)
+    assert len(calls) <= 60
+    assert abs(xF(m, b, x, 1e-13) - wallis(m)) < tol  # the residual `sobolev` reports
+
+
 @pytest.mark.parametrize("x", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("m", [2, 3, 8, 64, 1030])
 def test_closed_form_matches_the_binomial_sum(m, x):

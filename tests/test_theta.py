@@ -9,7 +9,7 @@ import sympy
 from ellgen.chern import RootSeries, _log_coefficients, genus_class, partitions_of, rotate_x
 from ellgen.errors import OddTermPresent, WeightViolation
 from ellgen.genera import ahat_class, x_over_tanh_poly
-from ellgen.pontryagin import cosh_half_poly, genus_columns, genus_log
+from ellgen.pontryagin import _bernoulli, cosh_half_poly, genus_columns, genus_log
 from ellgen.series import USeries, row_view
 from ellgen.theta import (
     GenusKind,
@@ -56,6 +56,24 @@ def test_prefactor_closed_forms_match_sympy_at_every_xdeg():
             got = poly(xdeg)
             assert got == {k: v for k, v in full.items() if k < xdeg}, (poly.__name__, xdeg)
             assert all(type(v) is F for v in got.values())
+
+
+def bernoulli_recurrence(m):
+    """B_0..B_(m-1) as Fractions, from B_0 = 1 and sum_{j<=i} C(i+1, j) B_j = 0 (i >= 1)."""
+    b = [F(1)]
+    for i in range(1, m):
+        b.append(-sum(math.comb(i + 1, j) * b[j] for j in range(i)) / (i + 1))
+    return b
+
+
+def test_bernoulli_numbers_from_tangent_numbers_match_the_recurrence():
+    reference = bernoulli_recurrence(121)
+    pairs = _bernoulli(60)
+    assert len(pairs) == 61
+    for k, (p, q) in enumerate(pairs):
+        assert q > 0 and math.gcd(p, q) == 1, k  # reduced
+        assert F(p, q) == reference[2 * k], k
+    assert _bernoulli(0) == [(1, 1)] and _bernoulli(3) == [(1, 1), (1, 6), (-1, 30), (1, 42)]
 
 
 def test_theta_u0_slice_is_ahat_factor():
