@@ -4,7 +4,9 @@ The twisted tensor products Theta x Theta_1 and Theta x Theta_2 of the
 reduced tangent bundle expand as q-series whose coefficients A_k, B_k are
 integer combinations of monomials S^a1(T)...Lambda^b1(T)... of total tensor
 power at most k.  Reduction by the trivial bundle only contributes scalar
-factors (1 -+ t)^(+-4n), so the monomials stay honest S/Lambda powers of T.
+factors (1 -+ t)^(+-4n), so the monomials stay honest S/Lambda powers of T;
+the scalars make one integer u-series, built by one in-place pass per factor
+and one 4n-th power.
 
 The coefficient bundles feed an index-route computation of Ell_2 through
 the Chern character, entirely independent of the theta-product route.
@@ -20,16 +22,17 @@ index vector of a virtual bundle v, the weight-n part of A-hat(T) ch(v), is
 one product per bundle, rewritten once in p_1..p_n (`_power_sum_terms`).
 Ell_2 is the row view of those rows for B_0, B_1, ..., memoized per
 (n, uorder), and `pontryagin._pair_rows`, the pairing kernel of the
-Pontryagin route too, multiplies it by the Pontryagin numbers of M.  Only
-the public `ch_*` functions load `chern`, for the `PontPoly` they return.
+Pontryagin route too, multiplies it by the Pontryagin numbers of M.  The
+route runs in integers: only the public `ch_*` functions load `chern` and
+`fractions`, for the `PontPoly` they return, and `index_bundle` reads its
+index as a `Fraction`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, factorial, lcm
+from itertools import accumulate, repeat
+from math import comb, factorial, gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -228,14 +231,37 @@ def _mul_powers(terms: list[dict], w: int, slot: int, sign: int, top: int) -> No
                 dst[out] = dst.get(out, 0) + f * c
 
 
+def _scalar(which: str, n: int, uorder: int) -> list[int]:
+    """[u^k], k < uorder, of prod_(w even) (1 - u^w)^(4n) prod_w (1 + s u^w)^(-4n), the scalar of `expand_witten`.
+
+    The base b = prod (1 - u^w) / prod (1 + s u^w) takes one in-place pass
+    per factor, and its power g = b^(4n) one pass of J. C. P. Miller's
+    recurrence k g_k = sum_j ((4n + 1) j - k) b_j g_(k-j), b_0 = 1 (Knuth,
+    TAOCP vol. 2, sec. 4.7): all in integers, the division by k exact.
+    """
+    sign = 1 if which == "theta1" else -1
+    base = [1] + [0] * (uorder - 1)
+    for w in range(2, uorder, 2):
+        for k in range(uorder - 1, w - 1, -1):  # times 1 - u^w: downwards, base[k - w] is still old
+            base[k] -= base[k - w]
+    for w in range(2 if which == "theta1" else 1, uorder, 2):
+        for k in range(w, uorder):  # over 1 + s u^w: upwards, base[k - w] is already new
+            base[k] -= sign * base[k - w]
+    e1, g = 4 * n + 1, [1] + [0] * (uorder - 1)
+    for k in range(1, uorder):
+        g[k] = sum((e1 * j - k) * base[j] * g[k - j] for j in range(1, k + 1)) // k
+    return g
+
+
 @lru_cache(maxsize=128)
 def expand_witten(which: str, n: int, uorder: int) -> BundleQSeries:
     """Expand Theta x Theta_1 ("theta1") or Theta x Theta_2 ("theta2").
 
     Uses S_t(E - C^r) = S_t(E)(1-t)^r and Lambda_t(E - C^r) = Lambda_t(E)
     (1+t)^(-r): the u^k coefficient is the bundle A_k resp. B_k.  The scalar
-    factors are integer u-series that commute with the bundle factors, so
-    they are collected into one series and applied once at the end.
+    factors commute with the bundle factors, so they are collected into one
+    integer series, built by in-place passes and one power (`_scalar`), and
+    applied once at the end.
     """
     if which not in ("theta1", "theta2"):
         raise ValueError(f"which must be 'theta1' or 'theta2', got {which!r}")
@@ -250,21 +276,18 @@ def expand_witten(which: str, n: int, uorder: int) -> BundleQSeries:
     sign = 1 if which == "theta1" else -1
     terms: list[dict] = [{} for _ in range(uorder)]
     terms[0][((), ())] = 1
-    scalar = USeries.one(uorder)
     # The in-place passes commute: one family of factors after the other.
     for w in range(2, uorder, 2):
         _mul_powers(terms, w, 0, 1, uorder)
-        scalar = scalar * (USeries.one(uorder) - USeries.monomial(w, 1, uorder)) ** rank
     for w in range(2 if which == "theta1" else 1, uorder, 2):
         _mul_powers(terms, w, 1, sign, rank)  # Lambda^b of the rank-4n bundle is zero for b > 4n
-        scalar = scalar * (USeries.one(uorder) + USeries.monomial(w, sign, uorder)) ** (-rank)
     scaled: list[dict] = [{} for _ in range(uorder)]
-    for i, s in scalar.items():
-        s = as_int(s, "bundle scalar coefficient")
-        for k in range(uorder - i):
-            dst = scaled[i + k]
-            for key, c in terms[k].items():
-                dst[key] = dst.get(key, 0) + s * c
+    for i, s in enumerate(_scalar(which, n, uorder)):
+        if s:
+            for k in range(uorder - i):
+                dst = scaled[i + k]
+                for key, c in terms[k].items():
+                    dst[key] = dst.get(key, 0) + s * c
     coeffs = {}
     for k, acc in enumerate(scaled):
         t = {BundleMonomial(*key): c for key, c in acc.items() if c}
@@ -302,10 +325,10 @@ def _s_basis(nmax: int):
     return parts, table
 
 
-def _s_class(coeffs: Mapping[Partition, Fraction], nmax: int) -> SClass:
-    """The class sum_mu c_mu s_mu of rational coefficients, weight <= nmax."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return reduce_ratio([int(coeffs.get(mu, 0) * den) for mu in _s_basis(nmax)[0]], den)
+def _s_class(coeffs: Mapping[Partition, tuple[int, int]], nmax: int) -> SClass:
+    """The class sum_mu (p_mu / q_mu) s_mu of (p, q > 0) integer pairs, weight <= nmax."""
+    den = lcm(*(q for _, q in coeffs.values()))
+    return reduce_ratio([p * (den // q) for p, q in map(coeffs.get, _s_basis(nmax)[0], repeat((0, 1)))], den)
 
 
 def _s_mul(a: SClass, b: SClass, nmax: int) -> SClass:
@@ -325,9 +348,9 @@ def _s_mul(a: SClass, b: SClass, nmax: int) -> SClass:
 @lru_cache(maxsize=None)
 def _scaled_tangent_ch(k: int, n: int, nmax: int) -> SClass:
     """sum_j (e^{k x_j} + e^{-k x_j}) = 4n + sum_r 2 k^(2r) s_r / (2r)!."""
-    coeffs = {(): Fraction(4 * n)}
+    coeffs = {(): (4 * n, 1)}
     for r in range(1, nmax + 1):
-        coeffs[(r,)] = Fraction(2 * k ** (2 * r), factorial(2 * r))
+        coeffs[(r,)] = 2 * k ** (2 * r), factorial(2 * r)
     return _s_class(coeffs, nmax)
 
 
@@ -397,6 +420,8 @@ def _s_to_p(nums, parts) -> dict[Partition, int]:
 
 def _to_pont(c: SClass, nmax: int, uorder: int):
     """Rewrite an s-basis class as a `chern.PontPoly` in p_1..p_nmax with constant u-series coefficients."""
+    from fractions import Fraction
+
     from .chern import PontPoly
 
     nums, den = c
@@ -427,11 +452,14 @@ def _ahat_s(n: int) -> SClass:
 
     c_mu = f(0)^(2n) prod_k a_k^(m_k) / m_k!, m_k the multiplicity of k in mu (Macdonald, ch. I.2).
     """
-    f0, a = genus_log(GenusKind.AHAT, n, 1)
-    coeffs = {(): f0.constant() ** (2 * n)}
+    f0, a = genus_log(GenusKind.AHAT, n, 1)  # constant series: each is (_n[0], _d)
+    coeffs = {(): (f0._n[0] ** (2 * n), f0._d ** (2 * n))}
     for mu in (mu for w in range(1, n + 1) for mu in partitions_of(w)):
         k = mu[-1]  # c_mu from mu less one smallest part
-        coeffs[mu] = coeffs[mu[:-1]] * a[k - 1].constant() / mu.count(k)
+        p, q = coeffs[mu[:-1]]
+        p, q = p * a[k - 1]._n[0], q * a[k - 1]._d * mu.count(k)
+        g = gcd(p, q)
+        coeffs[mu] = p // g, q // g
     return _s_class(coeffs, n)
 
 

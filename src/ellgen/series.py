@@ -188,10 +188,6 @@ class USeries(_RingOps):
     def one(cls, order: int = DEFAULT_UORDER) -> "USeries":
         return cls({0: 1}, order)
 
-    @classmethod
-    def monomial(cls, k: int, value: Scalar = 1, order: int = DEFAULT_UORDER) -> "USeries":
-        return cls({k: value}, order)
-
     # -- inspection --------------------------------------------------------
 
     @property

@@ -9,16 +9,14 @@ from __future__ import annotations
 import json
 import math
 import random
-from fractions import Fraction
 
 from . import bundles, genera, modular, pontryagin
 from .errors import ResidualNonzero
 
 
 def _random_manifold(n: int, rng) -> pontryagin.Manifold:
-    pont = {
-        p: Fraction(rng.randint(-60, 60), rng.randint(1, 6)) for p in pontryagin.partitions_of(n)
-    }
+    # "p/q" texts, which `Manifold` reads in integers: the numbers of Fraction(p, q) from the same draws
+    pont = {p: f"{rng.randint(-60, 60)}/{rng.randint(1, 6)}" for p in pontryagin.partitions_of(n)}
     return pontryagin.Manifold(name=f"random-n{n}", dim=4 * n, pont=pont)
 
 
@@ -47,6 +45,8 @@ def cmd_verify(args) -> bool:
     failures: list[str] = []
 
     if args.check == "cancellation":
+        from fractions import Fraction
+
         if not genera.cancellation_class().is_zero():
             failures.append("symbolic weight-2 residual is nonzero")
         residuals = []

@@ -7,10 +7,12 @@ from math import comb
 import pytest
 
 from ellgen.bundles import (
+    MAX_UORDER,
     BundleMonomial,
     BundleQSeries,
     VirtualBundlePoly,
     _power_sum_terms,
+    _scalar,
     ch_monomial,
     ch_virtual,
     ell2_via_bundles,
@@ -346,13 +348,13 @@ def _reference_expand_witten(which, n, uorder):
             sym = {w_sym * a: VirtualBundlePoly({BundleMonomial.make(sym=(a,)): 1}, n)
                    for a in range(1, (uorder - 1) // w_sym + 1)}
             result = mul(result, {0: VirtualBundlePoly.const(1, n), **sym})
-            one_minus = USeries.one(uorder) - USeries.monomial(w_sym, 1, uorder)
+            one_minus = USeries.one(uorder) - USeries({w_sym: 1}, uorder)
             result = mul(result, scalar(one_minus**rank))
         if w_twist < uorder:
             ext = {w_twist * b: VirtualBundlePoly({BundleMonomial.make(ext=(b,)): sign**b}, n)
                    for b in range(1, (uorder - 1) // w_twist + 1)}
             result = mul(result, {0: VirtualBundlePoly.const(1, n), **ext})
-            one_plus = USeries.one(uorder) + USeries.monomial(w_twist, sign, uorder)
+            one_plus = USeries.one(uorder) + USeries({w_twist: sign}, uorder)
             result = mul(result, scalar(one_plus ** (-rank)))
         m += 1
     return BundleQSeries(n, uorder, result)
@@ -364,6 +366,25 @@ def test_expand_witten_matches_in_place_reference(which):
     cases = [(n, uorder) for n in (1, 2, 3) for uorder in (1, 2, 3, 5, 8, 12)] + [(2, 16), (4, 8)]
     for n, uorder in cases:
         assert expand_witten(which, n, uorder) == _reference_expand_witten(which, n, uorder)
+
+
+def _reference_scalar(which, n, uorder):
+    """prod_(w even) (1 - u^w)^(4n) prod_w (1 + s u^w)^(-4n) as a product of `USeries` powers and inverses."""
+    sign = 1 if which == "theta1" else -1
+    out = USeries.one(uorder)
+    for w in range(2, uorder, 2):
+        out = out * (USeries.one(uorder) - USeries({w: 1}, uorder)) ** (4 * n)
+    for w in range(2 if which == "theta1" else 1, uorder, 2):
+        out = out * (USeries.one(uorder) + USeries({w: sign}, uorder)) ** (-4 * n)
+    return out
+
+
+@pytest.mark.parametrize("which", ["theta1", "theta2"])
+def test_integer_scalar_is_the_useries_product(which):
+    for n in (1, 2, 3, 5, 20):
+        for uorder in (1, 2, 3, 12, MAX_UORDER):
+            ref = _reference_scalar(which, n, uorder)
+            assert _scalar(which, n, uorder) == [ref.coeff(k) for k in range(uorder)], (n, uorder)
 
 
 def test_memoized_expansion_is_read_only():
@@ -571,7 +592,7 @@ def test_bundle_route_pairs_the_index_vectors_in_the_s_basis(n):
             for mono, coef in b.coeff(k).items():
                 nums, den = _s_mul(_ahat_s(n), _ch_monomial_s(mono, n, n), n)
                 for i, x in enumerate(nums[-top:]):
-                    cols[i] = cols[i] + USeries.monomial(k, coef * F(x, den), uorder)
+                    cols[i] = cols[i] + USeries({k: coef * F(x, den)}, uorder)
         for m in manifolds:
             want = USeries.zero(uorder)
             for mu, col in zip(partitions_of(n), cols):

@@ -105,7 +105,7 @@ def test_genus_class_rejects_odd_terms():
 
 
 def test_genus_class_rejects_nonunit():
-    f = RootSeries({0: USeries.monomial(1, 1, 4), 2: USeries.one(4)}, 4, 4)
+    f = RootSeries({0: USeries({1: 1}, 4), 2: USeries.one(4)}, 4, 4)
     with pytest.raises(NonUnitConstant):
         genus_class(f, 1)
 

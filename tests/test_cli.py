@@ -170,6 +170,19 @@ def test_verify_route_equivalence(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_random_manifold_has_the_numbers_of_fraction_from_the_same_draws():
+    import random
+
+    from ellgen import pontryagin, verify
+
+    for n in range(1, 7):
+        for seed in (0, 1, 5, 42, 123):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            pont = {p: Fraction(ref_rng.randint(-60, 60), ref_rng.randint(1, 6)) for p in pontryagin.partitions_of(n)}
+            assert verify._random_manifold(n, rng) == Manifold(f"random-n{n}", 4 * n, pont), (n, seed)
+            assert rng.random() == ref_rng.random()  # the same number of draws
+
+
 def test_verify_transformation_laws(capsys):
     code, out, _ = run(capsys, "verify", "--check", "transformation-laws", "--tau", "i")
     assert code == 0
@@ -250,7 +263,7 @@ def test_integral_manifold_dim_still_parses(dim):
 def test_json_integer_fields_reject_fractional_values(value, ok):
     parses = [
         (lambda: USeries.from_json({"order": value, "coeffs": [[0, "1"]]}), USeries.one(8)),
-        (lambda: USeries.from_json({"order": 9, "coeffs": [[value, "1/2"]]}), USeries.monomial(8, Fraction(1, 2), 9)),
+        (lambda: USeries.from_json({"order": 9, "coeffs": [[value, "1/2"]]}), USeries({8: Fraction(1, 2)}, 9)),
         (lambda: Hypersurface.from_json({"ambient": value, "degree": 2}), Hypersurface(8, 2)),
         (lambda: Hypersurface.from_json({"ambient": 5, "degree": value}), Hypersurface(5, 8)),
         (lambda: Manifold.from_json({"dim": value}), Manifold("", 8)),
@@ -659,7 +672,7 @@ def failed_check(capsys, *argv):
 
 
 def off_by_one_coefficient(route):
-    return lambda *args: route(*args) + USeries.monomial(args[-1] - 1, 1, args[-1])
+    return lambda *args: route(*args) + USeries({args[-1] - 1: 1}, args[-1])
 
 
 def test_cancellation_check_fails_on_a_nonzero_residual(capsys, monkeypatch):
@@ -781,7 +794,7 @@ VERIFY = {"ellgen.verify"}
 GENUS_ROUTE = FRONT_END | {"ellgen.series", "ellgen.pontryagin"}
 # the cross-check routes (theta products, the RootSeries/PontPoly ring, residues) and the rest
 NOT_FOR_GENERA = {"ellgen.chern", "ellgen.theta", "ellgen.genera", "ellgen.bundles", "ellgen.modular", "ellgen.sobolev"}
-# what `import fractions` executes: the genus route runs in integers from manifold file to output
+# what `import fractions` executes: the genus and bundle routes run in integers from input to output
 RATIONAL_TOWER = {"fractions", "decimal", "numbers"}
 
 
@@ -873,6 +886,19 @@ def test_bundles_command_executes_the_bundle_route_alone():
     executed = executed_modules("bundles", "--n", "2", "--uorder", "4")
     assert package_modules(executed) == BUNDLE_ROUTE
     assert "ellgen.chern" not in executed
+
+
+def test_route_equivalence_check_runs_in_integers():
+    executed = executed_modules("verify", "--check", "route-equivalence", "--samples", "1")
+    assert package_modules(executed) == FRONT_END | VERIFY | {"ellgen.series", "ellgen.pontryagin", "ellgen.bundles"}
+    assert not executed & RATIONAL_TOWER
+
+
+def test_bundles_command_runs_in_integers():
+    for fmt in ("text", "json"):
+        executed = executed_modules("bundles", "--n", "2", "--uorder", "5", "--format", fmt)
+        assert package_modules(executed) == FRONT_END | {"ellgen.series", "ellgen.pontryagin", "ellgen.bundles"}, fmt
+        assert not executed & RATIONAL_TOWER, fmt
 
 
 def test_modular_relation_executes_the_genus_route_and_modular():

@@ -107,7 +107,7 @@ def test_theta2_factor_oracle():
         ex = {k: F(1, sympy.factorial(k)) for k in range(xdeg)}
         emx = {k: (F(-1) ** k) * v for k, v in ex.items()}
         one = RootSeries.const(1, xdeg, uorder)
-        t = USeries.monomial(w, 1, uorder)
+        t = USeries({w: 1}, uorder)
         fac = (one - RootSeries.from_xpoly(ex, xdeg, uorder) * t) * (
             one - RootSeries.from_xpoly(emx, xdeg, uorder) * t
         )
@@ -193,7 +193,7 @@ def test_rotate_is_x_to_ix_and_an_involution():
 
 def test_rs_product_weight_violation():
     def bad():
-        yield 4, RootSeries.const(1, 3, 8) + RootSeries.const(USeries.monomial(1, 1, 8), 3, 8)
+        yield 4, RootSeries.const(1, 3, 8) + RootSeries.const(USeries({1: 1}, 8), 3, 8)
 
     with pytest.raises(WeightViolation):
         weighted_product(bad(), RootSeries.const(1, 3, 8), 8)
@@ -201,8 +201,8 @@ def test_rs_product_weight_violation():
 
 def test_weighted_product_rootseries_weights_must_increase():
     def bad():
-        yield 1, RootSeries.const(1, 3, 8) + RootSeries.const(USeries.monomial(2, 1, 8), 3, 8)
-        yield 1, RootSeries.const(1, 3, 8) + RootSeries.const(USeries.monomial(2, 1, 8), 3, 8)
+        yield 1, RootSeries.const(1, 3, 8) + RootSeries.const(USeries({2: 1}, 8), 3, 8)
+        yield 1, RootSeries.const(1, 3, 8) + RootSeries.const(USeries({2: 1}, 8), 3, 8)
 
     with pytest.raises(WeightViolation, match="strictly increase"):
         weighted_product(bad(), RootSeries.const(1, 3, 8), 8)
@@ -226,18 +226,18 @@ def oracle_theta_factor(kind, xdeg, uorder):
         while True:
             if kind == "theta2":
                 w = 2 * m - 1
-                core = one - two_cosh * USeries.monomial(w, 1, uorder) + USeries.monomial(2 * w, 1, uorder)
-                scalar = (USeries.one(uorder) - USeries.monomial(w, 1, uorder)) ** (-2)
+                core = one - two_cosh * USeries({w: 1}, uorder) + USeries({2 * w: 1}, uorder)
+                scalar = (USeries.one(uorder) - USeries({w: 1}, uorder)) ** (-2)
                 yield w, core * scalar
             elif kind == "theta1":
                 w = 2 * m
-                core = one + two_cosh * USeries.monomial(w, 1, uorder) + USeries.monomial(2 * w, 1, uorder)
-                scalar = (USeries.one(uorder) + USeries.monomial(w, 1, uorder)) ** (-2)
+                core = one + two_cosh * USeries({w: 1}, uorder) + USeries({2 * w: 1}, uorder)
+                scalar = (USeries.one(uorder) + USeries({w: 1}, uorder)) ** (-2)
                 yield w, core * scalar
             else:
                 w = 2 * m
-                den = one - two_cosh * USeries.monomial(w, 1, uorder) + USeries.monomial(2 * w, 1, uorder)
-                num = (USeries.one(uorder) - USeries.monomial(w, 1, uorder)) ** 2
+                den = one - two_cosh * USeries({w: 1}, uorder) + USeries({2 * w: 1}, uorder)
+                num = (USeries.one(uorder) - USeries({w: 1}, uorder)) ** 2
                 yield w, den.inverse() * num
             m += 1
 
@@ -339,7 +339,7 @@ def definition_family(kind, xdeg, uorder):
 
     def factors():
         for w in itertools.count(first, 2):
-            t = USeries.monomial(w, c, uorder)
+            t = USeries({w: c}, uorder)
             f = 1 + z * (t * (1 + t) ** -2)
             yield w, f.inverse() if divides else f
 
