@@ -20,6 +20,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "bundle_route": "",
     "bundles": "BundleMonomial BundleQSeries VirtualBundlePoly ch_monomial ch_virtual "
     "ell2_via_bundles expand_witten index_bundle",
     "chern": "PontPoly RootSeries ch_tangent disjoint_union genus_class newton_power_sum pair",

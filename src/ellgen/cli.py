@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 verification check failed, 2 malformed input
 errors, 4 an internal error (a bug), with its traceback on stderr.  Exit 3 covers a size
 above its cap, refused before any work: an n = dim/4 above `pontryagin.MAX_N`
 (a manifold's `dim`, a hypersurface's `--ambient`, `verify --n`), a `--uorder`
-above `bundles.MAX_UORDER` (`bundles`, `verify --check route-equivalence`) or
+above `bundle_route.MAX_UORDER` (`bundles`, `verify --check route-equivalence`) or
 `modular.LAW_CAP` (`transformation-laws`), or whose cost p(n)^(3/2) uorder^2 is
 above `pontryagin.MAX_COST` (`genus`, `hypersurface`, `modular-relation`), a
 `sobolev --m` above `sobolev.MAX_M` and a `--tol` below the rounding of x F(x).

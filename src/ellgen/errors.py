@@ -66,7 +66,7 @@ class DimTooLarge(DimMismatch):
 
 
 class OrderTooLarge(DimMismatch):
-    """A uorder above its cap: `bundles.MAX_UORDER` on the bundle route, `modular.LAW_CAP` for the
+    """A uorder above its cap: `bundle_route.MAX_UORDER` on the bundle route, `modular.LAW_CAP` for the
     transformation laws, and the budget p(n)^(3/2) uorder^2 <= `pontryagin.MAX_COST` of a genus class
     or a modular basis; a `DimMismatch`, as `DimTooLarge` is, so that the CLI exits 3."""
 

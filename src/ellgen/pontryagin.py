@@ -10,13 +10,14 @@ turns them into the class in p_1..p_n (`_p_class`), and `_pair_rows`, the
 one pairing kernel of both genus routes, multiplies the row view of its
 weight-n columns by the manifold's integer numbers.  The cross-check routes
 live elsewhere: the theta products in `theta`, the ring of `RootSeries` and
-`PontPoly` in `chern`, the residue route and the twisted A-hat in `genera`.
+`PontPoly` in `chern`, the residue route and the twisted A-hat in `genera`,
+the index sum over the Witten bundles in `bundle_route`.
 The route runs in integers from the manifold's numbers to the printed
 output: `fractions` loads only where a value is read as a `Fraction`.
 
 No n above `MAX_N` is accepted: `_check_n` raises `DimTooLarge`, and
 `partitions_of` (so every path that enumerates the partitions of n) and
-`bundles.expand_witten` call it before any work; nor is a cost p(n)^(3/2)
+`bundle_route.witten_terms` call it before any work; nor is a cost p(n)^(3/2)
 uorder^2 above `MAX_COST` (`_check_cost`, first in `genus_columns` and `modular._basis`).
 """
 

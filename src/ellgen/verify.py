@@ -1,7 +1,8 @@
 """`ellgen verify`: the identity suites, compiled only when that command runs.
 
 Each check builds its inputs, runs one identity, and prints one JSON report
-that says what was checked, at which order, and against what tolerance.
+that says what was checked, at which order, on which seeded draw, and
+against what tolerance.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import json
 import math
 import random
 
-from . import bundles, genera, modular, pontryagin
+from . import bundle_route, genera, modular, pontryagin
 from .errors import ResidualNonzero
 
 
@@ -58,6 +59,7 @@ def cmd_verify(args) -> bool:
             if r:
                 failures.append(f"residual {r} at (p1^2, p2) = ({p11}, {p2})")
         report["samples"] = args.samples
+        report["seed"] = args.seed
         report["residuals"] = residuals
         report["residual"] = "0" if not failures else "nonzero"
 
@@ -66,6 +68,8 @@ def cmd_verify(args) -> bool:
         uorder = args.uorder
         report["n"] = n
         report["uorder"] = uorder
+        report["samples"] = args.samples
+        report["seed"] = args.seed
         resid = "0"
         for _ in range(args.samples):
             m = _random_manifold(n, rng)
@@ -86,9 +90,11 @@ def cmd_verify(args) -> bool:
         uorder = args.uorder
         report["n"] = n
         report["uorder"] = uorder
+        report["samples"] = args.samples
+        report["seed"] = args.seed
         for _ in range(args.samples):
             m = _random_manifold(n, rng)
-            if bundles.ell2_via_bundles(m, uorder) != pontryagin.genus(m, pontryagin.GenusKind.ELL2, uorder):
+            if bundle_route.ell2_via_bundles(m, uorder) != pontryagin.genus(m, pontryagin.GenusKind.ELL2, uorder):
                 failures.append(f"{m.name}: bundle route disagrees with Pontryagin route")
         report["residual"] = "0" if not failures else "nonzero"
 

@@ -6,13 +6,11 @@ from math import comb
 
 import pytest
 
+from ellgen.bundle_route import MAX_UORDER, _index_class, _power_sum_terms, _scalar, witten_terms
 from ellgen.bundles import (
-    MAX_UORDER,
     BundleMonomial,
     BundleQSeries,
     VirtualBundlePoly,
-    _power_sum_terms,
-    _scalar,
     ch_monomial,
     ch_virtual,
     ell2_via_bundles,
@@ -387,6 +385,35 @@ def test_integer_scalar_is_the_useries_product(which):
             assert _scalar(which, n, uorder) == [ref.coeff(k) for k in range(uorder)], (n, uorder)
 
 
+# -- the split: the route's integer kernel against the public objects ---------
+
+
+@pytest.mark.parametrize("which", ["theta1", "theta2"])
+def test_witten_terms_are_the_public_expansion_term_for_term(which):
+    for n in (1, 2, 3, 5):
+        for uorder in (1, 8, 16, MAX_UORDER):
+            terms, bqs = witten_terms(which, n, uorder), expand_witten(which, n, uorder)
+            assert type(terms) is tuple and len(terms) == uorder, (n, uorder)
+            for k, row in enumerate(terms):
+                assert type(row) is tuple and all(type(mono) is tuple and type(c) is int for mono, c in row)
+                assert sorted(row) == sorted((tuple(mono), c) for mono, c in bqs.coeff(k).items()), (n, uorder, k)
+            assert set(bqs.coeffs) == {k for k, row in enumerate(terms) if row}
+
+
+@pytest.mark.parametrize("n,uorder", [(1, 12), (2, 16), (3, 12), (4, 8)])
+def test_index_class_row_k_is_the_index_of_b_k(n, uorder):
+    # row k of the route's class, paired by hand, against the public index of the bundle object B_k
+    rows, den = _index_class(n, uorder)
+    by_k = dict(rows)
+    b = expand_witten("theta2", n, uorder)
+    rng = random.Random(400 + n)
+    for m in [_random_manifold(n, rng) for _ in range(3)]:
+        for k in range(uorder):
+            row = by_k.get(k, (0,) * len(partitions_of(n)))
+            value = sum((F(x, den) * m.pont.get(lam, 0) for x, lam in zip(row, partitions_of(n))), F(0))
+            assert value == index_bundle(m, b.coeff(k)), (m.name, k)
+
+
 def test_memoized_expansion_is_read_only():
     b = expand_witten("theta2", 2, 8)
     with pytest.raises(TypeError):
@@ -417,8 +444,6 @@ def test_integral_bundle_inputs_of_other_types_are_read_exactly():
 
 
 def test_index_class_memo_holds_one_entry_per_uorder():
-    from ellgen.bundles import _index_class
-
     _index_class.cache_clear()
     ell2_via_bundles(K3, 6)
     ell2_via_bundles(K3, 7)
@@ -559,7 +584,7 @@ def test_ch_converters_return_pont_polys_and_pair_is_chern_pair():
 @pytest.mark.parametrize("nmax", range(11))
 def test_s_basis_table_is_the_quadratic_definition(nmax):
     # the table walks only the parts of weight <= nmax - |mu|; the definition tests every pair
-    from ellgen.bundles import _s_basis
+    from ellgen.bundle_route import _s_basis
 
     parts, table = _s_basis(nmax)
     index = {mu: i for i, mu in enumerate(parts)}
@@ -580,7 +605,7 @@ def test_bundle_route_pairs_the_index_vectors_in_the_s_basis(n):
     # integer combination of the per-monomial vectors, each the weight-n part of its own A-hat
     # product: the pairing in the basis the vectors are built in, with no s -> p rewrite, no row
     # kernel and no product taken per bundle.
-    from ellgen.bundles import _ahat_s, _ch_monomial_s, _s_mul
+    from ellgen.bundle_route import _ahat_s, _ch_monomial_s, _s_mul
 
     rng = random.Random(300 + n)
     manifolds = [_random_manifold(n, rng) for _ in range(3)] + [Manifold("last", 4 * n, {partitions_of(n)[-1]: F(5, 7)})]

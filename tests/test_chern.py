@@ -19,7 +19,7 @@ from ellgen.chern import (
     pair,
     partitions_of,
 )
-from ellgen.bundles import _power_sum_terms
+from ellgen.bundle_route import _power_sum_terms
 from ellgen.errors import BadConstantTerm, DimMismatch, NonUnitConstant, OddTermPresent
 from ellgen.genera import genus
 from ellgen.series import USeries

@@ -15,7 +15,7 @@ from ellgen.cli import COMMANDS, main
 from ellgen.errors import ResidualNonzero
 from ellgen.genera import Hypersurface
 from ellgen.modular import LAW_CAP
-from ellgen.bundles import MAX_UORDER
+from ellgen.bundle_route import MAX_UORDER
 from ellgen.pontryagin import MAX_COST, MAX_N, partitions_of
 from ellgen.series import DEFAULT_UORDER, USeries
 from ellgen.sobolev import MAX_M
@@ -663,6 +663,19 @@ def test_transformation_laws_nan_residual_fails_the_check(capsys, monkeypatch):
     assert code == 1 and report["pass"] is False and len(report["failures"]) == 2
 
 
+@pytest.mark.parametrize("check", ["cancellation", "modular-relation", "route-equivalence"])
+def test_seeded_reports_name_their_draw(capsys, check):
+    # a passing report once read the same for every seed, so its stdout could not tell two draws apart
+    reports = []
+    for seed in ("3", "4"):
+        code, out, _ = run(capsys, "verify", "--check", check, "--samples", "2", "--uorder", "6", "--seed", seed)
+        assert code == 0
+        reports.append(json.loads(out))
+    first, second = reports
+    assert (first["seed"], second["seed"], first["samples"]) == (3, 4, 2)
+    assert {k for k in first.keys() | second.keys() if first.get(k) != second.get(k)} == {"seed"}
+
+
 def failed_check(capsys, *argv):
     """The failures of a `verify` run that must fail: exit 1, "pass" false, "residual" nonzero."""
     code, out, _ = run(capsys, "verify", *argv)
@@ -710,9 +723,9 @@ def test_modular_relation_check_fails_on_a_wrong_ell1(capsys, monkeypatch):
 
 
 def test_route_equivalence_check_fails_when_the_routes_disagree(capsys, monkeypatch):
-    from ellgen import bundles
+    from ellgen import bundle_route
 
-    monkeypatch.setattr(bundles, "ell2_via_bundles", off_by_one_coefficient(bundles.ell2_via_bundles))
+    monkeypatch.setattr(bundle_route, "ell2_via_bundles", off_by_one_coefficient(bundle_route.ell2_via_bundles))
     failures = failed_check(capsys, "--check", "route-equivalence", "--samples", "2", "--uorder", "6")
     assert failures == ["random-n2: bundle route disagrees with Pontryagin route"] * 2
 
@@ -764,9 +777,11 @@ def test_cli_import_path_skips_dataclasses_and_loads_every_module():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert not loaded & {"dataclasses", "inspect", "ast"}
-    # registered in sys.modules by `import ellgen`, executed on first use (see below)
-    for name in ("series", "pontryagin", "chern", "theta", "genera", "bundles", "modular", "sobolev"):
-        assert f"ellgen.{name}" in loaded
+    # every submodule but the front end and the verify suites is registered in sys.modules by
+    # `import ellgen` and executed on first use (see below); a new module is in this list at once
+    submodules = sorted({path.stem for path in (ROOT / "src" / "ellgen").glob("*.py")} - {"__init__", "cli", "verify"})
+    assert {"bundle_route", "bundles", "pontryagin", "series"} <= set(submodules)
+    assert [name for name in submodules if f"ellgen.{name}" not in loaded] == []
 
 
 def executed_modules(*argv):
@@ -793,7 +808,10 @@ VERIFY = {"ellgen.verify"}
 # exactly what a cold genus or hypersurface command executes of the package
 GENUS_ROUTE = FRONT_END | {"ellgen.series", "ellgen.pontryagin"}
 # the cross-check routes (theta products, the RootSeries/PontPoly ring, residues) and the rest
-NOT_FOR_GENERA = {"ellgen.chern", "ellgen.theta", "ellgen.genera", "ellgen.bundles", "ellgen.modular", "ellgen.sobolev"}
+NOT_FOR_GENERA = {
+    "ellgen.chern", "ellgen.theta", "ellgen.genera", "ellgen.bundle_route", "ellgen.bundles", "ellgen.modular",
+    "ellgen.sobolev",
+}
 # what `import fractions` executes: the genus and bundle routes run in integers from input to output
 RATIONAL_TOWER = {"fractions", "decimal", "numbers"}
 
@@ -872,32 +890,35 @@ def test_hypersurface_command_builds_no_theta_product():
     assert theta_products_built("hypersurface", "--ambient", "5", "--degree", "2", "--uorder", "24") == (0, 0)
 
 
-# the bundle route: the index sum runs in the s-basis of `bundles`, with no PontPoly ring
-BUNDLE_ROUTE = GENUS_ROUTE | {"ellgen.bundles"}
+# the bundle route: the index sum runs in the s-basis of `bundle_route`, with no PontPoly ring
+BUNDLE_ROUTE = GENUS_ROUTE | {"ellgen.bundle_route"}
 
 
 def test_route_equivalence_skips_modular_sobolev():
     executed = executed_modules("verify", "--check", "route-equivalence", "--samples", "1", "--uorder", "4")
     assert package_modules(executed) == BUNDLE_ROUTE | VERIFY
-    assert not executed & {"ellgen.chern", "ellgen.modular", "ellgen.sobolev"}
+    assert not executed & {"ellgen.bundles", "ellgen.chern", "ellgen.modular", "ellgen.sobolev"}
 
 
 def test_bundles_command_executes_the_bundle_route_alone():
     executed = executed_modules("bundles", "--n", "2", "--uorder", "4")
-    assert package_modules(executed) == BUNDLE_ROUTE
+    assert package_modules(executed) == BUNDLE_ROUTE | {"ellgen.bundles"}
     assert "ellgen.chern" not in executed
 
 
 def test_route_equivalence_check_runs_in_integers():
+    # the route reads the kernel's integers and builds none of the public bundle objects
     executed = executed_modules("verify", "--check", "route-equivalence", "--samples", "1")
-    assert package_modules(executed) == FRONT_END | VERIFY | {"ellgen.series", "ellgen.pontryagin", "ellgen.bundles"}
+    assert package_modules(executed) == FRONT_END | VERIFY | {"ellgen.series", "ellgen.pontryagin", "ellgen.bundle_route"}
     assert not executed & RATIONAL_TOWER
 
 
 def test_bundles_command_runs_in_integers():
     for fmt in ("text", "json"):
         executed = executed_modules("bundles", "--n", "2", "--uorder", "5", "--format", fmt)
-        assert package_modules(executed) == FRONT_END | {"ellgen.series", "ellgen.pontryagin", "ellgen.bundles"}, fmt
+        assert package_modules(executed) == FRONT_END | {
+            "ellgen.series", "ellgen.pontryagin", "ellgen.bundle_route", "ellgen.bundles"
+        }, fmt
         assert not executed & RATIONAL_TOWER, fmt
 
 

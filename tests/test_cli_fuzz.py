@@ -3,7 +3,7 @@ code in {0, 1, 2, 3} (the parser's own exits included), no exception escapes, an
 "a verification check failed", comes only from `verify`.  Sizes stay small (n <= 4,
 uorder <= 12, samples <= 2, m <= 64) so that the whole fuzz costs a few seconds, or
 go above a cap, where the command must refuse at once: n above `MAX_N` (a manifold `dim`,
-`hypersurface --ambient`, `bundles --n`, `verify --n`), uorder above `bundles.MAX_UORDER`,
+`hypersurface --ambient`, `bundles --n`, `verify --n`), uorder above `bundle_route.MAX_UORDER`,
 `modular.LAW_CAP` and the budget `pontryagin.MAX_COST` (up to 10^6), `sobolev --m` above
 `MAX_M`, and a `sobolev --tol` below the rounding of x F(x).  Each example runs under a
 wall-clock limit, so that a hang fails the test instead of stalling it."""
@@ -14,7 +14,7 @@ import signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ellgen.bundles import MAX_UORDER
+from ellgen.bundle_route import MAX_UORDER
 from ellgen.cli import main
 from ellgen.modular import LAW_CAP
 from ellgen.pontryagin import MAX_COST, MAX_N

@@ -297,7 +297,7 @@ def genus_number_oracle(m, kind, uorder):
 
 def power_sum_number(mu, m):
     """<s_mu, [M]> = sum_lambda t_(mu lambda) P_lambda(M), s_mu = sum_lambda t_(mu lambda) p_lambda."""
-    from ellgen.bundles import _power_sum_terms
+    from ellgen.bundle_route import _power_sum_terms
 
     return sum((t * m.pont.get(lam, 0) for lam, t in _power_sum_terms(mu)), F(0))
 
@@ -355,7 +355,8 @@ def test_genus_columns_memo_is_bounded():
         ("theta", "theta_factor"),
         ("theta", "genus_root_series"),
         ("bundles", "expand_witten"),
-        ("bundles", "_index_class"),
+        ("bundle_route", "witten_terms"),
+        ("bundle_route", "_index_class"),
     ],
 )
 def test_uorder_keyed_memos_are_bounded(module, name):

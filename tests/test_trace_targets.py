@@ -19,9 +19,9 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 
 # Every functools cache in the package, as `find_caches()` names them.
 CACHES = [
-    "ellgen.bundles._ahat_s", "ellgen.bundles._ch_monomial_s", "ellgen.bundles._index_class",
-    "ellgen.bundles._power_ch", "ellgen.bundles._power_sum_terms", "ellgen.bundles._s_basis",
-    "ellgen.bundles._scaled_tangent_ch", "ellgen.bundles.expand_witten",
+    "ellgen.bundle_route._ahat_s", "ellgen.bundle_route._ch_monomial_s", "ellgen.bundle_route._index_class",
+    "ellgen.bundle_route._power_ch", "ellgen.bundle_route._power_sum_terms", "ellgen.bundle_route._s_basis",
+    "ellgen.bundle_route._scaled_tangent_ch", "ellgen.bundle_route.witten_terms", "ellgen.bundles.expand_witten",
     "ellgen.genera.ahat_class", "ellgen.modular._basis",
     "ellgen.pontryagin._newton_terms", "ellgen.pontryagin.genus_columns", "ellgen.pontryagin.partition_from_str",
     "ellgen.pontryagin.partitions_of", "ellgen.theta.genus_root_series", "ellgen.theta.theta_factor",
